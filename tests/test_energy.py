@@ -133,3 +133,89 @@ def test_p2_weak_residual_is_linear():
 def test_residual_scale_positive():
     f = radial_field(41)
     assert en.residual_scale(EnergySpec(3.0, 1e-6), f) > 0
+
+
+# -- structural properties over random p, eps, grids and fields ---------------
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+PROPERTY = settings(max_examples=30, deadline=None)
+exponents = st.floats(1.0, 4.0, exclude_min=True)
+regularizations = st.floats(1e-3, 1.0)
+
+
+@st.composite
+def fields(draw):
+    """A random field on a nonuniform 1D grid (flat or euclidean(3)
+    measure) or on a small 2D grid."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n = draw(st.integers(9, 40))
+        nodes = 1.0 + np.concatenate(
+            [[0.0], np.cumsum(rng.uniform(0.5, 1.5, n - 1) / n)])
+        M = euclidean(3) if draw(st.booleans()) else None
+        grid = Grid1D(nodes, manifold=M)
+    else:
+        nx, ny = draw(st.integers(8, 12)), draw(st.integers(8, 12))
+        grid = Grid2D(0.0, 1.0, -0.5, draw(st.floats(0.5, 2.0)), nx, ny)
+    shape = grid.boundary_mask().shape
+    return DiscreteField(grid, rng.normal(size=shape)), rng
+
+
+def _mask(field, pinned):
+    if pinned:
+        return field.grid.boundary_mask()
+    return np.zeros(field.values.shape, dtype=bool)
+
+
+@PROPERTY
+@given(fields(), exponents, regularizations, st.booleans())
+def test_property_weak_residual_is_energy_gradient(fr, p, eps, pinned):
+    f, rng = fr
+    spec = EnergySpec(p, eps)
+    mask = _mask(f, pinned)
+    r = en.weak_residual(spec, f, fixed_mask=mask)
+    v = np.where(mask, 0.0, rng.normal(size=f.values.shape))
+    h = 1e-6
+    ep = en.energy(spec, f.copy_with(f.values + h * v))
+    em = en.energy(spec, f.copy_with(f.values - h * v))
+    scale = 1.0 + float(np.sum(np.abs(r * v))) + en.energy(spec, f) * 1e-4
+    assert abs((ep - em) / (2 * h) - float(np.sum(r * v))) <= 1e-5 * scale
+
+
+@PROPERTY
+@given(fields(), exponents, regularizations, st.booleans())
+def test_property_linearized_action_symmetric_and_consistent(fr, p, eps,
+                                                              pinned):
+    f, rng = fr
+    spec = EnergySpec(p, eps)
+    mask = _mask(f, pinned)
+    v = np.where(mask, 0.0, rng.normal(size=f.values.shape))
+    w = np.where(mask, 0.0, rng.normal(size=f.values.shape))
+    av = en.linearized_action(spec, f, f.copy_with(v), fixed_mask=mask)
+    aw = en.linearized_action(spec, f, f.copy_with(w), fixed_mask=mask)
+    sym_scale = float(np.sum(np.abs(w * av)) + np.sum(np.abs(v * aw)))
+    assert abs(float(np.sum(w * av)) - float(np.sum(v * aw))) \
+        <= 1e-12 * (1.0 + sym_scale)
+    h = 1e-6
+    rp = en.weak_residual(spec, f.copy_with(f.values + h * v), fixed_mask=mask)
+    rm = en.weak_residual(spec, f.copy_with(f.values - h * v), fixed_mask=mask)
+    fd = (rp - rm) / (2 * h)
+    scale = np.max(np.abs(av)) + np.max(np.abs(rp)) * 1e-4
+    assert np.max(np.abs(fd - av)) <= 1e-5 * (1.0 + scale)
+
+
+@PROPERTY
+@given(fields(), exponents, regularizations, st.booleans())
+def test_property_hessian_diagonal_matches_action(fr, p, eps, pinned):
+    f, _ = fr
+    spec = EnergySpec(p, eps)
+    mask = _mask(f, pinned)
+    diag = en.hessian_diagonal(spec, f, fixed_mask=mask)
+    ref = np.ones(f.values.shape)
+    for idx in zip(*np.nonzero(~mask)):
+        e = np.zeros(f.values.shape)
+        e[idx] = 1.0
+        ref[idx] = en.linearized_action(spec, f, f.copy_with(e),
+                                        fixed_mask=mask)[idx]
+    assert np.max(np.abs(diag - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
