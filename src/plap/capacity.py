@@ -231,8 +231,6 @@ def volume_growth_check(M: ModelManifold, p: float, lambda_p: float,
         if lambda_p <= 0:
             raise InvalidInputError(
                 "parabolic volume bound needs lambda_p > 0")
-        total = M.volume_between(R_values[0], M.domain[1] if
-                                 np.isfinite(M.domain[1]) else np.inf)
         tails = np.array([M.volume_between(R, M.domain[1] if
                                            np.isfinite(M.domain[1]) else np.inf)
                           for R in R_values])
@@ -242,7 +240,6 @@ def volume_growth_check(M: ModelManifold, p: float, lambda_p: float,
         rows = [{"R": r, "tail": t, "bound": C * sh,
                  "pass": t <= C * sh * (1 + 1e-9)}
                 for r, t, sh in zip(R_values, tails, shape)]
-        del total
     return {"kind": kind, "rows": rows, "C": float(C), "rate": rate, "ok": ok}
 
 

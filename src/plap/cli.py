@@ -157,7 +157,7 @@ def cmd_capacity(args) -> int:
     print("numeric = " + FMT % num.value)
     rel = abs(num.value - ana.value) / ana.value
     print("relative_difference = " + FMT % rel)
-    return EXIT_OK if rel <= max(0.01, 0.0) else EXIT_CHECK_FAILED
+    return EXIT_OK if rel <= 0.01 else EXIT_CHECK_FAILED
 
 
 def cmd_classify(args) -> int:

@@ -1,19 +1,24 @@
 """The (p, eps)-energy, its gradient and Hessian action on grid fields.
 
-The discrete energy evaluates gradients at cell midpoints (1D) or cell
-centers (2D) so it is a sum of per-cell convex terms; convexity then
-holds exactly at the discrete level and the weak residual is literally
-the gradient of the discrete energy with respect to node values.
+Every function here works through the grid's cell-gradient operator D
+(``grid.cell_gradient`` and its transpose ``grid.cell_divergence``), so
+one code path serves 1D and 2D grids.  The discrete energy is
+sum(meas * phi(|D u|^2)), a sum of per-cell convex terms: convexity holds
+exactly at the discrete level, the weak residual D^T(meas phi' D u) is
+literally the gradient of the discrete energy with respect to node
+values, and the Hessian is D^T (meas B) D with the per-cell blocks B of
+``cell_hessian``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import InvalidInputError, SingularityError
-from .grid import DiscreteField, Grid1D, Grid2D
+from .grid import DiscreteField
 
 
 @dataclass(frozen=True)
@@ -33,21 +38,10 @@ class EnergySpec:
 # -- cell quantities ---------------------------------------------------------
 
 
-def cell_data_1d(field: DiscreteField):
-    """Per-cell midpoint gradient and cell measure on a Grid1D."""
-    g = field.grid
-    grad = np.diff(field.values) / g.h
-    meas = g.h * (g.area[:-1] + g.area[1:]) / 2.0
-    return grad, meas
-
-
-def cell_data_2d(field: DiscreteField):
-    """Per-cell center gradient (gx, gy) and cell measure on a Grid2D."""
-    g = field.grid
-    v = field.values
-    gx = (v[1:, :-1] + v[1:, 1:] - v[:-1, :-1] - v[:-1, 1:]) / (2 * g.hx)
-    gy = (v[:-1, 1:] + v[1:, 1:] - v[:-1, :-1] - v[1:, :-1]) / (2 * g.hy)
-    return gx, gy, g.hx * g.hy
+def _cell_gradient(field: DiscreteField):
+    """Per-cell gradient components of the field and |grad|^2."""
+    grad = field.grid.cell_gradient(field.values)
+    return grad, reduce(np.add, [g * g for g in grad])
 
 
 def _phi(g2, p, eps):
@@ -62,6 +56,20 @@ def _phi_d(g2, p, eps):
 def _phi_dd_aniso(g2, p, eps):
     """p (p-2) (g^2+eps)^{(p-4)/2}: the rank-one part of the cell Hessian."""
     return p * (p - 2.0) * (g2 + eps) ** ((p - 4.0) / 2.0)
+
+
+def cell_hessian(spec: EnergySpec, field: DiscreteField) -> list:
+    """Per-cell Hessian blocks B = a I + b g g^T of phi(|g|^2) in the cell
+    gradient g, as B[i][j]; a = phi'/g and b the rank-one coefficient."""
+    grad, g2 = _cell_gradient(field)
+    a = _phi_d(g2, spec.p, spec.eps)
+    b = _phi_dd_aniso(g2, spec.p, spec.eps)
+    B = [[None] * len(grad) for _ in grad]
+    for i, gi in enumerate(grad):
+        for j in range(i):
+            B[i][j] = B[j][i] = b * (gi * grad[j])
+        B[i][i] = a + b * (gi * gi)
+    return B
 
 
 def _check_differentiable(spec: EnergySpec, g2) -> None:
@@ -79,12 +87,8 @@ def _check_differentiable(spec: EnergySpec, g2) -> None:
 
 def energy(spec: EnergySpec, field: DiscreteField) -> float:
     """E_{p,eps}(u) = int (|grad u|^2 + eps)^{p/2} dv (cellwise)."""
-    if isinstance(field.grid, Grid1D):
-        grad, meas = cell_data_1d(field)
-        g2 = grad * grad
-    else:
-        gx, gy, meas = cell_data_2d(field)
-        g2 = gx * gx + gy * gy
+    _, g2 = _cell_gradient(field)
+    meas = field.grid.cell_measure
     return float(np.sum(_phi(g2, spec.p, spec.eps).ravel() * np.ravel(meas)))
 
 
@@ -92,13 +96,8 @@ def q_energy(field: DiscreteField, q: float) -> float:
     """int |grad u|^q dv."""
     if q <= 0:
         raise InvalidInputError("q must be positive")
-    if isinstance(field.grid, Grid1D):
-        grad, meas = cell_data_1d(field)
-        g2 = grad * grad
-    else:
-        gx, gy, meas = cell_data_2d(field)
-        g2 = gx * gx + gy * gy
-    return float(np.sum(g2 ** (q / 2.0) * meas))
+    _, g2 = _cell_gradient(field)
+    return float(np.sum(g2 ** (q / 2.0) * field.grid.cell_measure))
 
 
 # -- first variation ---------------------------------------------------------
@@ -107,16 +106,10 @@ def q_energy(field: DiscreteField, q: float) -> float:
 def residual_scale(spec: EnergySpec, field: DiscreteField) -> float:
     """Magnitude of the elementary fluxes entering weak_residual; the
     natural scale for a relative stopping tolerance."""
-    if isinstance(field.grid, Grid1D):
-        grad, meas = cell_data_1d(field)
-        g2 = grad * grad
-        return float(np.max(np.abs(
-            _phi_d(g2, spec.p, spec.eps) * grad * meas / field.grid.h)))
-    gx, gy, meas = cell_data_2d(field)
-    g2 = gx * gx + gy * gy
-    c = _phi_d(g2, spec.p, spec.eps) * meas
-    return float(np.max(np.abs(c) * np.hypot(gx, gy)
-                        / (2 * min(field.grid.hx, field.grid.hy))))
+    _, g2 = _cell_gradient(field)
+    grid = field.grid
+    return float(np.max(_phi_d(g2, spec.p, spec.eps) * np.sqrt(g2)
+                        * grid.cell_measure / grid.flux_spacing))
 
 
 def weak_residual(spec: EnergySpec, field: DiscreteField,
@@ -127,27 +120,11 @@ def weak_residual(spec: EnergySpec, field: DiscreteField,
     """
     if fixed_mask is None:
         fixed_mask = field.grid.boundary_mask()
-    if isinstance(field.grid, Grid1D):
-        grad, meas = cell_data_1d(field)
-        g2 = grad * grad
-        _check_differentiable(spec, g2)
-        flux = _phi_d(g2, spec.p, spec.eps) * grad * meas / field.grid.h
-        r = np.zeros_like(field.values)
-        r[:-1] -= flux
-        r[1:] += flux
-    else:
-        gx, gy, meas = cell_data_2d(field)
-        g2 = gx * gx + gy * gy
-        _check_differentiable(spec, g2)
-        c = _phi_d(g2, spec.p, spec.eps) * meas
-        fx = c * gx / (2 * field.grid.hx)
-        fy = c * gy / (2 * field.grid.hy)
-        r = np.zeros_like(field.values)
-        # corner (i, j) enters gx with -, gy with -; (i+1, j): +, -; etc.
-        r[:-1, :-1] += -fx - fy
-        r[1:, :-1] += fx - fy
-        r[:-1, 1:] += -fx + fy
-        r[1:, 1:] += fx + fy
+    grad, g2 = _cell_gradient(field)
+    _check_differentiable(spec, g2)
+    a = _phi_d(g2, spec.p, spec.eps)
+    meas = field.grid.cell_measure
+    r = field.grid.cell_divergence([a * g * meas for g in grad])
     r[fixed_mask] = 0.0
     return r
 
@@ -165,34 +142,14 @@ def linearized_action(spec: EnergySpec, field: DiscreteField,
     """
     if spec.eps <= 0:
         raise SingularityError("linearization requires eps > 0")
+    grid = field.grid
     if fixed_mask is None:
-        fixed_mask = field.grid.boundary_mask()
-    pv = np.where(fixed_mask, 0.0, psi.values)
-    if isinstance(field.grid, Grid1D):
-        grad, meas = cell_data_1d(field)
-        g2 = grad * grad
-        gpsi = np.diff(pv) / field.grid.h
-        coef = (_phi_d(g2, spec.p, spec.eps)
-                + _phi_dd_aniso(g2, spec.p, spec.eps) * g2)
-        flux = coef * gpsi * meas / field.grid.h
-        out = np.zeros_like(pv)
-        out[:-1] -= flux
-        out[1:] += flux
-    else:
-        gx, gy, meas = cell_data_2d(field)
-        g2 = gx * gx + gy * gy
-        pfield = DiscreteField(field.grid, pv)
-        px, py, _ = cell_data_2d(pfield)
-        a = _phi_d(g2, spec.p, spec.eps)
-        b = _phi_dd_aniso(g2, spec.p, spec.eps)
-        dot = gx * px + gy * py
-        qx = (a * px + b * dot * gx) * meas / (2 * field.grid.hx)
-        qy = (a * py + b * dot * gy) * meas / (2 * field.grid.hy)
-        out = np.zeros_like(pv)
-        out[:-1, :-1] += -qx - qy
-        out[1:, :-1] += qx - qy
-        out[:-1, 1:] += -qx + qy
-        out[1:, 1:] += qx + qy
+        fixed_mask = grid.boundary_mask()
+    dpsi = grid.cell_gradient(np.where(fixed_mask, 0.0, psi.values))
+    meas = grid.cell_measure
+    out = grid.cell_divergence(
+        [reduce(np.add, map(np.multiply, row, dpsi)) * meas
+         for row in cell_hessian(spec, field)])
     out[fixed_mask] = 0.0
     return out
 
@@ -202,33 +159,11 @@ def hessian_diagonal(spec: EnergySpec, field: DiscreteField,
     """Diagonal of the discrete energy Hessian (Jacobi preconditioner)."""
     if spec.eps <= 0:
         raise SingularityError("linearization requires eps > 0")
+    grid = field.grid
     if fixed_mask is None:
-        fixed_mask = field.grid.boundary_mask()
-    if isinstance(field.grid, Grid1D):
-        grad, meas = cell_data_1d(field)
-        g2 = grad * grad
-        coef = (_phi_d(g2, spec.p, spec.eps)
-                + _phi_dd_aniso(g2, spec.p, spec.eps) * g2)
-        c = coef * meas / field.grid.h**2
-        d = np.zeros_like(field.values)
-        d[:-1] += c
-        d[1:] += c
-    else:
-        gx, gy, meas = cell_data_2d(field)
-        g2 = gx * gx + gy * gy
-        a = _phi_d(g2, spec.p, spec.eps)
-        b = _phi_dd_aniso(g2, spec.p, spec.eps)
-        cx, cy = 1.0 / (2 * field.grid.hx), 1.0 / (2 * field.grid.hy)
-        m00 = a + b * gx * gx
-        m11 = a + b * gy * gy
-        m01 = b * gx * gy
-        d = np.zeros_like(field.values)
-        for sx, sy, sl in (
-            (-cx, -cy, (np.s_[:-1], np.s_[:-1])),
-            (cx, -cy, (np.s_[1:], np.s_[:-1])),
-            (-cx, cy, (np.s_[:-1], np.s_[1:])),
-            (cx, cy, (np.s_[1:], np.s_[1:])),
-        ):
-            d[sl] += (m00 * sx * sx + 2 * m01 * sx * sy + m11 * sy * sy) * meas
+        fixed_mask = grid.boundary_mask()
+    meas = grid.cell_measure
+    d = grid.cell_diagonal(
+        [[bij * meas for bij in row] for row in cell_hessian(spec, field)])
     d[fixed_mask] = 1.0
     return d

@@ -1,5 +1,12 @@
 """Discretization layer: measure-weighted 1D grids, flat 2D grids, fields.
 
+Each grid owns the cell-gradient operator D that the energy is built on:
+``cell_gradient`` maps node values to per-cell gradient components (one
+in 1D, two in 2D), ``cell_divergence`` is its exact transpose,
+``cell_diagonal`` gives the diagonal of D^T C D for per-cell blocks C,
+and ``cell_measure`` weighs the cells.  Changing the discretization means
+changing these methods only.
+
 Finite differences are 2nd order (central interior, one-sided at the
 boundary); quadrature is a measure-weighted composite trapezoid rule so
 that node weights stay local.
@@ -52,6 +59,11 @@ class Grid1D:
         w[-1] = h[-1] / 2
         w[1:-1] = (h[:-1] + h[1:]) / 2
         self.weights = self.area * w
+        # the cells are the intervals [t_i, t_{i+1}]
+        self.cell_measure = h * (self.area[:-1] + self.area[1:]) / 2.0
+        # 1 / (largest entry of D) per cell: a cell flux times this is
+        # the force it puts on a node
+        self.flux_spacing = h
 
     @property
     def n(self) -> int:
@@ -66,6 +78,26 @@ class Grid1D:
         mask = np.zeros(self.n, dtype=bool)
         mask[0] = mask[-1] = True
         return mask
+
+    def cell_gradient(self, values) -> list:
+        """[du/dt] at the cell midpoints."""
+        return [np.diff(values) / self.h]
+
+    def cell_divergence(self, fluxes) -> np.ndarray:
+        """D^T: per-cell fluxes, one list entry per component, to nodes."""
+        flux = fluxes[0] / self.h
+        out = np.zeros(self.n)
+        out[:-1] -= flux
+        out[1:] += flux
+        return out
+
+    def cell_diagonal(self, blocks) -> np.ndarray:
+        """Diagonal of D^T C D for per-cell blocks C = blocks[i][j]."""
+        c = blocks[0][0] / self.h**2
+        out = np.zeros(self.n)
+        out[:-1] += c
+        out[1:] += c
+        return out
 
 
 class Grid2D:
@@ -82,12 +114,57 @@ class Grid2D:
         self.hx = self.x[1] - self.x[0]
         self.hy = self.y[1] - self.y[0]
         self.X, self.Y = np.meshgrid(self.x, self.y, indexing="ij")
+        # tensor trapezoid node weights
+        wx = np.full(nx, self.hx)
+        wx[0] = wx[-1] = self.hx / 2
+        wy = np.full(ny, self.hy)
+        wy[0] = wy[-1] = self.hy / 2
+        self.weights = np.outer(wx, wy)
+        # the cells are the squares between four neighbouring nodes
+        self.cell_measure = self.hx * self.hy
+        self.flux_spacing = 2 * min(self.hx, self.hy)
 
     def boundary_mask(self) -> np.ndarray:
         mask = np.zeros((self.nx, self.ny), dtype=bool)
         mask[0, :] = mask[-1, :] = True
         mask[:, 0] = mask[:, -1] = True
         return mask
+
+    def cell_gradient(self, values) -> list:
+        """[du/dx, du/dy] at the cell centers: the mean of the two edge
+        differences in each direction."""
+        v = values
+        return [
+            (v[1:, :-1] + v[1:, 1:] - v[:-1, :-1] - v[:-1, 1:]) / (2 * self.hx),
+            (v[:-1, 1:] + v[1:, 1:] - v[:-1, :-1] - v[1:, :-1]) / (2 * self.hy),
+        ]
+
+    def cell_divergence(self, fluxes) -> np.ndarray:
+        """D^T: per-cell fluxes [fx, fy] to nodes."""
+        fx = fluxes[0] / (2 * self.hx)
+        fy = fluxes[1] / (2 * self.hy)
+        both, diff = fx + fy, fx - fy
+        out = np.zeros((self.nx, self.ny))
+        # corner (i, j) enters gx with -, gy with -; (i+1, j): +, -; etc.
+        out[:-1, :-1] -= both
+        out[1:, :-1] += diff
+        out[:-1, 1:] -= diff
+        out[1:, 1:] += both
+        return out
+
+    def cell_diagonal(self, blocks) -> np.ndarray:
+        """Diagonal of D^T C D for per-cell 2x2 blocks C = blocks[i][j]."""
+        (c00, c01), (c10, c11) = blocks
+        cx, cy = 1.0 / (2 * self.hx), 1.0 / (2 * self.hy)
+        out = np.zeros((self.nx, self.ny))
+        for sx, sy, sl in (
+            (-cx, -cy, np.s_[:-1, :-1]),
+            (cx, -cy, np.s_[1:, :-1]),
+            (-cx, cy, np.s_[:-1, 1:]),
+            (cx, cy, np.s_[1:, 1:]),
+        ):
+            out[sl] += c00 * sx * sx + (c01 + c10) * sx * sy + c11 * sy * sy
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +273,9 @@ def hessian(f: DiscreteField):
 
 
 def integrate_field(values, grid) -> float:
-    """Measure-weighted trapezoid (1D) or tensor trapezoid (2D)."""
+    """Node values summed against the grid's trapezoid weights."""
     values = np.asarray(values, dtype=float)
-    if isinstance(grid, Grid1D):
-        return float(np.dot(grid.weights, values))
-    wx = np.full(grid.nx, grid.hx)
-    wx[0] = wx[-1] = grid.hx / 2
-    wy = np.full(grid.ny, grid.hy)
-    wy[0] = wy[-1] = grid.hy / 2
-    return float(wx @ values @ wy)
+    return float(np.dot(grid.weights.ravel(), values.ravel()))
 
 
 def grad_magnitude(f: DiscreteField) -> np.ndarray:
@@ -242,14 +313,10 @@ def dump_csv(f: DiscreteField, path) -> None:
                 fh.write(f"{t:.12g},{v:.12g},{g:.12g},{w:.12g}\n")
         else:
             fh.write("x,y,value,grad_mag,weight\n")
-            wx = np.full(f.grid.nx, f.grid.hx)
-            wx[0] = wx[-1] = f.grid.hx / 2
-            wy = np.full(f.grid.ny, f.grid.hy)
-            wy[0] = wy[-1] = f.grid.hy / 2
             for i in range(f.grid.nx):
                 for j in range(f.grid.ny):
                     fh.write(
                         f"{f.grid.x[i]:.12g},{f.grid.y[j]:.12g},"
                         f"{f.values[i, j]:.12g},{gm[i, j]:.12g},"
-                        f"{wx[i] * wy[j]:.12g}\n"
+                        f"{f.grid.weights[i, j]:.12g}\n"
                     )

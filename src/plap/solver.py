@@ -55,10 +55,13 @@ class SolveReport:
     consecutive_distances: list = dc_field(default_factory=list)
     sandwich: list = dc_field(default_factory=list)
 
-    def add_step(self, eps, iters, residual, e_eps, e_p):
+    def add_step(self, eps, iters, residual, e_eps, e_p, stop):
+        """``stop`` says why the solve ended: "tol" (residual at most its
+        tolerance), "guard" (rounding floor reached, residual accepted
+        above tol) or "max_iters"."""
         self.steps.append(
             {"eps": eps, "iterations": iters, "residual": residual,
-             "energy_eps": e_eps, "energy_p": e_p}
+             "energy_eps": e_eps, "energy_p": e_p, "stop": stop}
         )
 
 
@@ -105,10 +108,8 @@ def _newton_direction(spec, field, mask, rhs):
     grid = field.grid
     free = ~mask.ravel()
     if isinstance(grid, Grid1D):
-        grad, meas = en.cell_data_1d(field)
-        g2 = grad * grad
-        k = (en._phi_d(g2, spec.p, spec.eps)
-             + en._phi_dd_aniso(g2, spec.p, spec.eps) * g2) * meas / grid.h**2
+        # the Hessian D^T (meas B) D is tridiagonal with off-diagonal -k
+        k = en.cell_hessian(spec, field)[0][0] * grid.cell_measure / grid.h**2
         n = grid.n
         diag = np.zeros(n)
         diag[:-1] += k
@@ -182,7 +183,7 @@ def solve_dirichlet(spec: EnergySpec, grid, boundary,
         u = np.full_like(vals, fixed.flat[0])
         f = DiscreteField(grid, u)
         report.add_step(eps, 0, 0.0, en.energy(spec, f),
-                        en.q_energy(f, spec.p))
+                        en.q_energy(f, spec.p), "tol")
         return f, report
 
     u = np.array(initial, dtype=float) if initial is not None \
@@ -199,14 +200,16 @@ def solve_dirichlet(spec: EnergySpec, grid, boundary,
     guard = 1e-6 * (1.0 + en.residual_scale(spec, f))
     iters = 0
     r_prev = np.inf
+    stop = "tol"
     while np.max(np.abs(r)) > tol:
         if (iters > 0 and alpha == 1.0
                 and np.max(np.abs(r)) >= 0.5 * r_prev
                 and np.max(np.abs(r)) <= guard):
+            stop = "guard"
             break
         if iters >= cfg.max_newton_iters:
             report.add_step(eps, iters, float(np.max(np.abs(r))), e_val,
-                            en.q_energy(f, spec.p))
+                            en.q_energy(f, spec.p), "max_iters")
             raise NonConvergenceError(
                 f"Newton did not reach tol={tol:.3e} in "
                 f"{cfg.max_newton_iters} iterations "
@@ -233,7 +236,7 @@ def solve_dirichlet(spec: EnergySpec, grid, boundary,
         tol = cfg.residual_tol * (1.0 + en.residual_scale(spec, f))
         iters += 1
     report.add_step(eps, iters, float(np.max(np.abs(r))), e_val,
-                    en.q_energy(f, spec.p))
+                    en.q_energy(f, spec.p), stop)
     return f, report
 
 

@@ -35,6 +35,7 @@ from .grid import (
     _deriv_1d,
     gradient,
     hessian,
+    integrate_field,
 )
 
 KAPPA_VARIANTS = ("Theorem1", "RefinedKS", "WeakKa")
@@ -362,14 +363,6 @@ def _node_gradients(f: DiscreteField):
     return np.hypot(gx, gy)
 
 
-def _node_integral(grid, values) -> float:
-    if isinstance(grid, Grid1D):
-        return float(np.dot(grid.weights, values))
-    w = np.full(values.shape, grid.hx * grid.hy)
-    w[0, :] *= 0.5; w[-1, :] *= 0.5; w[:, 0] *= 0.5; w[:, -1] *= 0.5
-    return float(np.sum(w * values))
-
-
 def caccioppoli_check(w: DiscreteField, psi: DiscreteField,
                       p: float) -> VerifierReport:
     """||psi grad w||_p <= p ||grad psi . w||_p for positive p-subharmonic w."""
@@ -387,8 +380,8 @@ def caccioppoli_check(w: DiscreteField, psi: DiscreteField,
             raise InvalidInputError("w is not p-subharmonic on this grid")
     gw = _node_gradients(w)
     gpsi = _node_gradients(psi)
-    lhs = _node_integral(w.grid, (np.abs(psi.values) * gw) ** p) ** (1.0 / p)
-    rhs = _node_integral(w.grid, (gpsi * np.abs(w.values)) ** p) ** (1.0 / p)
+    lhs = integrate_field((np.abs(psi.values) * gw) ** p, w.grid) ** (1.0 / p)
+    rhs = integrate_field((gpsi * np.abs(w.values)) ** p, w.grid) ** (1.0 / p)
     tol = 1e-9
     ok = lhs <= p * rhs * (1.0 + tol) + tol
     return VerifierReport(
@@ -439,9 +432,9 @@ def weighted_caccioppoli_check(M: ModelManifold, p: float,
     du = _deriv_1d(t, u_eps.values)
     inner = np.abs(t) <= R
     shell = (np.abs(t) > R) & (np.abs(t) <= 2.0 * R)
-    lhs = C * _node_integral(grid, np.where(inner, rho * np.abs(du) ** p, 0.0))
-    rhs = (100.0 * B / R**2) * _node_integral(
-        grid, np.where(shell, (du * du + eps) ** (p / 2.0), 0.0))
+    lhs = C * integrate_field(np.where(inner, rho * np.abs(du) ** p, 0.0), grid)
+    rhs = (100.0 * B / R**2) * integrate_field(
+        np.where(shell, (du * du + eps) ** (p / 2.0), 0.0), grid)
     margin = rhs - lhs
     return VerifierReport(
         name="weighted_caccioppoli", minimum=lhs, maximum=rhs, mean=margin,
@@ -577,9 +570,9 @@ def weighted_poincare_check(M: ModelManifold,
             raise InvalidInputError(
                 f"manifold fails admissibility: {adm['violations'][:3]}")
         rho = np.asarray(M.weight_rho(grid.nodes), float)
-        lhs = _node_integral(grid, rho * f.values**2)
+        lhs = integrate_field(rho * f.values**2, grid)
         g = _node_gradients(f)
-        rhs = _node_integral(grid, g * g)
+        rhs = integrate_field(g * g, grid)
         rows.append((lhs, rhs))
     margins = [r - l for l, r in rows]
     scale = max(abs(r) for _, r in rows) + 1.0

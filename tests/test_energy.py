@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import plap.energy as en
 from plap.energy import EnergySpec
@@ -137,8 +138,6 @@ def test_residual_scale_positive():
 
 # -- structural properties over random p, eps, grids and fields ---------------
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
 PROPERTY = settings(max_examples=30, deadline=None)
 exponents = st.floats(1.0, 4.0, exclude_min=True)
 regularizations = st.floats(1e-3, 1.0)
@@ -160,6 +159,20 @@ def fields(draw):
         grid = Grid2D(0.0, 1.0, -0.5, draw(st.floats(0.5, 2.0)), nx, ny)
     shape = grid.boundary_mask().shape
     return DiscreteField(grid, rng.normal(size=shape)), rng
+
+
+@PROPERTY
+@given(fields())
+def test_property_cell_divergence_is_transpose_of_cell_gradient(fr):
+    f, rng = fr
+    grid = f.grid
+    du = grid.cell_gradient(f.values)
+    q = [rng.normal(size=g.shape) for g in du]
+    lhs = sum(float(np.sum(g * qk)) for g, qk in zip(du, q))
+    dtq = grid.cell_divergence(q)
+    rhs = float(np.sum(f.values * dtq))
+    scale = sum(float(np.sum(np.abs(g * qk))) for g, qk in zip(du, q))
+    assert abs(lhs - rhs) <= 1e-12 * (1.0 + scale)
 
 
 def _mask(field, pinned):

@@ -72,6 +72,25 @@ def test_nonconvergence_carries_best_iterate():
     err = exc.value
     assert err.best is not None
     assert err.report.steps[-1]["iterations"] == 1
+    assert err.report.steps[-1]["stop"] == "max_iters"
+
+
+def test_stop_reason_tol():
+    spec = EnergySpec(2.0, 1e-12)
+    f, rep = sv.solve_dirichlet(spec, annulus(257), (1.0, 0.0))
+    step = rep.steps[-1]
+    assert step["stop"] == "tol"
+    assert step["residual"] <= 1e-12 * (1.0 + en.residual_scale(spec, f))
+
+
+def test_stop_reason_guard():
+    # the rounding floor of this fine grid sits above the tolerance: the
+    # guard accepts a residual several times tol, and the report says so
+    spec = EnergySpec(3.2, 1e-6)
+    f, rep = sv.solve_dirichlet(spec, annulus(16385), (1.0, 0.0))
+    step = rep.steps[-1]
+    assert step["stop"] == "guard"
+    assert step["residual"] > 1e-12 * (1.0 + en.residual_scale(spec, f))
 
 
 def test_2d_solve_p2():
