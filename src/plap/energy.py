@@ -1,4 +1,4 @@
-"""The (p, eps)-energy, its gradient and Hessian action on grid fields.
+"""The (p, eps)-energy, its gradient and its Hessian on grid fields.
 
 Every function here works through the grid's cell-gradient operator D
 (``grid.cell_gradient`` and its transpose ``grid.cell_divergence``), so
@@ -7,7 +7,8 @@ sum(meas * phi(|D u|^2)), a sum of per-cell convex terms: convexity holds
 exactly at the discrete level, the weak residual D^T(meas phi' D u) is
 literally the gradient of the discrete energy with respect to node
 values, and the Hessian is D^T (meas B) D with the per-cell blocks B of
-``cell_hessian``.
+``cell_hessian``, assembled by ``hessian`` from the grid's sparse
+``cell_matrix``.
 """
 
 from __future__ import annotations
@@ -132,38 +133,41 @@ def weak_residual(spec: EnergySpec, field: DiscreteField,
 # -- second variation --------------------------------------------------------
 
 
-def linearized_action(spec: EnergySpec, field: DiscreteField,
-                      psi: DiscreteField, fixed_mask=None) -> np.ndarray:
-    """Hessian of the discrete energy at u applied to psi (free nodes).
+def hessian(spec: EnergySpec, field: DiscreteField):
+    """Hessian of the discrete energy at u as a sparse nodes x nodes matrix
+    on values.ravel(): D^T (meas B) D with D the grid's ``cell_matrix``.
 
     This is the discretization of the linearized operator
     div(f_eps^{p-2} (id + (p-2) grad u x grad u / f_eps^2) grad psi)
     in the same staggered fluxes as the energy itself.
     """
+    import scipy.sparse as sp
+
     if spec.eps <= 0:
         raise SingularityError("linearization requires eps > 0")
     grid = field.grid
-    if fixed_mask is None:
-        fixed_mask = grid.boundary_mask()
-    dpsi = grid.cell_gradient(np.where(fixed_mask, 0.0, psi.values))
     meas = grid.cell_measure
-    out = grid.cell_divergence(
-        [reduce(np.add, map(np.multiply, row, dpsi)) * meas
-         for row in cell_hessian(spec, field)])
+    W = sp.bmat([[sp.diags(np.ravel(bij * meas)) for bij in row]
+                 for row in cell_hessian(spec, field)])
+    D = grid.cell_matrix
+    return (D.T @ (W @ D)).tocsr()
+
+
+def linearized_action(spec: EnergySpec, field: DiscreteField,
+                      psi: DiscreteField, fixed_mask=None) -> np.ndarray:
+    """Hessian at u applied to psi, both restricted to the free nodes."""
+    if fixed_mask is None:
+        fixed_mask = field.grid.boundary_mask()
+    free_psi = np.where(fixed_mask, 0.0, psi.values)
+    out = (hessian(spec, field) @ free_psi.ravel()).reshape(free_psi.shape)
     out[fixed_mask] = 0.0
     return out
 
 
 def hessian_diagonal(spec: EnergySpec, field: DiscreteField,
                      fixed_mask=None) -> np.ndarray:
-    """Diagonal of the discrete energy Hessian (Jacobi preconditioner)."""
-    if spec.eps <= 0:
-        raise SingularityError("linearization requires eps > 0")
-    grid = field.grid
+    """Diagonal of the Hessian, 1 at fixed nodes."""
     if fixed_mask is None:
-        fixed_mask = grid.boundary_mask()
-    meas = grid.cell_measure
-    d = grid.cell_diagonal(
-        [[bij * meas for bij in row] for row in cell_hessian(spec, field)])
-    d[fixed_mask] = 1.0
-    return d
+        fixed_mask = field.grid.boundary_mask()
+    return np.where(fixed_mask, 1.0,
+                    hessian(spec, field).diagonal().reshape(fixed_mask.shape))

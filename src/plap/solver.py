@@ -1,8 +1,10 @@
 """Dirichlet solves for the perturbed p-Laplacian.
 
-Damped Newton on the convex discrete energy: direct tridiagonal solves
-in 1D, Jacobi-preconditioned conjugate gradients in 2D (the energy
-Hessian is symmetric positive definite on free nodes for eps > 0).
+Damped Newton on the convex discrete energy.  Each Newton direction is a
+direct solve with the energy Hessian on the free nodes, which is symmetric
+and, for eps > 0 with the grid boundary fixed, positive definite: one
+tridiagonal banded solve in 1D, a sparse LU solve of the assembled
+``energy.hessian`` in 2D.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import LinearOperator, cg, spsolve
+from scipy.sparse.linalg import spsolve
+# unused: only kept because perfbench/tracing.py wraps solver.cg by name
+from scipy.sparse.linalg import cg  # noqa: F401
 
 from . import energy as en
 from .energy import EnergySpec
@@ -23,7 +26,7 @@ from .errors import (
     NonConvergenceError,
 )
 from .geometry import EndKind, ModelManifold
-from .grid import Analytic1D, DiscreteField, Grid1D, Grid2D, wp_distance
+from .grid import Analytic1D, DiscreteField, Grid1D, wp_distance
 
 EPS_FLOOR = 1e-14
 
@@ -105,57 +108,26 @@ def _initial_guess(grid, mask, vals):
 
 
 def _newton_direction(spec, field, mask, rhs):
+    """Solve H_ff d_f = rhs_f for the energy Hessian H at field; d is zero
+    at the fixed nodes."""
     grid = field.grid
-    free = ~mask.ravel()
     if isinstance(grid, Grid1D):
-        # the Hessian D^T (meas B) D is tridiagonal with off-diagonal -k
+        # H is tridiagonal with off-diagonal -k; fixed nodes become
+        # identity rows cut off from their neighbours
         k = en.cell_hessian(spec, field)[0][0] * grid.cell_measure / grid.h**2
-        n = grid.n
-        diag = np.zeros(n)
-        diag[:-1] += k
-        diag[1:] += k
-        off = -k
-        if mask[0] and mask[-1] and not np.any(mask[1:-1]):
-            # pure two-point boundary: banded tridiagonal solve
-            ab = np.zeros((3, n - 2))
-            ab[1] = diag[1:-1]
-            ab[0, 1:] = off[1:-1]
-            ab[2, :-1] = off[1:-1]
-            d = np.zeros(n)
-            d[1:-1] = solve_banded((1, 1), ab, rhs[1:-1])
-            return d
-        rows, cols, vals_ = [], [], []
-        idx = np.arange(n)
-        rows.extend(idx); cols.extend(idx); vals_.extend(diag)
-        rows.extend(idx[:-1]); cols.extend(idx[1:]); vals_.extend(off)
-        rows.extend(idx[1:]); cols.extend(idx[:-1]); vals_.extend(off)
-        K = csr_matrix((vals_, (rows, cols)), shape=(n, n))
-        Kff = K[free][:, free]
-        d = np.zeros(n)
-        d[free] = spsolve(Kff.tocsc(), rhs.ravel()[free])
-        return d
-    # 2D: matrix-free CG with Jacobi preconditioner
-    shape = field.values.shape
-    nfree = int(free.sum())
-    diag = en.hessian_diagonal(spec, field, mask).ravel()[free]
-
-    def matvec(x):
-        full = np.zeros(shape).ravel()
-        full[free] = x
-        out = en.linearized_action(spec, field,
-                                   DiscreteField(grid, full.reshape(shape)),
-                                   fixed_mask=mask)
-        return out.ravel()[free]
-
-    A = LinearOperator((nfree, nfree), matvec=matvec)
-    M = LinearOperator((nfree, nfree), matvec=lambda x: x / diag)
-    b = rhs.ravel()[free]
-    x, info = cg(A, b, rtol=1e-10, atol=0.0, maxiter=20 * nfree, M=M)
-    if info != 0:
-        raise NonConvergenceError(f"CG failed to converge (info={info})")
-    d = np.zeros(shape).ravel()
-    d[free] = x
-    return d.reshape(shape)
+        ab = np.zeros((3, grid.n))
+        ab[1, :-1] += k
+        ab[1, 1:] += k
+        ab[1, mask] = 1.0
+        off = np.where(mask[:-1] | mask[1:], 0.0, -k)
+        ab[0, 1:] = off
+        ab[2, :-1] = off
+        return solve_banded((1, 1), ab, np.where(mask, 0.0, rhs))
+    free = ~mask.ravel()
+    H = en.hessian(spec, field)
+    d = np.zeros(rhs.size)
+    d[free] = spsolve(H[free][:, free], rhs.ravel()[free])
+    return d.reshape(rhs.shape)
 
 
 # ---------------------------------------------------------------------------

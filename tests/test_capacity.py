@@ -54,6 +54,20 @@ def test_capacity_numeric_matches_analytic():
         assert num.extremal is not None
 
 
+def test_capacity_numeric_thick_plates():
+    # the grid reaches past the gap [1, 2] on both sides, so whole runs
+    # of nodes are fixed on each plate and only the gap carries energy
+    g = Grid1D.uniform(0.5, 2.5, 1025, manifold=M3)
+    pad = 1e-9
+    cond = cap.Condenser(inner=(0.5, 1.0 + pad), outer=(2.0 - pad, 2.5))
+    for p in (2.0, 3.0):
+        num = cap.capacity_numeric(g, p, cond)
+        ana = cap.capacity_analytic(M3, p, 1.0, 2.0)
+        assert num.value == pytest.approx(ana.value, rel=5e-3), p
+        assert np.all(num.extremal.values[g.nodes <= 1.0] == 1.0)
+        assert np.all(num.extremal.values[g.nodes >= 2.0] == 0.0)
+
+
 def test_zero_potential_difference_has_zero_energy():
     # equal plate potentials: the minimizer is constant, p-energy 0
     g = Grid1D.uniform(1.0, 2.0, 65, manifold=M3)

@@ -108,21 +108,6 @@ def test_linearized_action_symmetric_and_consistent():
     assert np.max(np.abs(fd - av)) <= 1e-5 * (1 + np.max(np.abs(av)))
 
 
-def test_hessian_diagonal_matches_action():
-    f = radial_field(31)
-    spec = EnergySpec(3.0, 1e-3)
-    free = np.zeros(f.values.shape, dtype=bool)
-    diag = en.hessian_diagonal(spec, f, fixed_mask=free)
-    n = f.values.size
-    ref = np.empty(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        ref[i] = en.linearized_action(spec, f, f.copy_with(e),
-                                      fixed_mask=free)[i]
-    assert np.max(np.abs(diag - ref)) <= 1e-12 * (1 + np.max(np.abs(ref)))
-
-
 def test_p2_weak_residual_is_linear():
     f = radial_field(41)
     spec = EnergySpec(2.0, 0.0)
@@ -167,6 +152,11 @@ def test_property_cell_divergence_is_transpose_of_cell_gradient(fr):
     f, rng = fr
     grid = f.grid
     du = grid.cell_gradient(f.values)
+    # the sparse D stacks the same components
+    stacked = np.concatenate([g.ravel() for g in du])
+    dense = grid.cell_matrix @ f.values.ravel()
+    assert np.max(np.abs(dense - stacked)) \
+        <= 1e-12 * (1.0 + np.max(np.abs(stacked)))
     q = [rng.normal(size=g.shape) for g in du]
     lhs = sum(float(np.sum(g * qk)) for g, qk in zip(du, q))
     dtq = grid.cell_divergence(q)
@@ -220,15 +210,29 @@ def test_property_linearized_action_symmetric_and_consistent(fr, p, eps,
 
 @PROPERTY
 @given(fields(), exponents, regularizations, st.booleans())
-def test_property_hessian_diagonal_matches_action(fr, p, eps, pinned):
+def test_property_hessian_symmetric_and_residual_jacobian(fr, p, eps, pinned):
     f, _ = fr
     spec = EnergySpec(p, eps)
     mask = _mask(f, pinned)
+    H = en.hessian(spec, f).toarray()
+    assert np.max(np.abs(H - H.T)) <= 1e-12 * (1.0 + np.max(np.abs(H)))
+    # every free column of H is a central FD of the residual
+    h = 1e-6
+    u = f.values.ravel()
+    free = np.flatnonzero(~mask.ravel())
+    fd = np.empty((u.size, free.size))
+    for col, j in enumerate(free):
+        e = np.zeros(u.size)
+        e[j] = h
+        rp = en.weak_residual(spec, f.copy_with((u + e).reshape(mask.shape)),
+                              fixed_mask=mask)
+        rm = en.weak_residual(spec, f.copy_with((u - e).reshape(mask.shape)),
+                              fixed_mask=mask)
+        fd[:, col] = (rp - rm).ravel() / (2 * h)
+    ref = np.where(mask.ravel()[:, None], 0.0, H[:, free])
+    r_max = np.max(np.abs(en.weak_residual(spec, f, fixed_mask=mask)))
+    scale = np.max(np.abs(H)) + r_max * 1e-4
+    assert np.max(np.abs(fd - ref)) <= 1e-5 * (1.0 + scale)
     diag = en.hessian_diagonal(spec, f, fixed_mask=mask)
-    ref = np.ones(f.values.shape)
-    for idx in zip(*np.nonzero(~mask)):
-        e = np.zeros(f.values.shape)
-        e[idx] = 1.0
-        ref[idx] = en.linearized_action(spec, f, f.copy_with(e),
-                                        fixed_mask=mask)[idx]
-    assert np.max(np.abs(diag - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
+    assert np.array_equal(
+        diag, np.where(mask, 1.0, np.diag(H).reshape(mask.shape)))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import plap.energy as en
 import plap.solver as sv
@@ -194,3 +195,43 @@ def test_exponential_surface_solve():
     # closed form: u = (1 - e^{-t}) / (1 - e^{-4})
     exact = (1 - np.exp(-g.nodes)) / (1 - np.exp(-4.0))
     assert np.max(np.abs(f.values - exact)) < 1e-4
+
+
+@st.composite
+def newton_systems(draw):
+    """A field, a fixed mask holding the grid boundary and a right-hand
+    side.  1D masks get up to three fixed runs anywhere, interior ones
+    included; 2D masks get random interior nodes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n = draw(st.integers(9, 60))
+        nodes = 1.0 + np.concatenate(
+            [[0.0], np.cumsum(rng.uniform(0.5, 1.5, n - 1) / n)])
+        grid = Grid1D(nodes, manifold=M3 if draw(st.booleans()) else None)
+        mask = grid.boundary_mask()
+        for _ in range(draw(st.integers(0, 3))):
+            start = draw(st.integers(0, n - 1))
+            mask[start:start + draw(st.integers(1, 6))] = True
+    else:
+        grid = Grid2D(0.0, 1.0, 0.0, draw(st.floats(0.5, 2.0)),
+                      draw(st.integers(8, 12)), draw(st.integers(8, 12)))
+        mask = grid.boundary_mask() | (rng.random(grid.X.shape) < 0.2)
+    field = DiscreteField(grid, rng.normal(size=mask.shape))
+    return field, mask, rng.normal(size=mask.shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(newton_systems(), st.floats(1.0, 4.0, exclude_min=True),
+       st.floats(1e-3, 1.0))
+def test_property_newton_direction_solves_free_block(system, p, eps):
+    field, mask, rhs = system
+    spec = EnergySpec(p, eps)
+    d = sv._newton_direction(spec, field, mask, rhs)
+    assert d.shape == mask.shape
+    assert np.all(d[mask] == 0.0)
+    free = ~mask.ravel()
+    H = en.hessian(spec, field).toarray()[np.ix_(free, free)]
+    lhs = H @ d.ravel()[free]
+    b = rhs.ravel()[free]
+    scale = np.max(np.abs(b)) + np.max(np.abs(H) @ np.abs(d.ravel()[free]))
+    assert np.max(np.abs(lhs - b)) <= 1e-10 * scale
