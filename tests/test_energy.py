@@ -108,6 +108,21 @@ def test_linearized_action_symmetric_and_consistent():
     assert np.max(np.abs(fd - av)) <= 1e-5 * (1 + np.max(np.abs(av)))
 
 
+def test_hessian_diagonal_matches_action():
+    f = radial_field(31)
+    spec = EnergySpec(3.0, 1e-3)
+    free = np.zeros(f.values.shape, dtype=bool)
+    diag = en.hessian_diagonal(spec, f, fixed_mask=free)
+    n = f.values.size
+    ref = np.empty(n)
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        ref[i] = en.linearized_action(spec, f, f.copy_with(e),
+                                      fixed_mask=free)[i]
+    assert np.max(np.abs(diag - ref)) <= 1e-12 * (1 + np.max(np.abs(ref)))
+
+
 def test_p2_weak_residual_is_linear():
     f = radial_field(41)
     spec = EnergySpec(2.0, 0.0)
@@ -236,3 +251,19 @@ def test_property_hessian_symmetric_and_residual_jacobian(fr, p, eps, pinned):
     diag = en.hessian_diagonal(spec, f, fixed_mask=mask)
     assert np.array_equal(
         diag, np.where(mask, 1.0, np.diag(H).reshape(mask.shape)))
+
+
+@PROPERTY
+@given(fields(), exponents, regularizations, st.booleans())
+def test_property_hessian_diagonal_matches_action(fr, p, eps, pinned):
+    f, _ = fr
+    spec = EnergySpec(p, eps)
+    mask = _mask(f, pinned)
+    diag = en.hessian_diagonal(spec, f, fixed_mask=mask)
+    ref = np.ones(f.values.shape)
+    for idx in zip(*np.nonzero(~mask)):
+        e = np.zeros(f.values.shape)
+        e[idx] = 1.0
+        ref[idx] = en.linearized_action(spec, f, f.copy_with(e),
+                                        fixed_mask=mask)[idx]
+    assert np.max(np.abs(diag - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
