@@ -1,16 +1,16 @@
-"""Model manifolds: radial Euclidean domains and warped products R x N.
+"""Model manifolds: warped products I x_eta N, radial Euclidean space included.
 
-A warped product carries a positive warp eta(t); every radial quantity
-reduces to the area function A(t) = eta(t)^(m-1) (the fiber N is
-normalized to unit volume).  Radial Euclidean space uses
-A(t) = omega_{m-1} t^(m-1).
+Every radial quantity reduces to the area function A(t) = vol_N eta(t)^(m-1)
+of the warp eta and the fibre volume vol_N, normalized to 1 on a warped
+product.  Radial Euclidean space is (0, inf) x_t S^{m-1}: eta(t) = t and
+vol_N = omega_{m-1}, so A(t) = omega_{m-1} t^(m-1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import integrate
@@ -197,6 +197,25 @@ class Tabulated(WarpFunction):
         return self._spline(t, 2)
 
 
+@dataclass(frozen=True)
+class Linear(WarpFunction):
+    """eta(t) = t on [0, inf): the warp of radial Euclidean space."""
+
+    domain = (0.0, INF)
+
+    def value(self, t):
+        return np.asarray(t, dtype=float)
+
+    def d1(self, t):
+        return np.ones_like(t, dtype=float)
+
+    def d2(self, t):
+        return np.zeros_like(t, dtype=float)
+
+    def tail(self, direction):
+        return ("power", 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Model manifolds
 # ---------------------------------------------------------------------------
@@ -209,7 +228,7 @@ class EndKind:
 
 @dataclass(frozen=True)
 class ModelManifold:
-    """Radial model geometry.  variant is "euclidean" or "warped"."""
+    """Radial model geometry.  variant is "euclidean" (eta = t) or "warped"."""
 
     variant: str
     m: int
@@ -221,20 +240,18 @@ class ModelManifold:
     def __post_init__(self):
         if self.variant not in ("euclidean", "warped"):
             raise InvalidInputError(f"unknown variant {self.variant!r}")
+        if self.m < 2:
+            raise InvalidInputError(f"{self.variant} variant needs m >= 2")
         if self.variant == "euclidean":
-            if self.m < 2:
-                raise InvalidInputError("euclidean variant needs m >= 2")
-            dom = self.domain if self.domain is not None else (0.0, INF)
-            if dom[0] < 0:
+            if self.domain is not None and self.domain[0] < 0:
                 raise InvalidInputError("radial Euclidean domain must lie in t >= 0")
-        else:
-            if self.m < 2:
-                raise InvalidInputError("warped product needs m >= 2")
-            if self.warp is None:
-                raise InvalidInputError("warped product needs a warp function")
-            if self.vol_N != 1.0:
-                raise InvalidInputError("fiber volume is normalized to vol_N = 1")
-            dom = self.domain if self.domain is not None else self.warp.domain
+            object.__setattr__(self, "warp", Linear())
+            object.__setattr__(self, "vol_N", sphere_area(self.m))
+        elif self.warp is None:
+            raise InvalidInputError("warped product needs a warp function")
+        elif self.vol_N != 1.0:
+            raise InvalidInputError("fiber volume is normalized to vol_N = 1")
+        dom = self.domain if self.domain is not None else self.warp.domain
         object.__setattr__(self, "domain", (float(dom[0]), float(dom[1])))
 
     # -- basic queries ------------------------------------------------------
@@ -245,13 +262,10 @@ class ModelManifold:
             raise DomainError(f"t={t} outside manifold domain [{lo}, {hi}]")
 
     def area(self, t):
-        """A(t): eta^(m-1) (warped) or omega_{m-1} t^(m-1) (Euclidean)."""
+        """A(t) = vol_N eta^(m-1)."""
         self.check_point(t)
         t = np.asarray(t, dtype=float)
-        if self.variant == "euclidean":
-            out = sphere_area(self.m) * t ** (self.m - 1)
-        else:
-            out = np.asarray(self.warp.value(t)) ** (self.m - 1)
+        out = self.vol_N * np.asarray(self.warp.value(t)) ** (self.m - 1)
         return float(out) if out.ndim == 0 else out
 
     def area_d1(self, t):
@@ -259,11 +273,14 @@ class ModelManifold:
         self.check_point(t)
         t = np.asarray(t, dtype=float)
         k = self.m - 1
-        if self.variant == "euclidean":
-            out = sphere_area(self.m) * k * t ** (k - 1)
-        else:
-            out = k * np.asarray(self.warp.value(t)) ** (k - 1) * self.warp.d1(t)
+        out = (self.vol_N * k * np.asarray(self.warp.value(t)) ** (k - 1)
+               * self.warp.d1(t))
         return float(out) if out.ndim == 0 else out
+
+    def _d2_ratio(self, t):
+        """eta''/eta, kept at eta'' where eta'' = 0 (no 0/0 at eta = 0)."""
+        d2 = np.array(self.warp.d2(t), dtype=float)
+        return np.divide(d2, self.warp.value(t), out=d2, where=d2 != 0)
 
     def weight_rho(self, t):
         """rho = (m-2) eta'' / eta (warped products only)."""
@@ -279,11 +296,8 @@ class ModelManifold:
         Equals -(m-1)/(m-2) rho |grad u|^2 for m > 2 and stays finite at
         m = 2, where rho vanishes identically.
         """
-        if self.variant == "euclidean":
-            return 0.0 * np.asarray(grad_sq) if np.ndim(grad_sq) else 0.0
         self.check_point(t)
-        ratio = np.asarray(self.warp.d2(t)) / np.asarray(self.warp.value(t))
-        out = -(self.m - 1) * ratio * np.asarray(grad_sq)
+        out = -(self.m - 1) * self._d2_ratio(t) * np.asarray(grad_sq)
         return float(out) if np.ndim(out) == 0 else out
 
     def log_area_d1(self, t):
@@ -291,10 +305,7 @@ class ModelManifold:
         self.check_point(t)
         t = np.asarray(t, dtype=float)
         k = self.m - 1
-        if self.variant == "euclidean":
-            out = k / t
-        else:
-            out = k * np.asarray(self.warp.d1(t)) / np.asarray(self.warp.value(t))
+        out = k * np.asarray(self.warp.d1(t)) / np.asarray(self.warp.value(t))
         return float(out) if out.ndim == 0 else out
 
     def log_area_d2(self, t):
@@ -302,22 +313,15 @@ class ModelManifold:
         self.check_point(t)
         t = np.asarray(t, dtype=float)
         k = self.m - 1
-        if self.variant == "euclidean":
-            out = -k / (t * t)
-        else:
-            eta = np.asarray(self.warp.value(t))
-            r1 = np.asarray(self.warp.d1(t)) / eta
-            out = k * (np.asarray(self.warp.d2(t)) / eta - r1 * r1)
+        r1 = np.asarray(self.warp.d1(t)) / np.asarray(self.warp.value(t))
+        out = k * (self._d2_ratio(t) - r1 * r1)
         return float(out) if out.ndim == 0 else out
 
     def metric_factor(self, t):
-        """eta'/eta (warped) or 1/t (Euclidean): the non-radial Hessian factor."""
+        """eta'/eta: the non-radial Hessian factor (1/t on Euclidean space)."""
         self.check_point(t)
         t = np.asarray(t, dtype=float)
-        if self.variant == "euclidean":
-            out = 1.0 / t
-        else:
-            out = np.asarray(self.warp.d1(t)) / np.asarray(self.warp.value(t))
+        out = np.asarray(self.warp.d1(t)) / np.asarray(self.warp.value(t))
         return float(out) if out.ndim == 0 else out
 
     # -- admissibility ------------------------------------------------------
@@ -347,8 +351,6 @@ class ModelManifold:
 
     def _area_tail(self, direction: int):
         """Asymptotics of A toward the given infinity, same encoding as warp.tail."""
-        if self.variant == "euclidean":
-            return ("power", float(self.m - 1))
         w = self.warp.tail(direction)
         if w is None:
             return None
@@ -409,7 +411,7 @@ class ModelManifold:
     # -- volume ---------------------------------------------------------------
 
     def volume_between(self, r1: float, r2: float) -> float:
-        """int_{r1}^{r2} A(t) dt (vol_N = 1)."""
+        """int_{r1}^{r2} A(t) dt: the volume of the shell r1 <= t <= r2."""
         if r1 > r2:
             raise InvalidInputError("volume_between needs R1 <= R2")
         self.check_point([r1, r2])

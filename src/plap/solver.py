@@ -29,6 +29,8 @@ from .geometry import EndKind, ModelManifold
 from .grid import Analytic1D, DiscreteField, Grid1D, wp_distance
 
 EPS_FLOOR = 1e-14
+ARMIJO_C = 1e-4  # line search: sufficient-decrease constant
+BACKTRACK_FACTOR = 0.5  # and step shrink per rejected trial
 
 
 def default_schedule(eps0: float = 1.0, steps: int = 20) -> np.ndarray:
@@ -40,8 +42,6 @@ class SolveConfig:
     eps_schedule: Sequence[float] = dc_field(default_factory=default_schedule)
     residual_tol: float = 1e-12
     max_newton_iters: int = 50
-    backtrack_factor: float = 0.5
-    armijo_c: float = 1e-4
 
     def __post_init__(self):
         sched = np.asarray(self.eps_schedule, dtype=float)
@@ -196,9 +196,9 @@ def solve_dirichlet(spec: EnergySpec, grid, boundary,
         while True:
             trial = DiscreteField(grid, f.values + alpha * d)
             e_trial = en.energy(spec, trial)
-            if e_trial <= e_val + cfg.armijo_c * alpha * slope + slack:
+            if e_trial <= e_val + ARMIJO_C * alpha * slope + slack:
                 break
-            alpha *= cfg.backtrack_factor
+            alpha *= BACKTRACK_FACTOR
             if alpha < 1e-14:
                 raise NonConvergenceError("line search collapsed", best=f,
                                           report=report)
@@ -280,6 +280,20 @@ def _phi_on_nodes(M: ModelManifold, p: float, nodes: np.ndarray) -> np.ndarray:
     return np.cumsum(pieces)
 
 
+def _radial_derivatives(M: ModelManifold, p: float, scale: float):
+    """(du, d2u) of u = const + scale Phi: du = scale A^(-1/(p-1))."""
+    expo = -1.0 / (p - 1.0)
+
+    def du(t):
+        return scale * np.asarray(M.area(t)) ** expo
+
+    def d2u(t):
+        A = np.asarray(M.area(t))
+        return scale * expo * A ** (expo - 1.0) * np.asarray(M.area_d1(t))
+
+    return du, d2u
+
+
 def radial_p_harmonic(M: ModelManifold, p: float, a: float, b: float,
                       u_a: float, u_b: float, n: int = 257) -> DiscreteField:
     """Exact extremal of the p-energy between levels u_a at a, u_b at b.
@@ -298,14 +312,7 @@ def radial_p_harmonic(M: ModelManifold, p: float, a: float, b: float,
     phi = _phi_on_nodes(M, p, grid.nodes)
     scale = (u_b - u_a) / phi[-1]
     vals = u_a + scale * phi
-    expo = -1.0 / (p - 1.0)
-
-    def du(t):
-        return scale * np.asarray(M.area(t)) ** expo
-
-    def d2u(t):
-        A = np.asarray(M.area(t))
-        return scale * expo * A ** (expo - 1.0) * np.asarray(M.area_d1(t))
+    du, d2u = _radial_derivatives(M, p, scale)
 
     def u(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -333,16 +340,7 @@ def two_end_barrier(M: ModelManifold, p: float, t_min: float, t_max: float,
     phi = phi_left + _phi_on_nodes(M, p, grid.nodes)
     phi_total = phi[-1] + M.phi_integral(p, t_max, np.inf)
     vals = phi / phi_total
-    expo = -1.0 / (p - 1.0)
-    scale = 1.0 / phi_total
-
-    def du(t):
-        return scale * np.asarray(M.area(t)) ** expo
-
-    def d2u(t):
-        A = np.asarray(M.area(t))
-        return scale * expo * A ** (expo - 1.0) * np.asarray(M.area_d1(t))
-
+    du, d2u = _radial_derivatives(M, p, 1.0 / phi_total)
     f = DiscreteField(grid, vals, analytic=Analytic1D(
         u=lambda t: np.interp(t, grid.nodes, vals), du=du, d2u=d2u))
     meta = {

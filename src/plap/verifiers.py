@@ -33,6 +33,7 @@ from .grid import (
     Grid1D,
     Grid2D,
     _deriv_1d,
+    grad_magnitude,
     gradient,
     hessian,
     integrate_field,
@@ -355,12 +356,10 @@ def bochner_s_residual(u: DiscreteField, p: float, s: float,
 
 
 def _node_gradients(f: DiscreteField):
-    if isinstance(f.grid, Grid1D):
-        if f.analytic is not None:
-            return np.abs(np.asarray(f.analytic.du(f.grid.nodes), float))
-        return np.abs(_deriv_1d(f.grid.nodes, f.values))
-    gx, gy = gradient(f)
-    return np.hypot(gx, gy)
+    """|grad u| at the nodes: exact for a radial field with a descriptor."""
+    if isinstance(f.grid, Grid1D) and f.analytic is not None:
+        return np.abs(np.asarray(f.analytic.du(f.grid.nodes), float))
+    return grad_magnitude(f)
 
 
 def caccioppoli_check(w: DiscreteField, psi: DiscreteField,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plap.errors import (
     DomainError,
@@ -30,6 +31,28 @@ def test_euclidean_area():
     M = euclidean(3)
     assert M.area(2.0) == pytest.approx(16 * np.pi)
     assert M.area_d1(2.0) == pytest.approx(16 * np.pi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6),
+       st.floats(0.0, 1e4, exclude_min=True, allow_subnormal=False))
+def test_property_euclidean_is_linear_warp(m, t):
+    # R^m minus the origin as (0, inf) x_t S^{m-1}: eta = t, vol_N = omega_{m-1}
+    M = euclidean(m)
+    k = m - 1
+    w = sphere_area(m)
+    x = np.asarray(t, dtype=float)
+    assert M.vol_N == w
+    assert M.area(t) == w * x**k
+    assert M.area_d1(t) == w * k * x ** (k - 1)
+    # near the origin both sides overflow alike: 1/t^2 from t ~ 1e-154 on
+    with np.errstate(over="ignore"):
+        assert M.log_area_d1(t) == k / t
+        assert M.metric_factor(t) == 1.0 / t
+        got, want = M.log_area_d2(t), -(k / x) / x
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert M.radial_ricci_term(t, 1.0) == 0.0
+    assert M.radial_ricci_term(0.0, 1.0) == 0.0
 
 
 def test_warped_exponential_area_and_rho():
@@ -146,11 +169,15 @@ def test_domain_enforced():
     M = euclidean(3, domain=(1.0, 2.0))
     with pytest.raises(DomainError):
         M.area(3.0)
+    with pytest.raises(DomainError):
+        euclidean(3).radial_ricci_term(-1.0, 1.0)
 
 
 def test_admissibility_only_for_warped():
     with pytest.raises(UnsupportedVariantError):
         euclidean(3).admissibility_check([1.0, 2.0])
+    with pytest.raises(UnsupportedVariantError):
+        euclidean(3).weight_rho(1.0)
 
 
 def test_admissibility_violation_reported():
