@@ -5,6 +5,11 @@ direct solve with the energy Hessian on the free nodes, which is symmetric
 and, for eps > 0 with the grid boundary fixed, positive definite: one
 tridiagonal banded solve in 1D, a sparse LU solve of the assembled
 ``energy.hessian`` in 2D.
+
+The closed-form radial extremals and two-end barriers need
+Phi(t) = int A^{-1/(p-1)}; every cell of the grid, and every point the
+analytic descriptor is asked for, is integrated in one batched
+quadrature call (``ModelManifold.phi_integral`` with array ends).
 """
 
 from __future__ import annotations
@@ -273,11 +278,10 @@ def sandwich_check(p: float, eps: float, u: DiscreteField,
 
 
 def _phi_on_nodes(M: ModelManifold, p: float, nodes: np.ndarray) -> np.ndarray:
-    """Cumulative int_{t0}^{t} A^{-1/(p-1)} on the node set."""
-    pieces = [0.0]
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        pieces.append(M.phi_integral(p, a, b))
-    return np.cumsum(pieces)
+    """Cumulative int_{t0}^{t} A^{-1/(p-1)} on the node set, from one
+    batched quadrature over all cells."""
+    cells = M.phi_integral(p, nodes[:-1], nodes[1:])
+    return np.cumsum(np.concatenate(([0.0], cells)))
 
 
 def _radial_derivatives(M: ModelManifold, p: float, scale: float):
@@ -315,9 +319,14 @@ def radial_p_harmonic(M: ModelManifold, p: float, a: float, b: float,
     du, d2u = _radial_derivatives(M, p, scale)
 
     def u(t):
+        # Phi at the last node at or below t, plus the integral on to t
+        # (u = u_a below a); at the nodes u equals the field values
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.array([u_a + scale * (M.phi_integral(p, a, ti) if ti > a else 0.0)
-                        for ti in t])
+        k = np.clip(np.searchsorted(grid.nodes, t, side="right") - 1, 0, n - 1)
+        ph = phi[k]
+        part = t > grid.nodes[k]
+        ph[part] += M.phi_integral(p, grid.nodes[k[part]], t[part])
+        out = u_a + scale * ph
         return out if out.size > 1 else float(out[0])
 
     return DiscreteField(grid, vals, analytic=Analytic1D(u=u, du=du, d2u=d2u))

@@ -140,6 +140,13 @@ def test_tail_energy_profile_exponential():
     assert max(out["slopes"]) <= -out["rate"]
 
 
+def test_tail_energy_profile_exponential_slopes():
+    # on e^t the tail past R is e^{-R}/D^2, so every log-slope is exactly -1
+    M = warped(2, Exponential(1.0))
+    out = cap.tail_energy_profile(M, 2.0, 1.0, 0.25, list(range(2, 21)))
+    assert np.max(np.abs(np.asarray(out["slopes"]) + 1.0)) <= 1e-9
+
+
 def test_tail_energy_profile_errors():
     with pytest.raises(UnsupportedVariantError):
         cap.tail_energy_profile(M3, 3.0, 1.0, 0.0, [2.0, 4.0])  # parabolic

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -191,8 +193,16 @@ def test_admissibility_violation_reported():
 def test_volume_between():
     M = warped(2, Exponential(1.0))
     R = 3.0
-    assert M.volume_between(R, R + 1.0) == pytest.approx(np.e**R * (np.e - 1))
+    assert M.volume_between(R, R + 1.0) == pytest.approx(
+        np.exp(R) * np.expm1(1.0), rel=1e-13, abs=0.0)
     assert M.volume_between(1.0, 1.0) == 0.0
+    # A = (1+t^2)^{-2} has a finite tail volume
+    want = np.pi / 4 - R / (2 * (1 + R * R)) - np.arctan(R) / 2
+    assert warped(3, PolyEven(-2.0)).volume_between(R, np.inf) == pytest.approx(
+        want, rel=1e-12, abs=0.0)
+    # an area that overflows gives an infinite volume, not an endless bisection
+    with np.errstate(over="ignore"):
+        assert M.volume_between(0.0, 800.0) == np.inf
     with pytest.raises(InvalidInputError):
         M.volume_between(2.0, 1.0)
 
@@ -204,3 +214,66 @@ def test_phi_integral_oracles():
     assert M.phi_integral(2.0, 1.0, np.inf) == pytest.approx(1 / (4 * np.pi))
     with pytest.raises(InvalidInputError):
         M.phi_integral(2.0, 2.0, 1.0)
+
+
+def _euclidean_phi(m, p, a, b):
+    # int_a^b (omega t^{m-1})^{-1/(p-1)} dt, written with expm1 so that it
+    # stays accurate at and near the critical exponent e = 1
+    e = (m - 1) / (p - 1)
+    x = (1 - e) * math.log(b / a)
+    rel = math.expm1(x) / x if x != 0 else 1.0
+    return sphere_area(m) ** (-1 / (p - 1)) * a ** (1 - e) * math.log(b / a) * rel
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 6), st.floats(1.1, 6.0), st.floats(-2.0, 2.0),
+       st.floats(1e-3, 3.0), st.booleans(), st.floats(0.1, 4.0))
+def test_property_phi_integral_closed_forms(m, p, log_a, log_ratio, exponential,
+                                            beta):
+    # tiny integrals included: an absolute quadrature floor loses them
+    if not exponential:
+        a = 10.0**log_a
+        b = a * 10.0**log_ratio
+        got, want = euclidean(m).phi_integral(p, a, b), _euclidean_phi(m, p, a, b)
+    else:
+        # A = e^{(m-1) beta t}: int_a^b e^{-c t} dt, ends in units of 1/c,
+        # kept where neither A nor the integrand leaves the float range
+        c = (m - 1) * beta / (p - 1)
+        a, b = 50.0 * log_a / c, (50.0 * log_a + 10.0**log_ratio / 30.0) / c
+        got = warped(m, Exponential(beta)).phi_integral(p, a, b)
+        want = math.exp(-c * a) * -math.expm1(-c * (b - a)) / c
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_phi_integral_pinned_cases():
+    # singular endpoint: euclidean(3), p=4 integrates (4 pi)^{-1/3} t^{-2/3}
+    want = 3.0 * (4 * np.pi) ** (-1 / 3) * 2.0 ** (1 / 3)
+    got = euclidean(3).phi_integral(4.0, 0.0, 2.0)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    # two-sided infinite: A = (1+t^2)^2, p=3 integrates 1/(1+t^2) to pi
+    M = warped(3, PolyEven(2.0))
+    got = M.phi_integral(3.0, -np.inf, np.inf)
+    assert got == pytest.approx(np.pi, rel=1e-12, abs=0.0)
+    # the case an absolute floor got 39% wrong: Phi ~ 1.9e-15
+    got = euclidean(5).phi_integral(1.13345, 1.2301, 92.922)
+    want = _euclidean_phi(5, 1.13345, 1.2301, 92.922)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("R", [10.0, 20.0, 40.0])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_phi_integral_exponential_tail(R, beta):
+    # m=2, p=2: int_R^inf e^{-beta t} dt = e^{-beta R}/beta
+    got = warped(2, Exponential(beta)).phi_integral(2.0, R, np.inf)
+    assert got == pytest.approx(np.exp(-beta * R) / beta, rel=1e-12, abs=0.0)
+
+
+def test_phi_integral_array_ends():
+    M = warped(3, Cosh())
+    lo, hi = np.array([-3.0, 0.0, 1.0]), np.array([-1.0, 2.0, np.inf])
+    got = M.phi_integral(2.0, lo, hi)
+    assert got.shape == (3,)
+    for g, a, b in zip(got, lo, hi):
+        assert g == M.phi_integral(2.0, a, b)
+    with pytest.raises(InvalidInputError):
+        M.phi_integral(2.0, lo, lo)

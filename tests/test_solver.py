@@ -145,6 +145,31 @@ def test_radial_p_harmonic_zero_residual():
     assert rep.maximum < 1e-3  # FD truncation at n=257
 
 
+RADIAL_MODELS = [M3, euclidean(2), warped(2, Exponential(1.5)), warped(3, Cosh()),
+                 warped(3, PolyEven(2.0))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(RADIAL_MODELS), st.floats(1.2, 5.0), st.floats(0.5, 3.0),
+       st.floats(0.05, 4.0), st.integers(9, 300))
+def test_property_radial_phi_and_descriptor(M, p, a, width, n):
+    # the cumulative cell sums are Phi(a, t_k) at every node, the analytic
+    # descriptor reproduces the field values exactly at the nodes, and
+    # between nodes it is u_a + scale Phi(a, t)
+    b = a + width
+    nodes = np.linspace(a, b, n)
+    phi = sv._phi_on_nodes(M, p, nodes)
+    assert phi[0] == 0.0
+    np.testing.assert_allclose(phi[1:], M.phi_integral(p, a, nodes[1:]),
+                               rtol=1e-12, atol=0.0)
+    f = sv.radial_p_harmonic(M, p, a, b, 1.0, -0.5, n=n)
+    assert np.array_equal(f.analytic.u(f.grid.nodes), f.values)
+    t = np.linspace(a, b, 7)[1:]
+    want = 1.0 - 1.5 * M.phi_integral(p, a, t) / M.phi_integral(p, a, b)
+    np.testing.assert_allclose(f.analytic.u(t), want, rtol=0.0, atol=1e-12)
+    assert f.analytic.u(a - 0.1) == 1.0
+
+
 def test_radial_p_harmonic_constant_case():
     f = sv.radial_p_harmonic(M3, 3.0, 1.0, 2.0, 0.5, 0.5, n=9)
     assert np.all(f.values == 0.5)
