@@ -79,6 +79,17 @@ def test_kato_ratio_2d_log_field():
     assert rep.passed
 
 
+def test_kato_ratio_2d_power_field():
+    # r^{1/2} is 3-harmonic in the plane; the radial extremal attains
+    # the ratio 1 + (p-1)^2/(m-1) = 5
+    g = Grid2D(1.0, 2.0, 1.0, 2.0, 129, 129)
+    f = DiscreteField.from_function(
+        g, lambda x, y: (x * x + y * y) ** 0.25)
+    rep = vf.kato_ratio(f, 3.0, collar=3)
+    assert rep.minimum == pytest.approx(5.0, abs=1e-3)
+    assert rep.passed
+
+
 # -- strong form and Bochner --------------------------------------------------
 
 
@@ -99,6 +110,20 @@ def test_strong_form_second_order():
     order = np.log2(maxes[0] / maxes[1])
     assert order > 1.8
     assert np.log2(maxes[1] / maxes[2]) > 1.8
+
+
+@pytest.mark.parametrize("p", [3.0, 1.5])
+def test_strong_form_second_order_2d(p):
+    # r^alpha with alpha = (p-2)/(p-1) is p-harmonic in the plane
+    al = (p - 2.0) / (p - 1.0)
+    maxes = []
+    for n in (65, 129, 257):
+        g = Grid2D(1.0, 2.0, 1.0, 2.0, n, n)
+        f = DiscreteField.from_function(
+            g, lambda x, y: (x * x + y * y) ** (al / 2.0))
+        maxes.append(vf.strong_form_residual(f, p).maximum)
+    assert np.log2(maxes[0] / maxes[1]) > 1.7
+    assert np.log2(maxes[1] / maxes[2]) > 1.7
 
 
 def test_bochner_rejects_eps_zero():
