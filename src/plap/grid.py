@@ -8,6 +8,14 @@ nodes) for assembling the energy Hessian, and ``cell_measure`` weighs
 the cells.  Changing the discretization means changing these members
 only.
 
+Each grid also owns the nodal calculus the verifiers are written in:
+``fd_gradient`` maps values to the gradient components ([u'] in 1D,
+[u_x, u_y] in 2D), ``fd_hessian`` maps those to the Hessian components
+([u''], [u_xx, u_xy, u_yy]), and ``grad_norm``, ``hess_sq`` and
+``laplacian`` read |grad u|, |Hess u|^2 and Delta u off that jet; on a
+1D grid over a model manifold they are those of the radial function
+u(t).  ``dim`` is the dimension the identities are stated in.
+
 Finite differences are 2nd order (central interior, one-sided at the
 boundary); quadrature is a measure-weighted composite trapezoid rule so
 that node weights stay local.
@@ -98,6 +106,38 @@ class Grid1D:
         """D as a sparse cells x nodes matrix: D @ u is cell_gradient(u)[0]."""
         return _pairs(self.n, -1.0 / self.h, 1.0 / self.h)
 
+    @property
+    def dim(self) -> int:
+        """m of the attached manifold; 1 on the flat line."""
+        return self.manifold.m if self.manifold is not None else 1
+
+    def fd_gradient(self, values) -> list:
+        """[u'] at the nodes."""
+        return [_deriv_1d(self.nodes, values)]
+
+    def fd_hessian(self, grad) -> list:
+        """[u''] at the nodes, from the nodal gradient [u']."""
+        return [_deriv_1d(self.nodes, grad[0])]
+
+    def grad_norm(self, grad) -> np.ndarray:
+        return np.abs(grad[0])
+
+    def hess_sq(self, grad, hess) -> np.ndarray:
+        """|Hess u|^2 = u''^2 + (m-1) (c u')^2, c the metric factor: in an
+        adapted frame Hess u = diag(u'', c u', ..., c u').  u''^2 on the
+        flat line."""
+        d2u = hess[0]
+        if self.manifold is None:
+            return d2u * d2u
+        c = np.asarray(self.manifold.metric_factor(self.nodes), float)
+        return d2u * d2u + (self.manifold.m - 1) * (c * grad[0]) ** 2
+
+    def laplacian(self, grad, hess) -> np.ndarray:
+        """u'' + (log A)' u'."""
+        M = self.manifold
+        ell = np.asarray(M.log_area_d1(self.nodes), float) if M is not None else 0.0
+        return hess[0] + ell * grad[0]
+
 
 class Grid2D:
     """Uniform tensor grid on [x0,x1] x [y0,y1] with flat Lebesgue measure."""
@@ -162,6 +202,30 @@ class Grid2D:
             sp.kron(_pairs(nx, -1.0, 1.0), _pairs(ny, 1.0, 1.0)) / (2 * self.hx),
             sp.kron(_pairs(nx, 1.0, 1.0), _pairs(ny, -1.0, 1.0)) / (2 * self.hy),
         ], format="csr")
+
+    dim = 2
+
+    def _diff(self, v, axis: int) -> np.ndarray:
+        return np.gradient(v, (self.hx, self.hy)[axis], axis=axis, edge_order=2)
+
+    def fd_gradient(self, values) -> list:
+        """[u_x, u_y] at the nodes."""
+        return [self._diff(values, 0), self._diff(values, 1)]
+
+    def fd_hessian(self, grad) -> list:
+        """[u_xx, u_xy, u_yy] at the nodes, from the nodal gradient."""
+        return [self._diff(grad[0], 0), self._diff(grad[0], 1),
+                self._diff(grad[1], 1)]
+
+    def grad_norm(self, grad) -> np.ndarray:
+        return np.hypot(grad[0], grad[1])
+
+    def hess_sq(self, grad, hess) -> np.ndarray:
+        uxx, uxy, uyy = hess
+        return uxx**2 + 2 * uxy**2 + uyy**2
+
+    def laplacian(self, grad, hess) -> np.ndarray:
+        return hess[0] + hess[2]
 
 
 def _pairs(n: int, left, right):
@@ -228,7 +292,6 @@ class DiscreteField:
 
 def _deriv_1d(nodes: np.ndarray, v: np.ndarray) -> np.ndarray:
     """2nd-order first derivative on a (possibly nonuniform) 1D grid."""
-    n = nodes.size
     d = np.empty_like(v)
     hm = nodes[1:-1] - nodes[:-2]
     hp = nodes[2:] - nodes[1:-1]
@@ -253,28 +316,6 @@ def _deriv_1d(nodes: np.ndarray, v: np.ndarray) -> np.ndarray:
     return d
 
 
-def gradient(f: DiscreteField):
-    """2nd-order FD gradient: scalar du/dt (1D) or (du/dx, du/dy) (2D)."""
-    g = f.grid
-    if isinstance(g, Grid1D):
-        return _deriv_1d(g.nodes, f.values)
-    gx = np.gradient(f.values, g.hx, axis=0, edge_order=2)
-    gy = np.gradient(f.values, g.hy, axis=1, edge_order=2)
-    return gx, gy
-
-
-def hessian(f: DiscreteField):
-    """2nd-order FD Hessian: d2u/dt2 (1D) or (uxx, uxy, uyy) (2D)."""
-    g = f.grid
-    if isinstance(g, Grid1D):
-        return _deriv_1d(g.nodes, _deriv_1d(g.nodes, f.values))
-    gx, gy = gradient(f)
-    uxx = np.gradient(gx, g.hx, axis=0, edge_order=2)
-    uxy = np.gradient(gx, g.hy, axis=1, edge_order=2)
-    uyy = np.gradient(gy, g.hy, axis=1, edge_order=2)
-    return uxx, uxy, uyy
-
-
 # ---------------------------------------------------------------------------
 # Quadrature and norms
 # ---------------------------------------------------------------------------
@@ -286,16 +327,9 @@ def integrate_field(values, grid) -> float:
     return float(np.dot(grid.weights.ravel(), values.ravel()))
 
 
-def grad_magnitude(f: DiscreteField) -> np.ndarray:
-    g = gradient(f)
-    if isinstance(f.grid, Grid1D):
-        return np.abs(g)
-    return np.hypot(g[0], g[1])
-
-
 def wp_seminorm(f: DiscreteField, p: float) -> float:
     """|grad u|_{L^p} with the grid's measure."""
-    gm = grad_magnitude(f)
+    gm = f.grid.grad_norm(f.grid.fd_gradient(f.values))
     return integrate_field(gm**p, f.grid) ** (1.0 / p)
 
 
@@ -313,7 +347,7 @@ def wp_distance(f1: DiscreteField, f2: DiscreteField, p: float) -> float:
 
 def dump_csv(f: DiscreteField, path) -> None:
     """CSV dump: node coordinates, value, |grad|, measure weight."""
-    gm = grad_magnitude(f)
+    gm = f.grid.grad_norm(f.grid.fd_gradient(f.values))
     with open(path, "w") as fh:
         if isinstance(f.grid, Grid1D):
             fh.write("t,value,grad_mag,weight\n")

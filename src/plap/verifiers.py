@@ -1,12 +1,13 @@
 """Numerical checks of the pointwise identities and integral estimates.
 
-Radial fields reduce every differential-geometric quantity to functions
-of t: for u = u(t) on a model manifold the Hessian in an adapted frame
-is diag(u'', c u', ..., c u') with c the metric factor, so
-
-    |Hess u|^2 = u''^2 + (m-1) (c u')^2,      |grad|grad u||^2 = u''^2.
-
-Flat 2D fields are handled by finite differences on the grid.
+The pointwise checks (Kato ratio, strong form, Bochner identity) are each
+one formula written in the grid's nodal calculus: the nodal jet
+(``fd_gradient``, ``fd_hessian``) and ``grad_norm``, ``hess_sq`` and
+``laplacian``, which on a 1D grid are those of a radial field on the
+attached model manifold and on a 2D grid those of a flat field.  A
+radial field with a closed-form descriptor supplies its jet exactly.
+Only the collars, and the staggered divergence of the 1D Bochner check,
+depend on the grid type.
 """
 
 from __future__ import annotations
@@ -27,17 +28,7 @@ from .errors import (
     UnsupportedVariantError,
 )
 from .geometry import ModelManifold, PolyEven, _gauss_kronrod, euclidean, warped
-from .grid import (
-    Analytic1D,
-    DiscreteField,
-    Grid1D,
-    Grid2D,
-    _deriv_1d,
-    grad_magnitude,
-    gradient,
-    hessian,
-    integrate_field,
-)
+from .grid import Analytic1D, DiscreteField, Grid1D, Grid2D, integrate_field
 
 KAPPA_VARIANTS = ("Theorem1", "RefinedKS", "WeakKa")
 
@@ -77,30 +68,19 @@ class VerifierReport:
 
 
 # ---------------------------------------------------------------------------
-# radial calculus helpers
+# nodal calculus helpers
 # ---------------------------------------------------------------------------
 
 
-def _radial_frame(field: DiscreteField):
-    """(t, u', u'', manifold) for a 1D field, preferring the closed form."""
-    grid = field.grid
-    if not isinstance(grid, Grid1D):
-        raise InvalidInputError("radial path needs a Grid1D field")
-    t = grid.nodes
-    a = field.analytic
-    if a is not None and a.d2u is not None:
-        return t, np.asarray(a.du(t), float), np.asarray(a.d2u(t), float), grid.manifold
-    du = _deriv_1d(t, field.values)
-    d2u = _deriv_1d(t, du)
-    return t, du, d2u, grid.manifold
+def _closed_form(field: DiscreteField, order: int) -> list:
+    """u', ..., u^(order) at the nodes from a radial field's descriptor."""
+    a, t = field.analytic, field.grid.nodes
+    return [np.asarray(d(t), float) for d in (a.du, a.d2u, a.d3u)[:order]]
 
 
-def _hess_sq_radial(t, du, d2u, M: Optional[ModelManifold]):
-    """|Hess u|^2 for radial u; flat line when no manifold is attached."""
-    if M is None:
-        return d2u * d2u
-    c = np.asarray(M.metric_factor(t), float)
-    return d2u * d2u + (M.m - 1) * (c * du) ** 2
+def _dot(a, b):
+    """Nodewise inner product of two gradients given as component lists."""
+    return sum(x * y for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -115,31 +95,26 @@ def kato_ratio(u: DiscreteField, p: float, threshold: Optional[float] = None,
     The pass threshold is 1 + kappa(p, m, RefinedKS) - 1e-3; nodes where
     the denominator vanishes count as +inf (the bound holds vacuously).
     """
-    if isinstance(u.grid, Grid1D):
-        t, du, d2u, M = _radial_frame(u)
-        grad_mag = np.abs(du)
-        num = _hess_sq_radial(t, du, d2u, M)
-        # |grad f| for f = |u'|: difference f itself, per the statement
-        f = np.abs(du)
-        den = _deriv_1d(t, f) ** 2
-        m = M.m if M is not None else 1
-        sel = np.ones(t.size, dtype=bool)
+    g = u.grid
+    if u.analytic is not None and u.analytic.d2u is not None:
+        du, d2u = _closed_form(u, 2)
+        grad, hess = [du], [d2u]
+    else:
+        grad = g.fd_gradient(u.values)
+        hess = g.fd_hessian(grad)
+    grad_mag = g.grad_norm(grad)
+    num = g.hess_sq(grad, hess)
+    # |grad f| for f = |grad u|: difference f itself, per the statement
+    df = g.fd_gradient(grad_mag)
+    den = _dot(df, df)
+    if isinstance(g, Grid1D):
+        sel = np.ones(g.n, dtype=bool)
         if collar > 0 and u.analytic is None:
             sel[:collar] = sel[-collar:] = False
-    elif isinstance(u.grid, Grid2D):
-        gx, gy = gradient(u)
-        grad_mag = np.hypot(gx, gy)
-        uxx, uxy, uyy = hessian(u)
-        num = uxx**2 + 2 * uxy**2 + uyy**2
-        f = DiscreteField(u.grid, grad_mag)
-        fx, fy = gradient(f)
-        den = fx**2 + fy**2
-        m = 2
+    else:
         sel = np.zeros(grad_mag.shape, dtype=bool)
         c = max(collar, 1)
         sel[c:-c, c:-c] = True
-    else:
-        raise InvalidInputError("unsupported grid type")
 
     theta = threshold if threshold is not None \
         else 1e-8 * float(np.max(grad_mag))
@@ -151,14 +126,14 @@ def kato_ratio(u: DiscreteField, p: float, threshold: Optional[float] = None,
     ratio = np.full(num.shape, np.inf)
     nz = den > 0
     ratio[nz] = num[nz] / den[nz]
-    thr = 1.0 + kappa(p, m, "RefinedKS") - 1e-3
+    thr = 1.0 + kappa(p, g.dim, "RefinedKS") - 1e-3
     finite = ratio[np.isfinite(ratio)]
     mean = float(finite.mean()) if finite.size else np.inf
     return VerifierReport(
         name="kato_ratio",
         minimum=float(ratio.min()), maximum=float(ratio.max()), mean=mean,
         threshold=thr, passed=bool(np.all(ratio >= thr)), excluded=excluded,
-        details={"m": m, "p": p, "vacuous": int(np.sum(~nz))})
+        details={"m": g.dim, "p": p, "vacuous": int(np.sum(~nz))})
 
 
 # ---------------------------------------------------------------------------
@@ -169,27 +144,15 @@ def kato_ratio(u: DiscreteField, p: float, threshold: Optional[float] = None,
 def strong_form_residual(u: DiscreteField, p: float) -> VerifierReport:
     """Nodewise f^2 Delta u + (p-2)/2 <grad f^2, grad u>; zero for strongly
     p-harmonic fields, decaying at 2nd order under refinement."""
-    if isinstance(u.grid, Grid1D):
-        t = u.grid.nodes
-        du = _deriv_1d(t, u.values)
-        d2u = _deriv_1d(t, du)
-        M = u.grid.manifold
-        ell = np.asarray(M.log_area_d1(t), float) if M is not None else 0.0
-        lap = d2u + ell * du
-        f2 = du * du
-        res = f2 * lap + 0.5 * (p - 2.0) * _deriv_1d(t, f2) * du
-        # nested one-sided stencils at the ends are only 1st order
-        res = res[2:-2]
-    elif isinstance(u.grid, Grid2D):
-        gx, gy = gradient(u)
-        uxx, uxy, uyy = hessian(u)
-        f2 = gx * gx + gy * gy
-        df2 = gradient(DiscreteField(u.grid, f2))
-        res = f2 * (uxx + uyy) + 0.5 * (p - 2.0) * (df2[0] * gx + df2[1] * gy)
-        res = res[2:-2, 2:-2]
-    else:
-        raise InvalidInputError("unsupported grid type")
-    res = np.abs(np.ravel(res))
+    g = u.grid
+    grad = g.fd_gradient(u.values)
+    f2 = _dot(grad, grad)
+    df2 = g.fd_gradient(f2)
+    res = (f2 * g.laplacian(grad, g.fd_hessian(grad))
+           + _dot([0.5 * (p - 2.0) * d for d in df2], grad))
+    # drop two nodes at each end of every axis: nested one-sided
+    # stencils there are only 1st order
+    res = np.abs(res[(slice(2, -2),) * res.ndim]).ravel()
     return VerifierReport(
         name="strong_form_residual",
         minimum=float(res.min()), maximum=float(res.max()),
@@ -220,59 +183,48 @@ def bochner_residual(u: DiscreteField, p: float, eps: float,
         1/2 L_eps(f_eps^2) = (p-2)/4 f^{p-4}|grad f^2|^2
                              + f^{p-2}(|Hess u|^2 + Ric(grad u, grad u))
 
-    with the divergence assembled from the same staggered fluxes as the
-    energy module.  First-order decay under refinement (nested FD)."""
+    with f_eps^2 = |grad u|^2 + eps.  In 1D the divergence is assembled
+    from the same staggered fluxes as the energy module, and the residual
+    decays at first order under refinement.  In 2D it is a nodal
+    difference three stencils deep; with at least three boundary rings
+    dropped it decays at second order."""
     if eps <= 0:
         raise SingularityError("the identity is checked for eps > 0 only")
-    if isinstance(u.grid, Grid1D):
-        grid = u.grid
-        t = grid.nodes
-        du = _deriv_1d(t, u.values)
-        d2u = _deriv_1d(t, du)
-        M = grid.manifold
-        w = du * du + eps
+    g = u.grid
+    grad = g.fd_gradient(u.values)
+    w = _dot(grad, grad) + eps
+    dw = g.fd_gradient(w)
+    fac = w ** ((p - 2.0) / 2.0)
+    keep = np.zeros(w.shape, dtype=bool)
+    if isinstance(g, Grid1D):
+        t = g.nodes
+        M = g.manifold
         # radial linearized coefficient at cell midpoints
-        du_mid = np.diff(u.values) / grid.h
+        du_mid = np.diff(u.values) / g.h
         w_mid = du_mid * du_mid + eps
         coef_mid = w_mid ** ((p - 2.0) / 2.0) * (1.0 + (p - 2.0) * du_mid**2 / w_mid)
-        lhs_int = 0.5 * _staggered_l_op(grid, coef_mid, w)
-        dw = _deriv_1d(t, w)
-        hess_sq = _hess_sq_radial(t, du, d2u, M)
-        ric = (np.asarray(M.radial_ricci_term(t, du * du), float)
+        lhs = np.zeros(g.n)  # the end nodes are never kept
+        lhs[1:-1] = 0.5 * _staggered_l_op(g, coef_mid, w)
+        ric = (np.asarray(M.radial_ricci_term(t, grad[0] ** 2), float)
                if M is not None else 0.0)
-        rhs = (0.25 * (p - 2.0) * w ** ((p - 4.0) / 2.0) * dw**2
-               + w ** ((p - 2.0) / 2.0) * (hess_sq + ric))
-        res = np.abs(lhs_int - rhs[1:-1])
-        grad_mag = np.abs(du[1:-1])
         # exclude a fixed physical collar so the reported max lives on an
         # n-independent interior region (plus the FD-polluted end nodes)
         ti = t[1:-1]
         width = max(collar_frac * (t[-1] - t[0]),
-                    float(collar) * np.max(grid.h))
+                    float(collar) * np.max(g.h))
         keep_c = (ti >= t[0] + width) & (ti <= t[-1] - width)
-        if keep_c.any():
-            res, grad_mag = res[keep_c], grad_mag[keep_c]
-    elif isinstance(u.grid, Grid2D):
-        gx, gy = gradient(u)
-        w = gx * gx + gy * gy + eps
-        fac = w ** ((p - 2.0) / 2.0)
-        wx, wy = gradient(DiscreteField(u.grid, w))
-        gw = gx * wx + gy * wy
-        qx = fac * (wx + (p - 2.0) * gw * gx / w)
-        qy = fac * (wy + (p - 2.0) * gw * gy / w)
-        dqx = gradient(DiscreteField(u.grid, qx))[0]
-        dqy = gradient(DiscreteField(u.grid, qy))[1]
-        lhs = 0.5 * (dqx + dqy)
-        uxx, uxy, uyy = hessian(u)
-        hess_sq = uxx**2 + 2 * uxy**2 + uyy**2
-        rhs = (0.25 * (p - 2.0) * w ** ((p - 4.0) / 2.0) * (wx**2 + wy**2)
-               + fac * hess_sq)
-        c = max(collar, 2)
-        res = np.abs((lhs - rhs)[c:-c, c:-c]).ravel()
-        grad_mag = np.hypot(gx, gy)[c:-c, c:-c].ravel()
-        lhs_int = lhs
+        keep[1:-1] = keep_c if keep_c.any() else True
     else:
-        raise InvalidInputError("unsupported grid type")
+        gw = _dot(grad, dw)
+        q = [fac * (d + (p - 2.0) * gw * gi / w) for d, gi in zip(dw, grad)]
+        lhs = 0.5 * sum(g.fd_gradient(qi)[i] for i, qi in enumerate(q))
+        ric = 0.0
+        c = max(collar, 3)
+        keep[c:-c, c:-c] = True
+    rhs = (0.25 * (p - 2.0) * w ** ((p - 4.0) / 2.0) * _dot(dw, dw)
+           + fac * (g.hess_sq(grad, g.fd_hessian(grad)) + ric))
+    res = np.abs(lhs - rhs)[keep]
+    grad_mag = g.grad_norm(grad)[keep]
     theta = 1e-8 * float(np.max(grad_mag)) if np.max(grad_mag) > 0 else 0.0
     keep = grad_mag > theta
     excluded = int(keep.size - keep.sum())
@@ -312,9 +264,7 @@ def bochner_s_residual(u: DiscreteField, p: float, s: float,
         raise InvalidInputError("analytic path is radial (Grid1D)")
     M = grid.manifold
     t = grid.nodes
-    du = np.asarray(a.du(t), float)
-    d2u = np.asarray(a.d2u(t), float)
-    d3u = np.asarray(a.d3u(t), float)
+    du, d2u, d3u = _closed_form(u, 3)
     if M is not None:
         ell = np.asarray(M.log_area_d1(t), float)
         ell1 = np.asarray(M.log_area_d2(t), float)
@@ -331,7 +281,7 @@ def bochner_s_residual(u: DiscreteField, p: float, s: float,
           + (p - 2.0) * ((s / 2.0 - 1.0) * w ** (s / 2.0 - 2.0) * dw * du * du
                          + w ** (s / 2.0 - 1.0) * 2.0 * du * d2u))
     lhs = 0.5 * (dG * dw + G * d2w + ell * G * dw)
-    hess_sq = _hess_sq_radial(t, du, d2u, M)
+    hess_sq = grid.hess_sq([du], [d2u])
     lap = d2u + ell * du
     dlap = d3u + ell * d2u + ell1 * du
     rhs = (0.25 * s * w ** (s / 2.0 - 1.0) * dw**2
@@ -358,8 +308,8 @@ def bochner_s_residual(u: DiscreteField, p: float, s: float,
 def _node_gradients(f: DiscreteField):
     """|grad u| at the nodes: exact for a radial field with a descriptor."""
     if isinstance(f.grid, Grid1D) and f.analytic is not None:
-        return np.abs(np.asarray(f.analytic.du(f.grid.nodes), float))
-    return grad_magnitude(f)
+        return np.abs(_closed_form(f, 1)[0])
+    return f.grid.grad_norm(f.grid.fd_gradient(f.values))
 
 
 def caccioppoli_check(w: DiscreteField, psi: DiscreteField,
@@ -428,7 +378,7 @@ def weighted_caccioppoli_check(M: ModelManifold, p: float,
     if np.any(ric_unit < -tau * rho - 1e-12 * (1.0 + np.abs(rho))):
         raise InvalidInputError("Ric >= -tau rho fails on the grid")
     B, C = weighted_caccioppoli_constants(p, kappa_val, tau, eps1, eps2)
-    du = _deriv_1d(t, u_eps.values)
+    (du,) = grid.fd_gradient(u_eps.values)
     inner = np.abs(t) <= R
     shell = (np.abs(t) > R) & (np.abs(t) <= 2.0 * R)
     lhs = C * integrate_field(np.where(inner, rho * np.abs(du) ** p, 0.0), grid)

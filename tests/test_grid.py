@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plap.errors import InvalidInputError
 from plap.geometry import euclidean
@@ -10,9 +11,6 @@ from plap.grid import (
     Grid2D,
     _deriv_1d,
     dump_csv,
-    gradient,
-    grad_magnitude,
-    hessian,
     integrate_field,
     lp_norm,
     wp_distance,
@@ -75,13 +73,43 @@ def test_field_shape_and_finiteness_checks():
 def test_gradient_hessian_2d():
     g = Grid2D(0, 1, 0, 1, 41, 41)
     f = DiscreteField.from_function(g, lambda x, y: x**2 + 3 * x * y)
-    gx, gy = gradient(f)
+    gx, gy = g.fd_gradient(f.values)
     assert np.allclose(gx, 2 * g.X + 3 * g.Y, atol=1e-10)
     assert np.allclose(gy, 3 * g.X, atol=1e-10)
-    xx, xy, yy = hessian(f)
+    xx, xy, yy = g.fd_hessian([gx, gy])
     assert np.allclose(xx, 2.0, atol=1e-8)
     assert np.allclose(xy, 3.0, atol=1e-8)
     assert np.allclose(yy, 0.0, atol=1e-8)
+
+
+@st.composite
+def square_norms(draw):
+    """(grid, |x|^2 at the nodes, m): a nonuniform Grid1D over
+    euclidean(m), where |x| = t, or a Grid2D, where m = 2."""
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        m, n = draw(st.integers(2, 6)), draw(st.integers(9, 60))
+        nodes = draw(st.floats(0.1, 3.0)) + np.concatenate(
+            [[0.0], np.cumsum(rng.uniform(0.5, 1.5, n - 1) / n)])
+        return Grid1D(nodes, manifold=euclidean(m)), nodes**2, m
+    x0, y0 = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    g = Grid2D(x0, x0 + draw(st.floats(0.5, 3.0)),
+               y0, y0 + draw(st.floats(0.5, 3.0)),
+               draw(st.integers(8, 33)), draw(st.integers(8, 33)))
+    return g, g.X**2 + g.Y**2, 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_norms())
+def test_property_nodal_calculus_of_square_norm(case):
+    # |Hess|x|^2|^2 = 4m and Delta|x|^2 = 2m; second-order differences
+    # are exact on quadratics
+    g, values, m = case
+    assert g.dim == m
+    grad = g.fd_gradient(values)
+    hess = g.fd_hessian(grad)
+    assert np.allclose(g.hess_sq(grad, hess), 4.0 * m, rtol=1e-9, atol=0.0)
+    assert np.allclose(g.laplacian(grad, hess), 2.0 * m, rtol=1e-9, atol=0.0)
 
 
 def test_integrate_and_norms():
@@ -90,7 +118,7 @@ def test_integrate_and_norms():
     assert integrate_field(f.values, g) == pytest.approx(0.5)
     assert lp_norm(f, 2.0) == pytest.approx(np.sqrt(1 / 3), rel=1e-3)
     assert wp_seminorm(f, 2.0) == pytest.approx(1.0, rel=1e-10)
-    assert np.allclose(grad_magnitude(f), 1.0)
+    assert np.allclose(g.grad_norm(g.fd_gradient(f.values)), 1.0)
 
 
 def test_wp_distance_requires_shared_grid():

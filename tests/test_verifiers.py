@@ -141,6 +141,22 @@ def test_bochner_2d_linear_field():
     assert rep.maximum < 1e-10
 
 
+@pytest.mark.parametrize("p, eps, u", [
+    (2.0, 1e-2, lambda x, y: 0.5 * np.log(x * x + y * y)),
+    (3.0, 1e-8, lambda x, y: (x * x + y * y) ** 0.25),
+], ids=["log_r_p2", "sqrt_r_p3"])
+def test_bochner_2d_second_order(p, eps, u):
+    # p-harmonic fields, so the identity is exact: what is left is the
+    # truncation of the nested differences away from the collar
+    maxes = []
+    for n in (65, 129, 257):
+        g = Grid2D(1.0, 2.0, 1.0, 2.0, n, n)
+        f = DiscreteField.from_function(g, u)
+        maxes.append(vf.bochner_residual(f, p, eps).maximum)
+    assert np.log2(maxes[0] / maxes[1]) >= 1.5
+    assert np.log2(maxes[1] / maxes[2]) >= 1.5
+
+
 def test_bochner_residual_decays_on_solver_output():
     M3 = euclidean(3)
     maxes = []
