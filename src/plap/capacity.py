@@ -210,7 +210,7 @@ def volume_growth_check(M: ModelManifold, p: float, lambda_p: float,
                         R_values: Sequence[float]) -> dict:
     """Shell-volume growth (hyperbolic) or tail-volume decay (parabolic)
     against the exponential bounds, with the constant fitted at the
-    smallest R."""
+    smallest R; each row's "measured" is the shell or the tail volume."""
     R_values = sorted(R_values)
     if len(R_values) < 2:
         raise InvalidInputError("need at least two R values")
@@ -224,7 +224,7 @@ def volume_growth_check(M: ModelManifold, p: float, lambda_p: float,
                           for R in R_values])
         C = shells[0] / shape[0]
         ok = bool(np.all(shells >= C * shape * (1 - 1e-9)))
-        rows = [{"R": r, "shell": s, "bound": C * sh,
+        rows = [{"R": r, "measured": s, "bound": C * sh,
                  "pass": s >= C * sh * (1 - 1e-9)}
                 for r, s, sh in zip(R_values, shells, shape)]
     else:
@@ -237,7 +237,7 @@ def volume_growth_check(M: ModelManifold, p: float, lambda_p: float,
         shape = np.array([R**p * np.exp(-rate * (R - 1.0)) for R in R_values])
         C = tails[0] / shape[0]
         ok = bool(np.all(tails <= C * shape * (1 + 1e-9)))
-        rows = [{"R": r, "tail": t, "bound": C * sh,
+        rows = [{"R": r, "measured": t, "bound": C * sh,
                  "pass": t <= C * sh * (1 + 1e-9)}
                 for r, t, sh in zip(R_values, tails, shape)]
     return {"kind": kind, "rows": rows, "C": float(C), "rate": rate, "ok": ok}

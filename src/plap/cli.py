@@ -199,9 +199,9 @@ def cmd_volume(args) -> int:
     M = load_manifold(args.manifold)
     res = cap.volume_growth_check(M, args.p, args.lambda_p, args.R)
     out = os.path.join(_outdir(args), "volume.csv")
-    key = "shell" if "shell" in res["rows"][0] else "tail"
     _write_csv(out, "R,measured,bound,pass",
-               [(r["R"], r[key], r["bound"], r["pass"]) for r in res["rows"]])
+               [(r["R"], r["measured"], r["bound"], r["pass"])
+                for r in res["rows"]])
     print("kind = " + res["kind"])
     print("wrote " + out)
     return EXIT_OK if res["ok"] else EXIT_CHECK_FAILED

@@ -4,7 +4,9 @@ Damped Newton on the convex discrete energy.  Each Newton direction is a
 direct solve with the energy Hessian on the free nodes, which is symmetric
 and, for eps > 0 with the grid boundary fixed, positive definite: one
 tridiagonal banded solve in 1D, a sparse LU solve of the assembled
-``energy.hessian`` in 2D.
+``energy.hessian`` in 2D.  A solve stops at the residual tolerance
+("tol"), or, where rounding keeps the residual above it, after the step
+from a Newton decrement -r.d at the energy's rounding level ("floor").
 
 The closed-form radial extremals and two-end barriers need
 Phi(t) = int A^{-1/(p-1)}; every cell of the grid, and every point the
@@ -36,6 +38,7 @@ from .grid import Analytic1D, DiscreteField, Grid1D, wp_distance
 EPS_FLOOR = 1e-14
 ARMIJO_C = 1e-4  # line search: sufficient-decrease constant
 BACKTRACK_FACTOR = 0.5  # and step shrink per rejected trial
+DECREMENT_FLOOR = 1e-20  # Newton decrement at rounding level, relative to E
 
 
 def default_schedule(eps0: float = 1.0, steps: int = 20) -> np.ndarray:
@@ -65,8 +68,8 @@ class SolveReport:
 
     def add_step(self, eps, iters, residual, e_eps, e_p, stop):
         """``stop`` says why the solve ended: "tol" (residual at most its
-        tolerance), "guard" (rounding floor reached, residual accepted
-        above tol) or "max_iters"."""
+        tolerance), "floor" (a step taken from a Newton decrement at
+        rounding level, residual above tol) or "max_iters"."""
         self.steps.append(
             {"eps": eps, "iterations": iters, "residual": residual,
              "energy_eps": e_eps, "energy_p": e_p, "stop": stop}
@@ -172,28 +175,22 @@ def solve_dirichlet(spec: EnergySpec, grid, boundary,
     # tolerance relative to the elementary flux magnitude: the residual's
     # rounding floor grows with the fluxes (roughly like 1/h)
     tol = cfg.residual_tol * (1.0 + en.residual_scale(spec, f))
-    # a full Newton step that no longer halves the residual means the
-    # assembly's rounding floor is reached; accept if plausibly small
-    guard = 1e-6 * (1.0 + en.residual_scale(spec, f))
+    r_max = float(np.max(np.abs(r)))
     iters = 0
-    r_prev = np.inf
-    stop = "tol"
-    while np.max(np.abs(r)) > tol:
-        if (iters > 0 and alpha == 1.0
-                and np.max(np.abs(r)) >= 0.5 * r_prev
-                and np.max(np.abs(r)) <= guard):
-            stop = "guard"
-            break
+    floor = False
+    while r_max > tol and not floor:
         if iters >= cfg.max_newton_iters:
-            report.add_step(eps, iters, float(np.max(np.abs(r))), e_val,
+            report.add_step(eps, iters, r_max, e_val,
                             en.q_energy(f, spec.p), "max_iters")
             raise NonConvergenceError(
                 f"Newton did not reach tol={tol:.3e} in "
-                f"{cfg.max_newton_iters} iterations "
-                f"(residual {np.max(np.abs(r)):.3e})",
+                f"{cfg.max_newton_iters} iterations (residual {r_max:.3e})",
                 best=f, report=report)
         d = _newton_direction(spec, f, mask, -r)
-        slope = float(np.sum(r * d))  # negative for a descent direction
+        # Newton decrement lam2 = -r.d estimates E - E_min; the step from
+        # one at the energy's rounding level is the last that can help
+        lam2 = -float(np.sum(r * d))
+        floor = lam2 <= DECREMENT_FLOOR * (1.0 + abs(e_val))
         alpha = 1.0
         # rounding slack: near the optimum the true decrease drops below
         # the float resolution of the energy and pure Armijo stalls
@@ -201,19 +198,19 @@ def solve_dirichlet(spec: EnergySpec, grid, boundary,
         while True:
             trial = DiscreteField(grid, f.values + alpha * d)
             e_trial = en.energy(spec, trial)
-            if e_trial <= e_val + ARMIJO_C * alpha * slope + slack:
+            if e_trial <= e_val - ARMIJO_C * alpha * lam2 + slack:
                 break
             alpha *= BACKTRACK_FACTOR
             if alpha < 1e-14:
                 raise NonConvergenceError("line search collapsed", best=f,
                                           report=report)
         f, e_val = trial, e_trial
-        r_prev = float(np.max(np.abs(r)))
         r = en.weak_residual(spec, f, mask)
         tol = cfg.residual_tol * (1.0 + en.residual_scale(spec, f))
+        r_max = float(np.max(np.abs(r)))
         iters += 1
-    report.add_step(eps, iters, float(np.max(np.abs(r))), e_val,
-                    en.q_energy(f, spec.p), stop)
+    report.add_step(eps, iters, r_max, e_val, en.q_energy(f, spec.p),
+                    "tol" if r_max <= tol else "floor")
     return f, report
 
 

@@ -163,6 +163,7 @@ def test_volume_growth_hyperbolic():
     out = cap.volume_growth_check(M, 2.0, 0.25, [2, 4, 6, 8, 10])
     assert out["kind"] == EndKind.HYPERBOLIC
     assert out["ok"]
+    assert out["rows"][0]["measured"] == M.volume_between(2.0, 3.0)
 
 
 def test_volume_growth_parabolic():
@@ -171,6 +172,7 @@ def test_volume_growth_parabolic():
     out = cap.volume_growth_check(M, 2.0, 0.3, [2, 4, 6, 8])
     assert out["kind"] == EndKind.PARABOLIC
     assert out["ok"]
+    assert out["rows"][0]["measured"] == M.volume_between(2.0, np.inf)
     with pytest.raises(InvalidInputError):
         cap.volume_growth_check(M, 2.0, 0.0, [2, 4, 6, 8])
 

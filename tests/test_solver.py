@@ -84,14 +84,44 @@ def test_stop_reason_tol():
     assert step["residual"] <= 1e-12 * (1.0 + en.residual_scale(spec, f))
 
 
-def test_stop_reason_guard():
-    # the rounding floor of this fine grid sits above the tolerance: the
-    # guard accepts a residual several times tol, and the report says so
+def _relative_decrement(spec, f, mask):
+    """lambda^2 / (1 + |E|) of the Newton step from f, lambda^2 = -r.d."""
+    r = en.weak_residual(spec, f, mask)
+    d = sv._newton_direction(spec, f, mask, -r)
+    return -float(np.sum(r * d)) / (1.0 + abs(en.energy(spec, f)))
+
+
+def test_stop_reason_floor():
+    # the rounding floor of this fine grid's residual sits above the
+    # tolerance: the solve stops on the Newton decrement, and says so
     spec = EnergySpec(3.2, 1e-6)
-    f, rep = sv.solve_dirichlet(spec, annulus(16385), (1.0, 0.0))
+    g = annulus(16385)
+    f, rep = sv.solve_dirichlet(spec, g, (1.0, 0.0))
     step = rep.steps[-1]
-    assert step["stop"] == "guard"
+    assert step["stop"] == "floor"
     assert step["residual"] > 1e-12 * (1.0 + en.residual_scale(spec, f))
+    assert _relative_decrement(spec, f, g.boundary_mask()) <= 1e-20
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.floats(1.3, 4.5), st.sampled_from([257, 1025, 4097]),
+       st.floats(-9.0, -2.0))
+def test_property_stop_is_tol_or_decrement_floor(p, n, log_eps):
+    spec = EnergySpec(p, 10.0 ** log_eps)
+    g = annulus(n)
+    try:
+        f, rep = sv.solve_dirichlet(spec, g, (1.0, 0.0))
+    except NonConvergenceError:
+        return  # a cold start at small p and eps may not converge
+    step = rep.steps[-1]
+    tol = 1e-12 * (1.0 + en.residual_scale(spec, f))
+    if step["stop"] == "tol":
+        assert step["residual"] <= tol
+    else:
+        assert step["stop"] == "floor"
+        assert step["residual"] > tol
+        assert _relative_decrement(spec, f, g.boundary_mask()) \
+            <= sv.DECREMENT_FLOOR
 
 
 def test_2d_solve_p2():

@@ -13,7 +13,7 @@ from plap.errors import (
     UnsupportedVariantError,
 )
 from plap.geometry import Cosh, Exponential, euclidean, warped
-from plap.grid import DiscreteField, Grid1D, Grid2D
+from plap.grid import Analytic1D, DiscreteField, Grid1D, Grid2D
 
 
 # -- kappa -------------------------------------------------------------------
@@ -30,9 +30,9 @@ def test_kappa_values():
 
 
 def test_kappa_validation():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="p > 1"):
         vf.kappa(1.0, 3)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="dimension m >= 2"):
         vf.kappa(2.0, 1)
     with pytest.raises(InvalidInputError):
         vf.kappa(2.0, 3, "Nope")
@@ -54,6 +54,26 @@ def test_kato_ratio_power_field():
     # 1 + (m-1)/(p-1)^2 restricted to... = 7/3 for radial extremals
     assert rep.minimum == pytest.approx(7.0 / 3.0, abs=1e-3)
     assert rep.passed
+
+
+def test_kato_ratio_first_derivative_descriptor_keeps_collar():
+    # without u'' the jet is differenced, so the one-sided end stencils
+    # are cut off exactly as for a field with no descriptor
+    f = vf.power_radial_field(p=3.0, m=4, n=65)
+    ana = Analytic1D(u=f.analytic.u, du=f.analytic.du)
+    du_only = DiscreteField(f.grid, f.values, analytic=ana)
+    rep = vf.kato_ratio(du_only, 3.0)
+    assert rep == vf.kato_ratio(DiscreteField(f.grid, f.values), 3.0)
+    assert rep.excluded == 4
+    assert rep.minimum == pytest.approx(7.0 / 3.0, abs=2e-3)
+    assert rep.maximum == pytest.approx(7.0 / 3.0, abs=2e-3)
+
+
+def test_kato_ratio_flat_line_names_dimension():
+    # the flat line has dimension 1: no Kato constant, whatever p is
+    g = Grid1D.uniform(1.0, 2.0, 33)
+    with pytest.raises(InvalidInputError, match="dimension m >= 2, got m = 1"):
+        vf.kato_ratio(DiscreteField(g, g.nodes**2), 3.0)
 
 
 def test_kato_ratio_vacuous_linear_2d():
