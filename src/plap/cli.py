@@ -225,6 +225,7 @@ def cmd_verify(args) -> int:
         if args.gallery:
             f, p_default = _gallery_field(args.gallery)
         elif args.p is not None and args.m is not None:
+            _check_p(args.p)
             f = vf.power_radial_field(p=args.p, m=args.m) \
                 if args.p != args.m else vf.log_radial_field(m=args.m)
             p_default = args.p

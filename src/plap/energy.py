@@ -7,8 +7,10 @@ sum(meas * phi(|D u|^2)), a sum of per-cell convex terms: convexity holds
 exactly at the discrete level, the weak residual D^T(meas phi' D u) is
 literally the gradient of the discrete energy with respect to node
 values, and the Hessian is D^T (meas B) D with the per-cell blocks B of
-``cell_hessian``, assembled by ``hessian`` from the grid's sparse
-``cell_matrix``.
+``cell_hessian``.  ``hessian`` assembles it on the grid's cached
+``cell_structure``: each Newton step forms the local cell blocks and
+scatters them into a fixed CSR pattern with one ``np.bincount``, for
+any number of gradient components.
 """
 
 from __future__ import annotations
@@ -134,12 +136,15 @@ def weak_residual(spec: EnergySpec, field: DiscreteField,
 
 
 def hessian(spec: EnergySpec, field: DiscreteField):
-    """Hessian of the discrete energy at u as a sparse nodes x nodes matrix
-    on values.ravel(): D^T (meas B) D with D the grid's ``cell_matrix``.
+    """Hessian of the discrete energy at u as a sparse nodes x nodes CSR
+    matrix on values.ravel(): D^T (meas B) D with D the grid's
+    ``cell_matrix``.
 
     This is the discretization of the linearized operator
     div(f_eps^{p-2} (id + (p-2) grad u x grad u / f_eps^2) grad psi)
-    in the same staggered fluxes as the energy itself.
+    in the same staggered fluxes as the energy itself.  Each cell's block
+    G^T (meas B) G, G its D coefficients, is scattered into the pattern
+    of the grid's ``cell_structure``.
     """
     import scipy.sparse as sp
 
@@ -147,10 +152,15 @@ def hessian(spec: EnergySpec, field: DiscreteField):
         raise SingularityError("linearization requires eps > 0")
     grid = field.grid
     meas = grid.cell_measure
-    W = sp.bmat([[sp.diags(np.ravel(bij * meas)) for bij in row]
-                 for row in cell_hessian(spec, field)])
-    D = grid.cell_matrix
-    return (D.T @ (W @ D)).tocsr()
+    w = np.array([[np.ravel(bij * meas) for bij in row]
+                  for row in cell_hessian(spec, field)])
+    cs = grid.cell_structure
+    wg = np.einsum("ijc,jac->iac", w, cs.coef)
+    local = np.einsum("iac,ibc->abc", cs.coef, wg)
+    data = np.bincount(cs.pos, weights=local.ravel(),
+                       minlength=cs.indices.size)
+    n = cs.indptr.size - 1
+    return sp.csr_matrix((data, cs.indices, cs.indptr), shape=(n, n))
 
 
 def linearized_action(spec: EnergySpec, field: DiscreteField,

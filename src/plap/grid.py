@@ -4,9 +4,10 @@ Each grid owns the cell-gradient operator D that the energy is built on:
 ``cell_gradient`` maps node values to per-cell gradient components (one
 in 1D, two in 2D), ``cell_divergence`` is its exact transpose,
 ``cell_matrix`` is D as a sparse matrix (components stacked, cells x
-nodes) for assembling the energy Hessian, and ``cell_measure`` weighs
-the cells.  Changing the discretization means changing these members
-only.
+nodes), ``cell_structure`` is the cell-to-node structure derived from
+it once per grid, on which the energy Hessian is assembled, and
+``cell_measure`` weighs the cells.  Changing the discretization means
+changing these members only.
 
 Each grid also owns the nodal calculus the verifiers are written in:
 ``fd_gradient`` maps values to the gradient components ([u'] in 1D,
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -105,6 +106,10 @@ class Grid1D:
     def cell_matrix(self):
         """D as a sparse cells x nodes matrix: D @ u is cell_gradient(u)[0]."""
         return _pairs(self.n, -1.0 / self.h, 1.0 / self.h)
+
+    @cached_property
+    def cell_structure(self) -> "CellStructure":
+        return _cell_structure(self.cell_matrix, self.n - 1)
 
     @property
     def dim(self) -> int:
@@ -203,6 +208,10 @@ class Grid2D:
             sp.kron(_pairs(nx, 1.0, 1.0), _pairs(ny, -1.0, 1.0)) / (2 * self.hy),
         ], format="csr")
 
+    @cached_property
+    def cell_structure(self) -> "CellStructure":
+        return _cell_structure(self.cell_matrix, (self.nx - 1) * (self.ny - 1))
+
     dim = 2
 
     def _diff(self, v, axis: int) -> np.ndarray:
@@ -237,6 +246,48 @@ def _pairs(n: int, left, right):
     import scipy.sparse as sp
 
     return sp.diags([left, right], [0, 1], shape=(n - 1, n), format="csr")
+
+
+class CellStructure(NamedTuple):
+    """Cell-to-node structure of H = D^T W D, W block diagonal over cells.
+
+    ``coef[i, a, c]`` is the D coefficient of gradient component i at the
+    a-th node of cell c (zero where the component skips that node);
+    ``indices`` and ``indptr`` are the CSR pattern of H, shared read-only
+    by every matrix assembled on it; ``pos`` gives, for each local entry
+    (a, b, c) raveled, its position in H.data.  So H.data is
+    ``np.bincount(pos, weights=K.ravel())`` for the local blocks
+    K[a, b, c] = sum_ij coef[i, a, c] W_ij[c] coef[j, b, c].
+    """
+
+    coef: np.ndarray
+    pos: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+def _cell_structure(D, cells: int) -> CellStructure:
+    """The CellStructure of the cell operator D (``cell_matrix``: one
+    block of ``cells`` rows per gradient component); every cell has the
+    same number of nodes."""
+    comps = [D[i:i + cells] for i in range(0, D.shape[0], cells)]
+    # P (cells x nodes) is nonzero where any component reads a node: its
+    # rows list each cell's nodes, and P^T P, whose positive entries
+    # cannot cancel, has the pattern of H
+    P = sum(abs(Di) for Di in comps)
+    L = P.nnz // cells
+    cell = np.repeat(np.arange(cells), L)
+    coef = np.array([np.asarray(Di[cell, P.indices]).reshape(cells, L).T
+                     for Di in comps])
+    nodes = P.indices.reshape(cells, L).T.astype(np.int64)
+    H = (P.T @ P).tocsr()
+    H.sort_indices()
+    n = D.shape[1]
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(H.indptr))
+    pos = np.searchsorted(rows * n + H.indices,
+                          (nodes[:, None] * n + nodes[None, :]).ravel())
+    H.indices.flags.writeable = H.indptr.flags.writeable = False
+    return CellStructure(coef, pos, H.indices, H.indptr)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +375,9 @@ def _deriv_1d(nodes: np.ndarray, v: np.ndarray) -> np.ndarray:
 def integrate_field(values, grid) -> float:
     """Node values summed against the grid's trapezoid weights."""
     values = np.asarray(values, dtype=float)
-    return float(np.dot(grid.weights.ravel(), values.ravel()))
+    # einsum, not np.dot: a BLAS dot on a threaded OpenBLAS costs
+    # milliseconds per call on a 2D grid
+    return float(np.einsum("i,i->", grid.weights.ravel(), values.ravel()))
 
 
 def wp_seminorm(f: DiscreteField, p: float) -> float:

@@ -3,10 +3,12 @@
 Damped Newton on the convex discrete energy.  Each Newton direction is a
 direct solve with the energy Hessian on the free nodes, which is symmetric
 and, for eps > 0 with the grid boundary fixed, positive definite: one
-tridiagonal banded solve in 1D, a sparse LU solve of the assembled
-``energy.hessian`` in 2D.  A solve stops at the residual tolerance
-("tol"), or, where rounding keeps the residual above it, after the step
-from a Newton decrement -r.d at the energy's rounding level ("floor").
+tridiagonal banded solve in 1D, in 2D a SuperLU factorization of the
+assembled ``energy.hessian`` in its symmetric mode (minimum degree on
+A^T + A, diagonal pivots; X. S. Li, ACM TOMS 31, 2005).  A solve stops
+at the residual tolerance ("tol"), or, where rounding keeps the residual
+above it, after the step from a Newton decrement -r.d at the energy's
+rounding level ("floor").
 
 The closed-form radial extremals and two-end barriers need
 Phi(t) = int A^{-1/(p-1)}; every cell of the grid, and every point the
@@ -21,9 +23,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.sparse.linalg import spsolve
-# unused: only kept because perfbench/tracing.py wraps solver.cg by name
-from scipy.sparse.linalg import cg  # noqa: F401
+from scipy.sparse.linalg import splu
+# unused: only kept because perfbench/tracing.py wraps solver.spsolve and
+# solver.cg by name
+from scipy.sparse.linalg import cg, spsolve  # noqa: F401
 
 from . import energy as en
 from .energy import EnergySpec
@@ -134,7 +137,11 @@ def _newton_direction(spec, field, mask, rhs):
     free = ~mask.ravel()
     H = en.hessian(spec, field)
     d = np.zeros(rhs.size)
-    d[free] = spsolve(H[free][:, free], rhs.ravel()[free])
+    # the free block is symmetric positive definite: SuperLU's symmetric
+    # mode orders it by minimum degree on A^T + A and pivots on the diagonal
+    lu = splu(H[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A",
+              diag_pivot_thresh=0, options={"SymmetricMode": True})
+    d[free] = lu.solve(rhs.ravel()[free])
     return d.reshape(rhs.shape)
 
 

@@ -157,6 +157,16 @@ def test_verify_needs_target():
     assert cli.run(["verify", "frob"]) == cli.EXIT_INVALID
 
 
+@pytest.mark.parametrize("p", ["1", "0.5"])
+def test_verify_kato_invalid_p(tmp_path, capsys, p):
+    # p = 1 used to reach the exponent (p-m)/(p-1) of the power field
+    rc = cli.run(["verify", "kato", "--p", p, "--m", "3",
+                  "--out", str(tmp_path)])
+    assert rc == cli.EXIT_INVALID
+    assert "p must exceed 1" in capsys.readouterr().err
+    assert not (tmp_path / "verify_kato.csv").exists()
+
+
 def test_verify_monotonicity(tmp_path):
     rc = cli.run(["verify", "monotonicity", "--samples", "2000",
                   "--out", str(tmp_path)])

@@ -253,6 +253,41 @@ def test_property_hessian_symmetric_and_residual_jacobian(fr, p, eps, pinned):
         diag, np.where(mask, 1.0, np.diag(H).reshape(mask.shape)))
 
 
+@settings(max_examples=15, deadline=None)
+@given(fields(), exponents, regularizations)
+def test_property_hessian_matches_sparse_product(fr, p, eps):
+    import scipy.sparse as sp
+
+    f, rng = fr
+    spec = EnergySpec(p, eps)
+    grid = f.grid
+    H = en.hessian(spec, f)
+    # the product the fixed-pattern assembly replaces
+    meas = grid.cell_measure
+    W = sp.bmat([[sp.diags(np.ravel(bij * meas)) for bij in row]
+                 for row in en.cell_hessian(spec, f)])
+    D = grid.cell_matrix
+    ref = (D.T @ (W @ D)).tocsr()
+    scale = np.max(np.abs(ref.data))
+    assert np.max(np.abs(H.toarray() - ref.toarray())) <= 1e-14 * scale
+    # the pattern is the structural one of D^T D; the product has no
+    # entry outside it and may only drop entries that cancel to zero
+    struct = (abs(D).T @ abs(D)).tocsr()
+    struct.sort_indices()
+    assert np.array_equal(H.indptr, struct.indptr)
+    assert np.array_equal(H.indices, struct.indices)
+    assert np.all(struct.toarray()[ref.toarray() != 0] > 0)
+    # a second call, with any mask, reuses the grid's structure
+    cs = grid.cell_structure
+    en.hessian_diagonal(spec, f.copy_with(rng.normal(size=f.values.shape)),
+                        fixed_mask=grid.boundary_mask())
+    H2 = en.hessian(spec, f)
+    assert grid.cell_structure is cs
+    assert np.shares_memory(H2.indices, cs.indices)
+    assert np.shares_memory(H2.indptr, cs.indptr)
+    assert np.array_equal(H2.data, H.data)
+
+
 @PROPERTY
 @given(fields(), exponents, regularizations, st.booleans())
 def test_property_hessian_diagonal_matches_action(fr, p, eps, pinned):
