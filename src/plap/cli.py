@@ -14,7 +14,6 @@ import sys
 import numpy as np
 
 from . import capacity as cap
-from . import energy as en
 from . import solver as sv
 from . import verifiers as vf
 from .energy import EnergySpec

@@ -7,8 +7,9 @@ vol_N = omega_{m-1}, so A(t) = omega_{m-1} t^(m-1).
 
 Radial integrals (the Phi integral of A^{-1/(p-1)}, shell volumes) go
 through one quadrature helper, ``_gauss_kronrod``: adaptive G7/K15 on
-all finite intervals at once, with scipy's ``quad`` only for infinite
-ends and singular endpoints.
+all intervals at once, infinite ends mapped onto finite ones, with
+scipy's ``quad`` only for pieces that do not converge (singular
+endpoints).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     DomainError,
@@ -66,25 +66,14 @@ _WK = np.concatenate([_WK_HALF, _WK_HALF[-2::-1]])
 _WG = np.concatenate([_WG_HALF, _WG_HALF[-2::-1]])
 
 
-def _gauss_kronrod(f, lo, hi) -> np.ndarray:
-    """int_lo^hi f for each pair of interval ends (lo <= hi, broadcast).
+def _levels(f, owner, a, b, total):
+    """Adaptive G7/K15 on the pieces [a, b] of the intervals ``owner``.
 
-    f maps an array of points to an array of values.  Adaptive G7/K15
-    (Piessens et al., QUADPACK, 1983) runs on all finite intervals
-    together: each level evaluates f once, on the 15 nodes of every open
-    piece, accepts the pieces whose |K15 - G7| is at most RTOL times the
-    running total of their interval, and bisects the rest.  Infinite ends,
-    and pieces still open after _MAX_LEVEL levels (an integrable singular
-    endpoint such as t = 0 on Euclidean space), go to scipy's quad, whose
-    extrapolation handles them, at epsabs = 0 and epsrel = 1e-12.
+    Each level evaluates f once, on the 15 nodes of every open piece,
+    adds the pieces whose |K15 - G7| is at most RTOL times the running
+    total of their interval to ``total``, and bisects the rest.  Returns
+    the pieces still open after _MAX_LEVEL levels as (owner, a, b).
     """
-    lo, hi = (x.ravel() for x in np.broadcast_arrays(
-        np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)))
-    total = np.zeros(lo.size)
-    finite = np.isfinite(lo) & np.isfinite(hi)
-    infinite = np.flatnonzero(~finite & (lo < hi))
-    owner = np.flatnonzero(finite & (lo < hi))
-    a, b = lo[owner], hi[owner]
     for _ in range(_MAX_LEVEL):
         if not owner.size:
             break
@@ -102,11 +91,53 @@ def _gauss_kronrod(f, lo, hi) -> np.ndarray:
         mid = 0.5 * (a + b)
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
         owner = np.concatenate([owner, owner])
-    rest = [*zip(infinite, lo[infinite], hi[infinite]), *zip(owner, a, b)]
-    if rest:
+    return owner, a, b
+
+
+def _gauss_kronrod(f, lo, hi) -> np.ndarray:
+    """int_lo^hi f for each pair of interval ends (lo <= hi, broadcast).
+
+    f maps an array of points to an array of values.  Adaptive G7/K15
+    (Piessens et al., QUADPACK, 1983) runs on all intervals together, in
+    three batches of ``_levels``.  An infinite interval is split at
+    |t| = r = max(|finite end|, 1): its finite part joins the finite
+    intervals, and each tail beyond r becomes int_0^{1/r} f(+-1/s)/s^2 ds
+    (QUADPACK's qagi substitution), one batch for the upward tails and one
+    for the downward ones.  Pieces still open after _MAX_LEVEL levels (an
+    integrable singular endpoint, such as t = 0 on Euclidean space or the
+    end of a tail that decays barely fast enough) go to scipy's quad,
+    whose extrapolation handles them, at epsabs = 0 and epsrel = 1e-12.
+    """
+    lo, hi = (x.ravel() for x in np.broadcast_arrays(
+        np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)))
+    total = np.zeros(lo.size)
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    owner = np.flatnonzero(finite & (lo < hi))
+    a, b = lo[owner], hi[owner]
+    ends = np.flatnonzero(~finite & (lo < hi))
+    tails = []
+    if ends.size:
+        x, y = lo[ends], hi[ends]
+        # r from the finite end, or 1 on (-inf, inf)
+        r = np.maximum(np.abs(np.where(np.isfinite(x), x, np.where(
+            np.isfinite(y), y, 0.0))), 1.0)
+        x, y = np.maximum(x, -r), np.minimum(y, r)
+        part = x < y
+        owner = np.concatenate([owner, ends[part]])
+        a, b = np.concatenate([a, x[part]]), np.concatenate([b, y[part]])
+        for sign, side in ((1.0, hi), (-1.0, lo)):
+            on = side[ends] == sign * INF
+            if on.any():
+                tails.append((lambda s, sign=sign: f(sign / s) / (s * s),
+                              ends[on], 1.0 / r[on]))
+    rest = [(f, *_levels(f, owner, a, b, total))]
+    rest += [(g, *_levels(g, i, np.zeros(i.size), top, total))
+             for g, i, top in tails]
+    if any(o.size for _, o, _, _ in rest):
         from scipy.integrate import quad
-        for i, x, y in rest:
-            total[i] += quad(f, x, y, epsabs=0.0, epsrel=1e-12, limit=400)[0]
+        for g, owner, a, b in rest:
+            for i, x, y in zip(owner, a, b):
+                total[i] += quad(g, x, y, epsabs=0.0, epsrel=1e-12, limit=400)[0]
     return total
 
 
@@ -247,9 +278,13 @@ class Tabulated(WarpFunction):
 
     samples: Sequence[tuple[float, float]] = ()
     domain: tuple[float, float] = None  # type: ignore[assignment]
-    _spline: CubicSpline = field(init=False, repr=False, compare=False, default=None)
+    _spline: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        # imported here, its only use: scipy.interpolate pulls in
+        # scipy.special, optimize, fft and spatial, most of a launch's import
+        from scipy.interpolate import CubicSpline
+
         pts = sorted(self.samples)
         if len(pts) < 4:
             raise InvalidInputError("Tabulated warp needs at least 4 samples")
@@ -505,11 +540,15 @@ class ModelManifold:
         if not np.all(np.less(a, b)):
             raise InvalidInputError("need a < b")
         expo = -1.0 / (p - 1.0)
+        scale, power = self.vol_N**expo, (self.m - 1) * expo
 
         def integrand(t):
-            # A may overflow to inf deep in the tail; inf**expo -> 0.0
+            # A^expo formed as vol_N^expo eta^((m-1) expo): it stays finite
+            # where A itself overflows; eta may still overflow deep in a
+            # tail, and inf**power -> 0.0
+            self.check_point(t)
             with np.errstate(over="ignore"):
-                return self.area(t) ** expo
+                return scale * np.asarray(self.warp.value(t)) ** power
 
         out = _gauss_kronrod(integrand, a, b)
         return float(out[0]) if np.ndim(a) == np.ndim(b) == 0 else out

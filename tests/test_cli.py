@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -198,3 +202,24 @@ def test_outputs_deterministic(tmp_path, euclid3):
         assert rc == cli.EXIT_OK
     for name in ("continuation.csv", "verify_kato.csv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_launch_imports_no_interpolate_or_integrate(tmp_path):
+    # a fresh interpreter: pytest's warning filters import scipy.integrate
+    cfg = tmp_path / "euclid3.cfg"
+    cfg.write_text(EUCLID3)
+    code = (
+        "import sys\n"
+        "import plap.cli\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith(\n"
+        "    ('scipy.interpolate', 'scipy.integrate')))\n"
+        "assert not loaded(), loaded()\n"
+        f"assert plap.cli.run(['classify', '--manifold', {str(cfg)!r}, '--p', '2']) == 0\n"
+        "assert not loaded(), loaded()\n"
+    )
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "Hyperbolic"

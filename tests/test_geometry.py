@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
 from plap.errors import (
@@ -258,6 +260,13 @@ def test_phi_integral_pinned_cases():
     got = euclidean(5).phi_integral(1.13345, 1.2301, 92.922)
     want = _euclidean_phi(5, 1.13345, 1.2301, 92.922)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    # A = e^{4 beta t} overflows on [88.83, 95.81], the integrand does not:
+    # int_a^b e^{-c t} dt with c = 4 beta / (p - 1)
+    beta, p, a, b = 2.944, 4.777, 88.83, 95.81
+    c = 4 * beta / (p - 1)
+    want = math.exp(-c * a) * -math.expm1(-c * (b - a)) / c
+    got = warped(5, Exponential(beta)).phi_integral(p, a, b)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("R", [10.0, 20.0, 40.0])
@@ -277,3 +286,53 @@ def test_phi_integral_array_ends():
         assert g == M.phi_integral(2.0, a, b)
     with pytest.raises(InvalidInputError):
         M.phi_integral(2.0, lo, lo)
+
+
+def test_infinite_tails_need_no_quad(monkeypatch):
+    def no_quad(*args, **kwargs):
+        raise AssertionError("a tail reached quad")
+
+    monkeypatch.setattr(scipy.integrate, "quad", no_quad)
+    # m=2, p=2: int_R^inf e^{-beta t} dt = e^{-beta R}/beta, and the mirror
+    # image toward -inf on the warp e^{-beta t}
+    for beta in (0.5, 1.0, 2.0):
+        for R in (-3.0, 0.0, 0.5, 10.0, 40.0):
+            want = math.exp(-beta * R) / beta
+            got = warped(2, Exponential(beta)).phi_integral(2.0, R, np.inf)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            got = warped(2, Exponential(-beta)).phi_integral(2.0, -np.inf, -R)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    # two-sided: A = (1+t^2)^2, p=3 integrates 1/(1+t^2) to pi
+    got = warped(3, PolyEven(2.0)).phi_integral(3.0, -np.inf, np.inf)
+    assert got == pytest.approx(np.pi, rel=1e-12, abs=0.0)
+    # A = cosh^2, p=2: int_8^inf sech^2 = 1 - tanh 8, on either side
+    M = warped(3, Cosh())
+    want = 2.0 / (math.exp(16.0) + 1.0)
+    got = M.phi_integral(2.0, np.array([8.0, -np.inf]), np.array([np.inf, -8.0]))
+    np.testing.assert_allclose(got, [want, want], rtol=1e-12, atol=0.0)
+    # a finite tail volume: A = (1+t^2)^{-2}
+    R = 3.0
+    want = np.pi / 4 - R / (2 * (1 + R * R)) - np.arctan(R) / 2
+    got = warped(3, PolyEven(-2.0)).volume_between(R, np.inf)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [2.9, 2.99])
+def test_near_critical_tail_falls_back_to_quad(monkeypatch, p):
+    # euclidean(3): int_1^inf (4 pi t^2)^{-1/(p-1)} dt = (4 pi)^{-1/(p-1)}/(alpha-1)
+    # with alpha = 2/(p-1) barely above 1; the tail's end at s = 0 stays open
+    calls = []
+    quad = scipy.integrate.quad
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counted)
+    alpha = 2.0 / (p - 1.0)
+    want = (4 * np.pi) ** (-1.0 / (p - 1.0)) / (alpha - 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", scipy.integrate.IntegrationWarning)
+        got = euclidean(3).phi_integral(p, 1.0, np.inf)
+    assert calls
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
