@@ -35,6 +35,8 @@ from .grid import Analytic1D, DiscreteField, Grid1D, Grid2D, wp_distance
 from .solver import (
     SolveConfig,
     SolveReport,
+    decade_schedule,
+    eps_path,
     epsilon_continuation,
     radial_p_harmonic,
     sandwich_check,

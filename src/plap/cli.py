@@ -121,7 +121,8 @@ def cmd_solve(args) -> int:
     step = rep.steps[-1]
     print("energy_eps = " + FMT % step["energy_eps"])
     print("energy_p = " + FMT % step["energy_p"])
-    print("iterations = %d" % step["iterations"])
+    # a cold solve retried along the eps path reports every step
+    print("iterations = %d" % sum(s["iterations"] for s in rep.steps))
     print("wrote " + out)
     return EXIT_OK
 

@@ -9,7 +9,8 @@ Radial integrals (the Phi integral of A^{-1/(p-1)}, shell volumes) go
 through one quadrature helper, ``_gauss_kronrod``: adaptive G7/K15 on
 all intervals at once, infinite ends mapped onto finite ones, with
 scipy's ``quad`` only for pieces that do not converge (singular
-endpoints).
+endpoints).  An infinite end over which the integral diverges, as the
+asymptotics of A tell, gives +inf without being integrated.
 """
 
 from __future__ import annotations
@@ -524,18 +525,41 @@ class ModelManifold:
 
     # -- volume ---------------------------------------------------------------
 
+    def _divergent(self, lo, hi, diverges):
+        """Mask of the intervals [lo, hi] whose infinite end toward
+        direction d has diverges(d, kind, e) for the asymptotics (kind, e)
+        of A there (``_area_tail``).  Where those are unknown the tail is
+        integrated as any other."""
+        div = np.zeros(lo.shape, dtype=bool)
+        for d, end, bound in ((1, hi, self.domain[1]), (-1, lo, self.domain[0])):
+            on = end == d * INF
+            if bound == d * INF and on.any():
+                tail = self._area_tail(d)
+                if tail is not None and diverges(d, *tail):
+                    div |= on
+        return div
+
     def volume_between(self, r1: float, r2: float) -> float:
-        """int_{r1}^{r2} A(t) dt: the volume of the shell r1 <= t <= r2."""
+        """int_{r1}^{r2} A(t) dt: the volume of the shell r1 <= t <= r2.
+
+        Infinite toward an end where A is not integrable: A ~ |t|^e with
+        e >= -1, or A ~ e^{r t} not decaying toward that end.
+        """
         if r1 > r2:
             raise InvalidInputError("volume_between needs R1 <= R2")
         self.check_point([r1, r2])
+        if self._divergent(np.array(r1, dtype=float), np.array(r2, dtype=float),
+                           lambda d, kind, e: e >= -1.0 if kind == "power"
+                           else e * d >= 0.0):
+            return INF
         return float(_gauss_kronrod(self.area, r1, r2)[0])
 
     def phi_integral(self, p: float, a, b):
         """int_a^b A(t)^{-1/(p-1)} dt; a, b may be infinite.
 
         Array ends give one integral per pair (lo, hi), all in one batched
-        quadrature; scalar ends give a float.
+        quadrature; scalar ends give a float.  An infinite end that
+        ``classify_end`` calls parabolic gives inf.
         """
         if not np.all(np.less(a, b)):
             raise InvalidInputError("need a < b")
@@ -550,7 +574,13 @@ class ModelManifold:
             with np.errstate(over="ignore"):
                 return scale * np.asarray(self.warp.value(t)) ** power
 
-        out = _gauss_kronrod(integrand, a, b)
+        lo, hi = np.broadcast_arrays(np.asarray(a, dtype=float),
+                                     np.asarray(b, dtype=float))
+        div = self._divergent(lo, hi, lambda d, kind, e: self.classify_end(
+            p, d) == EndKind.PARABOLIC)
+        # a divergent interval is made empty for the quadrature
+        out = _gauss_kronrod(integrand, lo, np.where(div, lo, hi))
+        out[div.ravel()] = INF
         return float(out[0]) if np.ndim(a) == np.ndim(b) == 0 else out
 
 

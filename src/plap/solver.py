@@ -10,6 +10,17 @@ at the residual tolerance ("tol"), or, where rounding keeps the residual
 above it, after the step from a Newton decrement -r.d at the energy's
 rounding level ("floor").
 
+p-harmonic fields are reached as eps -> 0 along a path of warm-started
+solves (``eps_path``): the harmonic solution at the first eps, then one
+solve per eps from the previous one.  The default path is the decade
+path 1, 0.1, ..., 1e-5, then 2^-19 (``decade_schedule``); after the first
+steps each decade costs a few Newton iterations (path following for the
+p-Laplacian: S. Loisel, Numer. Math. 146, 2020).  A cold single-eps solve
+that stalls is retried once along the decade path down to its own eps.
+``epsilon_continuation`` is the same path plus W^{1,p} distances and
+sandwich checks; the CLI ``continuation`` runs it on the halving schedule
+``default_schedule``.
+
 The closed-form radial extremals and two-end barriers need
 Phi(t) = int A^{-1/(p-1)}; every cell of the grid, and every point the
 analytic descriptor is asked for, is integrated in one batched
@@ -18,7 +29,7 @@ quadrature call (``ModelManifold.phi_integral`` with array ends).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,12 +56,21 @@ DECREMENT_FLOOR = 1e-20  # Newton decrement at rounding level, relative to E
 
 
 def default_schedule(eps0: float = 1.0, steps: int = 20) -> np.ndarray:
+    """eps0, eps0/2, ...: ``steps`` halvings, the CLI continuation's schedule."""
     return eps0 * 0.5 ** np.arange(steps)
+
+
+def decade_schedule(eps: float) -> np.ndarray:
+    """1, 0.1, 0.01, ... while above eps, then eps itself."""
+    # 1/10^k is the double nearest 10^-k; 10.0 ** -k need not be
+    decades = 1.0 / 10.0 ** np.arange(max(int(np.ceil(-np.log10(eps))), 0) + 1)
+    return np.append(decades[decades > eps], eps)
 
 
 @dataclass(frozen=True)
 class SolveConfig:
-    eps_schedule: Sequence[float] = dc_field(default_factory=default_schedule)
+    eps_schedule: Sequence[float] = dc_field(
+        default_factory=lambda: decade_schedule(0.5 ** 19))
     residual_tol: float = 1e-12
     max_newton_iters: int = 50
 
@@ -155,7 +175,11 @@ def solve_dirichlet(spec: EnergySpec, grid, boundary,
                     initial: Optional[np.ndarray] = None):
     """Minimize E_{p,eps} over fields with the given fixed values.
 
-    Returns (DiscreteField, SolveReport).  eps is floored at 1e-14.
+    Returns (DiscreteField, SolveReport).  eps is floored at 1e-14.  A
+    cold solve (no ``initial``) that does not converge is retried once
+    along ``eps_path`` on ``decade_schedule(eps)``; its report then lists
+    the failed attempt and every step of the path.  If the retry fails
+    too, the cold attempt's error is raised.
     """
     cfg = cfg or SolveConfig()
     eps = max(spec.eps, EPS_FLOOR)
@@ -163,18 +187,39 @@ def solve_dirichlet(spec: EnergySpec, grid, boundary,
         raise InvalidInputError("solve_dirichlet needs eps > 0")
     spec = EnergySpec(spec.p, eps)
     mask, vals = _normalize_boundary(grid, boundary)
-    report = SolveReport()
 
     fixed = vals[mask]
     if np.ptp(fixed) == 0.0:
         u = np.full_like(vals, fixed.flat[0])
         f = DiscreteField(grid, u)
+        report = SolveReport()
         report.add_step(eps, 0, 0.0, en.energy(spec, f),
                         en.q_energy(f, spec.p), "tol")
         return f, report
+    if initial is not None:
+        return _newton(spec, grid, mask, vals, initial, cfg)
+    try:
+        return _newton(spec, grid, mask, vals,
+                       _initial_guess(grid, mask, vals), cfg)
+    except NonConvergenceError as exc:
+        cold = exc
+    # damped Newton from the interpolant can stall at small p and eps;
+    # warm starts along the decade path reach the same eps
+    try:
+        fields, path = eps_path(spec.p, grid, (mask, vals),
+                                replace(cfg, eps_schedule=decade_schedule(eps)))
+    except NonConvergenceError:
+        raise cold from None
+    cold.report.steps.extend(path.steps)
+    return fields[-1], cold.report
 
-    u = np.array(initial, dtype=float) if initial is not None \
-        else _initial_guess(grid, mask, vals)
+
+def _newton(spec, grid, mask, vals, initial, cfg):
+    """Damped Newton for E_{p,eps} from ``initial``, with the fixed nodes
+    set to their values."""
+    report = SolveReport()
+    eps = spec.eps
+    u = np.array(initial, dtype=float)
     u[mask] = vals[mask]
     f = DiscreteField(grid, u)
     e_val = en.energy(spec, f)
@@ -221,36 +266,53 @@ def solve_dirichlet(spec: EnergySpec, grid, boundary,
     return f, report
 
 
-def epsilon_continuation(p: float, grid, boundary,
-                         cfg: Optional[SolveConfig] = None):
+def eps_path(p: float, grid, boundary, cfg: Optional[SolveConfig] = None):
     """Solve along the eps schedule with warm starts.
 
-    Returns (list of DiscreteField, SolveReport) with W^{1,p} distances
-    of every iterate to the final one and between consecutive iterates.
+    The harmonic solution at the first eps starts the path (for p != 2),
+    then each eps starts from the previous solution.  Returns
+    (list of DiscreteField, SolveReport with one step per eps).
     """
     cfg = cfg or SolveConfig()
     sched = np.asarray(cfg.eps_schedule, dtype=float)
     if sched.size == 0:
         raise InvalidInputError("empty eps schedule")
-    report = SolveReport()
-    fields = []
-    initial = None
+    boundary = _normalize_boundary(grid, boundary)
+    # every solve on the path gets a start, so none retries on a path of
+    # its own
+    initial = _initial_guess(grid, *boundary)
     if p != 2:
         # harmonic start: cheap, in the right boundary class
-        f0, _ = solve_dirichlet(EnergySpec(2.0, sched[0]), grid, boundary, cfg)
+        f0, _ = solve_dirichlet(EnergySpec(2.0, sched[0]), grid, boundary,
+                                cfg, initial=initial)
         initial = f0.values
+    report = SolveReport()
+    fields = []
     for eps in sched:
         f, rep = solve_dirichlet(EnergySpec(p, eps), grid, boundary, cfg,
                                  initial=initial)
         report.steps.extend(rep.steps)
         fields.append(f)
         initial = f.values
+    return fields, report
+
+
+def epsilon_continuation(p: float, grid, boundary,
+                         cfg: Optional[SolveConfig] = None):
+    """``eps_path`` with W^{1,p} distances of every iterate to the final
+    one and between consecutive iterates, and the sandwich check of each
+    iterate against the final one.
+
+    Returns (list of DiscreteField, SolveReport).
+    """
+    cfg = cfg or SolveConfig()
+    fields, report = eps_path(p, grid, boundary, cfg)
     final = fields[-1]
     report.distances_to_final = [wp_distance(f, final, p) for f in fields]
     report.consecutive_distances = [
         wp_distance(fields[i], fields[i + 1], p) for i in range(len(fields) - 1)
     ]
-    for f, eps in zip(fields, sched):
+    for f, eps in zip(fields, np.asarray(cfg.eps_schedule, dtype=float)):
         report.sandwich.append(sandwich_check(p, eps, final, f))
     return fields, report
 

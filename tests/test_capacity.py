@@ -68,6 +68,31 @@ def test_capacity_numeric_thick_plates():
         assert np.all(num.extremal.values[g.nodes >= 2.0] == 0.0)
 
 
+def _ulps(x, y):
+    return abs(x - y) / np.spacing(max(abs(x), abs(y)))
+
+
+@pytest.mark.parametrize("grid, p", [
+    (Grid1D.uniform(1.0, 2.0, 1025, manifold=M3), 1.55),
+    (Grid1D.uniform(1.0, 2.0, 1025, manifold=M3), 3.0),
+    (Grid1D.uniform(1.0, 2.0, 1025, manifold=M3), 3.95),
+    (Grid2D(-2.0, 2.0, -2.0, 2.0, 33, 33), 1.55),
+    (Grid2D(-2.0, 2.0, -2.0, 2.0, 33, 33), 3.95),
+])
+def test_capacity_numeric_decade_path_matches_halving(grid, p):
+    # the default decade path ends at the same eps as the twenty halvings
+    # of the continuation, and on the same minimizer to a few ulp
+    if isinstance(grid, Grid1D):
+        cond = cap.Condenser(inner=(1.0, 1.0), outer=(2.0, 2.0))
+    else:
+        cond = cap.Condenser(inner=(0.0, 0.5), outer=(1.5, np.inf))
+    num = cap.capacity_numeric(grid, p, cond).value
+    ref = cap.capacity_numeric(
+        grid, p, cond,
+        sv.SolveConfig(eps_schedule=sv.default_schedule(1.0, 20))).value
+    assert _ulps(num, ref) <= 4
+
+
 def test_zero_potential_difference_has_zero_energy():
     # equal plate potentials: the minimizer is constant, p-energy 0
     g = Grid1D.uniform(1.0, 2.0, 65, manifold=M3)
@@ -175,6 +200,16 @@ def test_volume_growth_parabolic():
     assert out["rows"][0]["measured"] == M.volume_between(2.0, np.inf)
     with pytest.raises(InvalidInputError):
         cap.volume_growth_check(M, 2.0, 0.0, [2, 4, 6, 8])
+
+
+@pytest.mark.filterwarnings("error")
+def test_volume_growth_infinite_tail_fails():
+    # euclidean(3) is parabolic at p = 3.5 and its tail volume is infinite:
+    # inf <= C * shape holds when C is inf too, so the check must see it
+    out = cap.volume_growth_check(M3, 3.5, 0.1, [1, 2, 4])
+    assert out["kind"] == EndKind.PARABOLIC
+    assert not out["ok"]
+    assert all(r["measured"] == np.inf and not r["pass"] for r in out["rows"])
 
 
 def test_p_poincare_bound():

@@ -148,6 +148,27 @@ def test_volume(tmp_path, exp2):
     assert rc == cli.EXIT_OK
 
 
+def test_volume_infinite_tail_fails(tmp_path, euclid3, capsys):
+    # a parabolic end of infinite volume: no bound can hold
+    rc = cli.run(["volume", "--manifold", euclid3, "--p", "3.5",
+                  "--lambda-p", "0.1", "--R", "1", "2", "4",
+                  "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CHECK_FAILED
+    rows = (tmp_path / "volume.csv").read_text().splitlines()
+    assert rows[1:] == ["1,inf,inf,False", "2,inf,inf,False", "4,inf,inf,False"]
+
+
+def test_solve_cold_start_stall_recovers(tmp_path, exp2, capsys):
+    # exited 3 with residual 0.37 before the retry along the decade path
+    rc = cli.run(["solve", "--manifold", exp2, "--p", "1.5097", "--eps",
+                  "3.49e-7", "--a", "0", "--b", "4", "--nodes", "1025",
+                  "--out", str(tmp_path)])
+    assert rc == cli.EXIT_OK
+    out = capsys.readouterr().out
+    # the failed cold attempt's 50 iterations count too
+    assert int(out.split("iterations = ")[1].split()[0]) > 50
+
+
 def test_verify_kato(tmp_path, capsys):
     rc = cli.run(["verify", "kato", "--gallery", "b", "--out", str(tmp_path)])
     assert rc == cli.EXIT_OK

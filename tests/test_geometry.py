@@ -336,3 +336,46 @@ def test_near_critical_tail_falls_back_to_quad(monkeypatch, p):
         got = euclidean(3).phi_integral(p, 1.0, np.inf)
     assert calls
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("M, p, a, b", [
+    (euclidean(3), 3.0, 1.0, np.inf),      # A = 4 pi t^2, critical p = m
+    (euclidean(3), 3.01, 1.0, np.inf),     # once -57.1 from the tail in s
+    (euclidean(3), 4.0, 1.0, np.inf),
+    (warped(3, PolyEven(2.0)), 5.0, 0.0, np.inf),  # A ~ t^4, 4/(p-1) = 1
+    (warped(3, PolyEven(2.0)), 5.0, -np.inf, 0.0),
+    (warped(3, PolyEven(2.0)), 6.0, -np.inf, np.inf),
+    (warped(2, Power(1.0, domain=(1.0, np.inf))), 2.0, 1.0, np.inf),
+    (warped(2, Exponential(1.0)), 2.0, -np.inf, 0.0),  # e^{-t} toward -inf
+])
+def test_phi_integral_parabolic_end_is_infinite(M, p, a, b):
+    assert M.classify_end(p, 1 if b == np.inf else -1) == EndKind.PARABOLIC
+    assert M.phi_integral(p, a, b) == np.inf
+    # array ends: only the divergent interval is infinite, the others are
+    # what they are on their own
+    got = M.phi_integral(p, np.array([a, 1.0]), np.array([b, 2.0]))
+    assert got[0] == np.inf
+    assert got[1] == M.phi_integral(p, 1.0, 2.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("M, r1, r2", [
+    (euclidean(3), 1.0, np.inf),           # A ~ t^2; once 4.1e30
+    (warped(3, PolyEven(2.0)), 2.0, np.inf),
+    (warped(3, PolyEven(2.0)), -np.inf, -2.0),
+    (warped(3, Power(-0.5, domain=(1.0, np.inf))), 1.0, np.inf),  # A = 1/t
+    (warped(2, Exponential(1.0)), 0.0, np.inf),
+    (warped(2, Exponential(-1.0)), -np.inf, 0.0),
+])
+def test_volume_of_nonintegrable_end_is_infinite(M, r1, r2):
+    assert M.volume_between(r1, r2) == np.inf
+
+
+def test_integrable_ends_stay_finite():
+    # the ends just past each divergence threshold still integrate
+    assert warped(3, PolyEven(2.0)).phi_integral(4.9, 0.0, np.inf) < np.inf
+    M = warped(3, Power(-0.6, domain=(1.0, np.inf)))  # A = t^{-1.2}
+    assert M.volume_between(1.0, np.inf) == pytest.approx(5.0, rel=1e-12)
+    assert warped(2, Exponential(-1.0)).volume_between(0.0, np.inf) == \
+        pytest.approx(1.0, rel=1e-12)

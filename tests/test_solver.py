@@ -22,6 +22,17 @@ def test_default_schedule():
     assert np.allclose(s, [1, 0.5, 0.25, 0.125, 0.0625])
 
 
+def test_default_config_is_decade_path():
+    sched = sv.SolveConfig().eps_schedule
+    assert sched[-1] == 0.5**19 == sv.default_schedule(1.0, 20)[-1]
+    assert list(sched) == [1.0, 0.1, 0.01, 1e-3, 1e-4, 1e-5, 0.5**19]
+    assert list(sv.decade_schedule(1e-6)) == [1.0, 0.1, 0.01, 1e-3, 1e-4,
+                                              1e-5, 1e-6]
+    assert list(sv.decade_schedule(3.49e-7))[-2:] == [1e-6, 3.49e-7]
+    assert list(sv.decade_schedule(1.0)) == [1.0]
+    assert list(sv.decade_schedule(2.0)) == [2.0]
+
+
 def test_config_validation():
     with pytest.raises(InvalidInputError):
         sv.SolveConfig(eps_schedule=[1.0, 2.0])
@@ -72,8 +83,34 @@ def test_nonconvergence_carries_best_iterate():
         sv.solve_dirichlet(EnergySpec(4.0, 1e-8), annulus(), (1.0, 0.0), cfg)
     err = exc.value
     assert err.best is not None
+    # the retry along the decade path fails too; the cold attempt's error,
+    # with its iterate at the requested eps, is the one raised
+    assert err.report.steps == [err.report.steps[-1]]
+    assert err.report.steps[-1]["eps"] == 1e-8
     assert err.report.steps[-1]["iterations"] == 1
     assert err.report.steps[-1]["stop"] == "max_iters"
+
+
+EXP_SURFACE = warped(2, Exponential(1.0))
+
+
+@pytest.mark.parametrize("p, eps", [(1.5097, 3.49e-7), (1.5, 1e-6)])
+def test_cold_start_stall_retries_along_decade_path(p, eps):
+    # damped Newton from the linear interpolant stalls here (residual 0.37
+    # and 0.88 after 50 iterations); the warm-started decade path does not
+    g = Grid1D.uniform(0.0, 4.0, 1025, manifold=EXP_SURFACE)
+    spec = EnergySpec(p, eps)
+    f, rep = sv.solve_dirichlet(spec, g, (1.0, 0.0))
+    cold, path = rep.steps[0], rep.steps[1:]
+    assert cold["eps"] == eps and cold["stop"] == "max_iters"
+    assert cold["residual"] > 0.1
+    assert [s["eps"] for s in path] == list(sv.decade_schedule(eps))
+    assert path[-1]["stop"] in ("tol", "floor")
+    assert path[-1]["residual"] <= 1e-12 * (1.0 + en.residual_scale(spec, f))
+    fields, _ = sv.eps_path(
+        p, g, (1.0, 0.0), sv.SolveConfig(eps_schedule=sv.decade_schedule(eps)))
+    assert np.array_equal(f.values, fields[-1].values)
+    assert sv.maximum_principle_holds(f, (1.0, 0.0))
 
 
 def test_stop_reason_tol():
@@ -143,10 +180,25 @@ def test_continuation_monotone_distances():
     assert all(s["pass"] for s in rep.sandwich)
 
 
+def test_eps_path_is_continuation_without_checks():
+    g = annulus(129)
+    cfg = sv.SolveConfig(eps_schedule=sv.default_schedule(1.0, 12))
+    fields, rep = sv.eps_path(3.5, g, (1.0, 0.0), cfg)
+    ref_fields, ref = sv.epsilon_continuation(3.5, g, (1.0, 0.0), cfg)
+    assert len(fields) == len(ref_fields) == 12
+    for f, r in zip(fields, ref_fields):
+        assert np.array_equal(f.values, r.values)
+    assert rep.steps == ref.steps
+    assert rep.distances_to_final == rep.sandwich == []
+    assert len(ref.sandwich) == 12
+
+
 def test_continuation_empty_schedule():
     with pytest.raises(InvalidInputError):
         sv.epsilon_continuation(3.0, annulus(),
                                 (1.0, 0.0), sv.SolveConfig(eps_schedule=[]))
+    with pytest.raises(InvalidInputError):
+        sv.eps_path(3.0, annulus(), (1.0, 0.0), sv.SolveConfig(eps_schedule=[]))
 
 
 def test_sandwich_check_requires_matching_boundary():
