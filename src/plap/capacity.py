@@ -127,6 +127,8 @@ def end_barrier_sweep(M: ModelManifold, p: float, R0: float,
     Cross-checked against the area-integral classification.
     """
     R_list = list(R_list)
+    if len(R_list) < 2:
+        raise InvalidInputError("need at least two radii")
     if any(r <= R0 for r in R_list) or any(
             r2 <= r1 for r1, r2 in zip(R_list, R_list[1:])):
         raise InvalidInputError("R_list must be increasing and exceed R0")
@@ -212,6 +214,8 @@ def volume_growth_check(M: ModelManifold, p: float, lambda_p: float,
     """Shell-volume growth (hyperbolic) or tail-volume decay (parabolic)
     against the exponential bounds, with the constant fitted at the
     smallest R; each row's "measured" is the shell or the tail volume."""
+    if lambda_p < 0:
+        raise InvalidInputError("lambda_p lower bound must be >= 0")
     R_values = sorted(R_values)
     if len(R_values) < 2:
         raise InvalidInputError("need at least two R values")

@@ -68,18 +68,21 @@ def load_manifold(path: str) -> ModelManifold:
     if variant == "euclidean":
         return euclidean(m, domain=domain or (0.0, np.inf))
     kind = kv.get("warp.kind", "").lower()
-    if kind == "power":
-        w = Power(alpha=float(kv["warp.alpha"]),
-                  sigma=float(kv.get("warp.sigma", "0")),
-                  domain=domain or (-np.inf, np.inf))
-    elif kind == "exponential":
-        w = Exponential(beta=float(kv["warp.beta"]))
-    elif kind == "cosh":
-        w = Cosh()
-    elif kind == "polyeven":
-        w = PolyEven(alpha=float(kv["warp.alpha"]))
-    else:
-        raise InvalidInputError(f"unknown warp.kind {kind!r}")
+    try:
+        if kind == "power":
+            w = Power(alpha=float(kv["warp.alpha"]),
+                      sigma=float(kv.get("warp.sigma", "0")),
+                      domain=domain or (-np.inf, np.inf))
+        elif kind == "exponential":
+            w = Exponential(beta=float(kv["warp.beta"]))
+        elif kind == "cosh":
+            w = Cosh()
+        elif kind == "polyeven":
+            w = PolyEven(alpha=float(kv["warp.alpha"]))
+        else:
+            raise InvalidInputError(f"unknown warp.kind {kind!r}")
+    except KeyError as exc:
+        raise InvalidInputError(f"warp.kind = {kind} needs {exc}") from None
     return warped(m, w, ricci_N_lower=float(kv.get("ricci_N_lower", "0")),
                   domain=domain)
 
@@ -207,41 +210,42 @@ def cmd_volume(args) -> int:
     return EXIT_OK if res["ok"] else EXIT_CHECK_FAILED
 
 
-def _gallery_field(tag: str):
+def _gallery_field(tag: str, p=None):
+    """The gallery field ``tag`` and p: the given one, or the field's own."""
     if tag == "a":
-        return vf.log_radial_field(m=2), 2.0
-    if tag == "b":
-        return vf.power_radial_field(p=3.0, m=4), 3.0
-    if tag == "d":
-        f, _ = vf.arctan_model_field()
-        return f, 3.0
-    raise InvalidInputError(f"unknown gallery tag {tag!r}")
+        f, p_own = vf.log_radial_field(m=2), 2.0
+    elif tag == "b":
+        f, p_own = vf.power_radial_field(p=3.0, m=4), 3.0
+    elif tag == "d":
+        f, p_own = vf.arctan_model_field()[0], 3.0
+    else:
+        raise InvalidInputError(f"unknown gallery tag {tag!r}")
+    return f, (p_own if p is None else p)
 
 
 def cmd_verify(args) -> int:
     name = args.name
+    if args.p is not None:
+        _check_p(args.p)
     reports = []
     if name == "kato":
         if args.gallery:
-            f, p_default = _gallery_field(args.gallery)
+            f, p = _gallery_field(args.gallery, args.p)
         elif args.p is not None and args.m is not None:
-            _check_p(args.p)
             f = vf.power_radial_field(p=args.p, m=args.m) \
                 if args.p != args.m else vf.log_radial_field(m=args.m)
-            p_default = args.p
+            p = args.p
         else:
             raise InvalidInputError("verify kato needs --gallery or --p/--m")
-        p = args.p if args.p is not None else p_default
         reports.append(vf.kato_ratio(f, p))
     elif name == "strong_form":
-        f, p_default = _gallery_field(args.gallery or "b")
-        reports.append(vf.strong_form_residual(f, args.p or p_default))
+        f, p = _gallery_field(args.gallery or "b", args.p)
+        reports.append(vf.strong_form_residual(f, p))
     elif name == "bochner":
-        f, p_default = _gallery_field(args.gallery or "b")
-        reports.append(vf.bochner_residual(f, args.p or p_default, args.eps))
+        f, p = _gallery_field(args.gallery or "b", args.p)
+        reports.append(vf.bochner_residual(f, p, args.eps))
     elif name == "bochner_s":
-        f, p_default = _gallery_field(args.gallery or "b")
-        p = args.p or p_default
+        f, p = _gallery_field(args.gallery or "b", args.p)
         reports.append(vf.bochner_s_residual(f, p, args.s if args.s is not None
                                              else p - 2.0, args.eps))
     elif name == "monotonicity":
@@ -349,13 +353,16 @@ def build_parser() -> _Parser:
     ap = _Parser(prog="plap", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, manifold_required=False):
-        sp.add_argument("--manifold", required=manifold_required)
+    def common(sp, manifold=None, seed=False):
+        # manifold: None (no --manifold), False (optional), True (required)
+        if manifold is not None:
+            sp.add_argument("--manifold", required=manifold)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--seed", type=int, default=0)
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("solve")
-    common(sp)
+    common(sp, manifold=False)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--eps", type=float, default=1e-6)
     sp.add_argument("--a", type=float, default=1.0)
@@ -367,7 +374,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=cmd_solve)
 
     sp = sub.add_parser("continuation")
-    common(sp)
+    common(sp, manifold=False)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--a", type=float, default=1.0)
     sp.add_argument("--b", type=float, default=2.0)
@@ -379,7 +386,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=cmd_continuation)
 
     sp = sub.add_parser("capacity")
-    common(sp, manifold_required=True)
+    common(sp, manifold=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--a", type=float, required=True)
     sp.add_argument("--b", type=float, required=True)
@@ -387,13 +394,13 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=cmd_capacity)
 
     sp = sub.add_parser("classify")
-    common(sp, manifold_required=True)
+    common(sp, manifold=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--direction", type=int, default=1, choices=(-1, 1))
     sp.set_defaults(fn=cmd_classify)
 
     sp = sub.add_parser("barrier")
-    common(sp, manifold_required=True)
+    common(sp, manifold=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--tmin", type=float, default=-20.0)
     sp.add_argument("--tmax", type=float, default=20.0)
@@ -401,7 +408,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=cmd_barrier)
 
     sp = sub.add_parser("decay")
-    common(sp, manifold_required=True)
+    common(sp, manifold=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--r0", type=float, default=1.0)
     sp.add_argument("--lambda-p", dest="lambda_p", type=float, required=True)
@@ -409,14 +416,14 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=cmd_decay)
 
     sp = sub.add_parser("volume")
-    common(sp, manifold_required=True)
+    common(sp, manifold=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--lambda-p", dest="lambda_p", type=float, required=True)
     sp.add_argument("--R", type=float, nargs="+", required=True)
     sp.set_defaults(fn=cmd_volume)
 
     sp = sub.add_parser("verify")
-    common(sp)
+    common(sp, seed=True)
     sp.add_argument("name")
     sp.add_argument("--gallery", default=None)
     sp.add_argument("--p", type=float, default=None)
@@ -431,7 +438,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=cmd_gallery)
 
     sp = sub.add_parser("report")
-    common(sp)
+    common(sp, seed=True)
     sp.set_defaults(fn=cmd_report)
 
     return ap

@@ -252,25 +252,10 @@ class Cosh(WarpFunction):
 
 
 @dataclass(frozen=True)
-class PolyEven(WarpFunction):
-    """eta(t) = (1 + t^2)^(alpha/2)."""
+class PolyEven(Power):
+    """eta(t) = (1 + t^2)^(alpha/2): the Power warp with sigma = 1."""
 
-    alpha: float
-    domain: tuple[float, float] = (-INF, INF)
-
-    def value(self, t):
-        return (1.0 + t * t) ** (self.alpha / 2.0)
-
-    def d1(self, t):
-        return self.alpha * t * (1.0 + t * t) ** (self.alpha / 2.0 - 1.0)
-
-    def d2(self, t):
-        s = 1.0 + t * t
-        a = self.alpha
-        return a * s ** (a / 2.0 - 2.0) * (s + (a - 2.0) * t * t)
-
-    def tail(self, direction):
-        return ("power", self.alpha)
+    sigma: float = field(default=1.0, init=False)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,11 @@ Each grid also owns the nodal calculus the verifiers are written in:
 1D grid over a model manifold they are those of the radial function
 u(t).  ``dim`` is the dimension the identities are stated in.
 
+Fields, dumps and solves are written once for both kinds: ``shape`` is
+the shape of a grid's value arrays, ``coords`` maps coordinate names to
+node arrays ({"t": nodes} or {"x": X, "y": Y}), and ``fill(mask, vals)``
+is the solver's cold start at the free nodes.
+
 Finite differences are 2nd order (central interior, one-sided at the
 boundary); quadrature is a measure-weighted composite trapezoid rule so
 that node weights stay local.
@@ -56,6 +61,8 @@ class Grid1D:
         if np.any(ratio < 0.25) or np.any(ratio > 4.0):
             raise InvalidInputError("spacing ratio must stay within [1/4, 4]")
         self.nodes = nodes
+        self.shape = nodes.shape
+        self.coords = {"t": nodes}
         self.h = h
         self.manifold = manifold
         if manifold is not None:
@@ -89,6 +96,12 @@ class Grid1D:
         mask = np.zeros(self.n, dtype=bool)
         mask[0] = mask[-1] = True
         return mask
+
+    def fill(self, mask, vals) -> np.ndarray:
+        """Cold start: the fixed values interpolated linearly in t."""
+        u = np.array(vals, dtype=float)
+        u[~mask] = np.interp(self.nodes[~mask], self.nodes[mask], vals[mask])
+        return u
 
     def cell_gradient(self, values) -> list:
         """[du/dt] at the cell midpoints."""
@@ -155,9 +168,11 @@ class Grid2D:
         self.x = np.linspace(x0, x1, nx)
         self.y = np.linspace(y0, y1, ny)
         self.nx, self.ny = nx, ny
+        self.shape = (nx, ny)
         self.hx = self.x[1] - self.x[0]
         self.hy = self.y[1] - self.y[0]
         self.X, self.Y = np.meshgrid(self.x, self.y, indexing="ij")
+        self.coords = {"x": self.X, "y": self.Y}
         # tensor trapezoid node weights
         wx = np.full(nx, self.hx)
         wx[0] = wx[-1] = self.hx / 2
@@ -173,6 +188,12 @@ class Grid2D:
         mask[0, :] = mask[-1, :] = True
         mask[:, 0] = mask[:, -1] = True
         return mask
+
+    def fill(self, mask, vals) -> np.ndarray:
+        """Cold start: the mean of the fixed values at every free node."""
+        u = np.array(vals, dtype=float)
+        u[~mask] = float(np.mean(vals[mask]))
+        return u
 
     def cell_gradient(self, values) -> list:
         """[du/dx, du/dy] at the cell centers: the mean of the two edge
@@ -310,14 +331,10 @@ class DiscreteField:
 
     def __init__(self, grid, values, analytic=None):
         values = np.asarray(values, dtype=float)
-        if isinstance(grid, Grid1D):
-            if values.shape != grid.nodes.shape:
-                raise InvalidInputError("value shape does not match grid")
-        elif isinstance(grid, Grid2D):
-            if values.shape != (grid.nx, grid.ny):
-                raise InvalidInputError("value shape does not match grid")
-        else:
+        if not isinstance(grid, (Grid1D, Grid2D)):
             raise InvalidInputError("unknown grid type")
+        if values.shape != grid.shape:
+            raise InvalidInputError("value shape does not match grid")
         if not np.all(np.isfinite(values)):
             raise InvalidInputError("field values must be finite")
         self.grid = grid
@@ -326,10 +343,7 @@ class DiscreteField:
 
     @classmethod
     def from_function(cls, grid, fn, analytic=None):
-        if isinstance(grid, Grid1D):
-            vals = np.asarray(fn(grid.nodes), dtype=float)
-        else:
-            vals = np.asarray(fn(grid.X, grid.Y), dtype=float)
+        vals = np.asarray(fn(*grid.coords.values()), dtype=float)
         return cls(grid, vals, analytic=analytic)
 
     def copy_with(self, values) -> "DiscreteField":
@@ -400,18 +414,11 @@ def wp_distance(f1: DiscreteField, f2: DiscreteField, p: float) -> float:
 
 def dump_csv(f: DiscreteField, path) -> None:
     """CSV dump: node coordinates, value, |grad|, measure weight."""
-    gm = f.grid.grad_norm(f.grid.fd_gradient(f.values))
+    g = f.grid
+    gm = g.grad_norm(g.fd_gradient(f.values))
+    cols = [*g.coords.values(), f.values, gm, g.weights]
+    rows = np.column_stack([c.ravel() for c in cols]).tolist()
+    line = ",".join(["%.12g"] * len(cols)) + "\n"
     with open(path, "w") as fh:
-        if isinstance(f.grid, Grid1D):
-            fh.write("t,value,grad_mag,weight\n")
-            for t, v, g, w in zip(f.grid.nodes, f.values, gm, f.grid.weights):
-                fh.write(f"{t:.12g},{v:.12g},{g:.12g},{w:.12g}\n")
-        else:
-            fh.write("x,y,value,grad_mag,weight\n")
-            for i in range(f.grid.nx):
-                for j in range(f.grid.ny):
-                    fh.write(
-                        f"{f.grid.x[i]:.12g},{f.grid.y[j]:.12g},"
-                        f"{f.values[i, j]:.12g},{gm[i, j]:.12g},"
-                        f"{f.grid.weights[i, j]:.12g}\n"
-                    )
+        fh.write(",".join([*g.coords, "value", "grad_mag", "weight"]) + "\n")
+        fh.write("".join(line % tuple(r) for r in rows))

@@ -8,7 +8,9 @@ assembled ``energy.hessian`` in its symmetric mode (minimum degree on
 A^T + A, diagonal pivots; X. S. Li, ACM TOMS 31, 2005).  A solve stops
 at the residual tolerance ("tol"), or, where rounding keeps the residual
 above it, after the step from a Newton decrement -r.d at the energy's
-rounding level ("floor").
+rounding level ("floor").  The choice of that linear solve is the only
+place the solver asks which kind of grid it has: the grid supplies the
+cold start (``fill``) and the shape of the fields.
 
 p-harmonic fields are reached as eps -> 0 along a path of warm-started
 solves (``eps_path``): the harmonic solution at the first eps, then one
@@ -30,7 +32,7 @@ quadrature call (``ModelManifold.phi_integral`` with array ends).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -71,15 +73,15 @@ def decade_schedule(eps: float) -> np.ndarray:
 class SolveConfig:
     eps_schedule: Sequence[float] = dc_field(
         default_factory=lambda: decade_schedule(0.5 ** 19))
-    residual_tol: float = 1e-12
+    residual_tol: ClassVar[float] = 1e-12
     max_newton_iters: int = 50
 
     def __post_init__(self):
         sched = np.asarray(self.eps_schedule, dtype=float)
         if sched.size and (np.any(sched <= 0) or np.any(np.diff(sched) >= 0)):
             raise InvalidInputError("eps schedule must be strictly decreasing, positive")
-        if self.residual_tol <= 0 or self.max_newton_iters < 1:
-            raise InvalidInputError("tolerances must be positive")
+        if self.max_newton_iters < 1:
+            raise InvalidInputError("max_newton_iters must be positive")
 
 
 @dataclass
@@ -105,32 +107,27 @@ class SolveReport:
 
 
 def _normalize_boundary(grid, boundary):
-    """Accepts (ua, ub) for Grid1D or (mask, values) for either grid."""
-    if isinstance(grid, Grid1D) and isinstance(boundary, tuple) \
-            and len(boundary) == 2 and np.isscalar(boundary[0]):
+    """Accepts (mask, values), or a scalar pair (ua, ub): the values at
+    the grid's boundary nodes in order, which needs exactly two of them
+    (the ends of a Grid1D)."""
+    if np.isscalar(boundary[0]):
         mask = grid.boundary_mask()
-        vals = np.zeros(grid.n)
-        vals[0], vals[-1] = boundary
+        if len(boundary) != 2 or np.count_nonzero(mask) != 2:
+            raise InvalidInputError(
+                "a boundary pair (ua, ub) needs a grid with two boundary nodes")
+        vals = np.zeros(grid.shape)
+        vals[mask] = boundary
         return mask, vals
     mask, vals = boundary
     mask = np.asarray(mask, dtype=bool)
     vals = np.asarray(vals, dtype=float)
+    if mask.shape != grid.shape or vals.shape != grid.shape:
+        raise InvalidInputError("boundary mask and values must match the grid")
     if not np.all(mask[grid.boundary_mask()]):
         raise InvalidInputError("all grid boundary nodes must be fixed")
     if not np.all(np.isfinite(vals[mask])):
         raise InvalidInputError("boundary values must be finite")
     return mask, vals
-
-
-def _initial_guess(grid, mask, vals):
-    """Linear interpolation of the fixed values (1D) or their mean (2D)."""
-    u = np.array(vals, dtype=float)
-    if isinstance(grid, Grid1D):
-        fixed_t = grid.nodes[mask]
-        u[~mask] = np.interp(grid.nodes[~mask], fixed_t, vals[mask])
-    else:
-        u[~mask] = float(np.mean(vals[mask]))
-    return u
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +196,7 @@ def solve_dirichlet(spec: EnergySpec, grid, boundary,
     if initial is not None:
         return _newton(spec, grid, mask, vals, initial, cfg)
     try:
-        return _newton(spec, grid, mask, vals,
-                       _initial_guess(grid, mask, vals), cfg)
+        return _newton(spec, grid, mask, vals, grid.fill(mask, vals), cfg)
     except NonConvergenceError as exc:
         cold = exc
     # damped Newton from the interpolant can stall at small p and eps;
@@ -280,7 +276,7 @@ def eps_path(p: float, grid, boundary, cfg: Optional[SolveConfig] = None):
     boundary = _normalize_boundary(grid, boundary)
     # every solve on the path gets a start, so none retries on a path of
     # its own
-    initial = _initial_guess(grid, *boundary)
+    initial = grid.fill(*boundary)
     if p != 2:
         # harmonic start: cheap, in the right boundary class
         f0, _ = solve_dirichlet(EnergySpec(2.0, sched[0]), grid, boundary,
@@ -374,11 +370,6 @@ def radial_p_harmonic(M: ModelManifold, p: float, a: float, b: float,
     if not a < b:
         raise InvalidInputError("need a < b")
     grid = Grid1D.uniform(a, b, n, manifold=M)
-    if u_a == u_b:
-        const = Analytic1D(u=lambda t: np.full_like(np.asarray(t, float), u_a),
-                           du=lambda t: np.zeros_like(np.asarray(t, float)),
-                           d2u=lambda t: np.zeros_like(np.asarray(t, float)))
-        return DiscreteField(grid, np.full(n, float(u_a)), analytic=const)
     phi = _phi_on_nodes(M, p, grid.nodes)
     scale = (u_b - u_a) / phi[-1]
     vals = u_a + scale * phi

@@ -149,6 +149,12 @@ def test_end_barrier_sweep_validation():
         cap.end_barrier_sweep(M3, 2.0, 1.0, [0.5, 2.0])
 
 
+def test_end_barrier_sweep_needs_two_radii():
+    # one radius used to reach devs[-2] and raise IndexError
+    with pytest.raises(InvalidInputError):
+        cap.end_barrier_sweep(M3, 2.0, 1.0, [4.0])
+
+
 def test_tail_energy_profile_euclid():
     # m=3, p=2, R0=1, lambda_p=0: tail(R) = 4 pi / R, bound C3 R^2
     out = cap.tail_energy_profile(M3, 2.0, 1.0, 0.0, [2.0, 4.0, 8.0])
@@ -221,3 +227,11 @@ def test_p_poincare_bound():
         cap.p_poincare_bound(1.0, 1.5)
     with pytest.raises(InvalidInputError):
         cap.p_poincare_bound(-1.0, 3.0)
+
+
+def test_volume_growth_rejects_negative_lambda():
+    # on a hyperbolic end lambda_p < 0 made the rate, and every bound,
+    # complex
+    with pytest.raises(InvalidInputError):
+        cap.volume_growth_check(warped(2, Exponential(1.0)), 2.0, -0.1,
+                                [2.0, 4.0])

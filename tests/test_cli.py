@@ -244,3 +244,42 @@ def test_launch_imports_no_interpolate_or_integrate(tmp_path):
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "Hyperbolic"
+
+
+def test_volume_negative_lambda_is_invalid(tmp_path, exp2, capsys):
+    # wrote complex bounds and exited 0 before
+    rc = cli.run(["volume", "--manifold", exp2, "--p", "2",
+                  "--lambda-p", "-0.1", "--R", "2", "4",
+                  "--out", str(tmp_path)])
+    assert rc == cli.EXIT_INVALID
+    assert "lambda_p" in capsys.readouterr().err
+    assert not (tmp_path / "volume.csv").exists()
+
+
+def test_config_without_warp_parameter(tmp_path, capsys):
+    cfg = tmp_path / "polyeven.cfg"
+    cfg.write_text("variant = warped\nm = 3\nwarp.kind = polyeven\n")
+    rc = cli.run(["classify", "--manifold", str(cfg), "--p", "2"])
+    assert rc == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "warp.alpha" in err
+
+
+@pytest.mark.parametrize("name", ["kato", "strong_form", "bochner", "bochner_s"])
+@pytest.mark.parametrize("p", ["0", "0.5"])
+def test_verify_checks_given_p(tmp_path, capsys, name, p):
+    # p = 0 was replaced by the gallery's p; p = 0.5 ran and passed
+    rc = cli.run(["verify", name, "--gallery", "b", "--p", p,
+                  "--out", str(tmp_path)])
+    assert rc == cli.EXIT_INVALID
+    assert "p must exceed 1" in capsys.readouterr().err
+    assert not (tmp_path / ("verify_%s.csv" % name)).exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gallery", "--seed", "1"],
+    ["verify", "kato", "--gallery", "a", "--manifold", "m.cfg"],
+    ["report", "--manifold", "m.cfg"],
+])
+def test_unused_options_are_not_registered(tmp_path, argv):
+    assert cli.run(argv + ["--out", str(tmp_path)]) == cli.EXIT_INVALID

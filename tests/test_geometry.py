@@ -116,6 +116,15 @@ def test_exponential_and_cosh_classification():
         assert Mc.classify_end(p, -1) == EndKind.HYPERBOLIC
 
 
+@pytest.mark.parametrize("alpha", [-2.0, 0.5, 2.0, 3.3])
+def test_polyeven_is_power_with_unit_sigma(alpha):
+    t = np.linspace(-40.0, 40.0, 8001)
+    P, Q = PolyEven(alpha), Power(alpha, 1.0)
+    for k in ("value", "d1", "d2"):
+        assert np.array_equal(getattr(P, k)(t), getattr(Q, k)(t))
+    assert P.tail(+1) == Q.tail(+1) and P.tail(-1) == Q.tail(-1)
+
+
 def test_polyeven_classification():
     # A = (1+t^2)^2: power tail with exponent 4
     M = warped(3, PolyEven(2.0))

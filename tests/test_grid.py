@@ -145,3 +145,29 @@ def test_dump_csv_deterministic(tmp_path):
     dump_csv(f, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_text().splitlines()[0].startswith("t")
+
+
+def test_dump_csv_2d_matches_explicit_loop(tmp_path):
+    g = Grid2D(0.0, 1.0, -1.0, 2.0, 9, 11)
+    f = DiscreteField.from_function(g, lambda x, y: np.sin(3 * x) * np.cos(y))
+    out = tmp_path / "f.csv"
+    dump_csv(f, out)
+    gm = g.grad_norm(g.fd_gradient(f.values))
+    want = ["x,y,value,grad_mag,weight\n"]
+    for i in range(g.nx):
+        for j in range(g.ny):
+            want.append(f"{g.x[i]:.12g},{g.y[j]:.12g},{f.values[i, j]:.12g},"
+                        f"{gm[i, j]:.12g},{g.weights[i, j]:.12g}\n")
+    assert out.read_bytes() == "".join(want).encode()
+
+
+@pytest.mark.parametrize("grid, values", [
+    (Grid1D.uniform(0.0, 1.0, 9), np.ones(10)),
+    (Grid1D.uniform(0.0, 1.0, 9), np.ones((9, 1))),
+    (Grid2D(0.0, 1.0, 0.0, 1.0, 9, 10), np.ones((10, 9))),
+    (Grid2D(0.0, 1.0, 0.0, 1.0, 9, 10), np.ones(90)),
+    (np.linspace(0.0, 1.0, 9), np.ones(9)),
+])
+def test_field_rejects_wrong_shape_and_non_grids(grid, values):
+    with pytest.raises(InvalidInputError):
+        DiscreteField(grid, values)

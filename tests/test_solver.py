@@ -344,3 +344,16 @@ def test_property_newton_direction_solves_free_block(system, p, eps):
     scale = (np.max(np.abs(b), initial=0.0)
              + np.max(np.abs(H) @ np.abs(d.ravel()[free]), initial=0.0))
     assert np.all(np.abs(lhs - b) <= 1e-10 * scale)
+
+
+@pytest.mark.parametrize("grid, boundary", [
+    # a Grid2D has a ring of boundary nodes, not two ends
+    (Grid2D(-1.0, 1.0, -1.0, 1.0, 9, 9), (1.0, 0.0)),
+    (annulus(9), (1.0, 0.5, 0.0)),
+    # mask and values of the wrong shape raised IndexError
+    (annulus(9), (np.ones(8, bool), np.zeros(8))),
+    (annulus(9), (np.ones(9, bool), np.zeros(8))),
+])
+def test_boundary_must_fit_the_grid(grid, boundary):
+    with pytest.raises(InvalidInputError):
+        sv.solve_dirichlet(EnergySpec(3.0, 1e-3), grid, boundary)
