@@ -10,7 +10,9 @@ values, and the Hessian is D^T (meas B) D with the per-cell blocks B of
 ``cell_hessian``.  ``hessian`` assembles it on the grid's cached
 ``cell_structure``: each Newton step forms the local cell blocks and
 scatters them into a fixed CSR pattern with one ``np.bincount``, for
-any number of gradient components.
+any number of gradient components.  ``linearized_action`` applies the
+same Hessian matrix-free, as D^T(meas B D psi), the way ``weak_residual``
+is written; ``hessian`` is the only assembled form.
 """
 
 from __future__ import annotations
@@ -32,9 +34,10 @@ class EnergySpec:
     eps: float = 0.0
 
     def __post_init__(self):
-        if self.p <= 1:
+        # written so that NaN fails
+        if not self.p > 1:
             raise InvalidInputError("p must exceed 1")
-        if self.eps < 0:
+        if not self.eps >= 0:
             raise InvalidInputError("eps must be nonnegative")
 
 
@@ -165,11 +168,17 @@ def hessian(spec: EnergySpec, field: DiscreteField):
 
 def linearized_action(spec: EnergySpec, field: DiscreteField,
                       psi: DiscreteField, fixed_mask=None) -> np.ndarray:
-    """Hessian at u applied to psi, both restricted to the free nodes."""
+    """Hessian at u applied to psi, both restricted to the free nodes:
+    D^T (meas B D psi), matrix-free, as ``weak_residual`` is written."""
+    if spec.eps <= 0:
+        raise SingularityError("linearization requires eps > 0")
+    grid = field.grid
     if fixed_mask is None:
-        fixed_mask = field.grid.boundary_mask()
-    free_psi = np.where(fixed_mask, 0.0, psi.values)
-    out = (hessian(spec, field) @ free_psi.ravel()).reshape(free_psi.shape)
+        fixed_mask = grid.boundary_mask()
+    dpsi = grid.cell_gradient(np.where(fixed_mask, 0.0, psi.values))
+    meas = grid.cell_measure
+    out = grid.cell_divergence([meas * sum(b * d for b, d in zip(row, dpsi))
+                                for row in cell_hessian(spec, field)])
     out[fixed_mask] = 0.0
     return out
 

@@ -459,7 +459,7 @@ class ModelManifold:
 
     def classify_end(self, p: float, direction: int) -> str:
         """Hyperbolic iff int^inf A^{-1/(p-1)} dt converges toward the end."""
-        if p <= 1:
+        if not p > 1:
             raise InvalidInputError("p must exceed 1")
         direction = 1 if direction > 0 else -1
         lo, hi = self.domain
@@ -546,6 +546,8 @@ class ModelManifold:
         quadrature; scalar ends give a float.  An infinite end that
         ``classify_end`` calls parabolic gives inf.
         """
+        if not p > 1:
+            raise InvalidInputError("p must exceed 1")
         if not np.all(np.less(a, b)):
             raise InvalidInputError("need a < b")
         expo = -1.0 / (p - 1.0)

@@ -12,10 +12,11 @@ changing these members only.
 Each grid also owns the nodal calculus the verifiers are written in:
 ``fd_gradient`` maps values to the gradient components ([u'] in 1D,
 [u_x, u_y] in 2D), ``fd_hessian`` maps those to the Hessian components
-([u''], [u_xx, u_xy, u_yy]), and ``grad_norm``, ``hess_sq`` and
-``laplacian`` read |grad u|, |Hess u|^2 and Delta u off that jet; on a
-1D grid over a model manifold they are those of the radial function
-u(t).  ``dim`` is the dimension the identities are stated in.
+([u''], [u_xx, u_xy, u_yy]), and ``grad_norm``, ``hess_sq``,
+``laplacian`` and ``ricci`` read |grad u|, |Hess u|^2, Delta u and
+Ric(grad u, grad u) off that jet; on a 1D grid over a model manifold
+they are those of the radial function u(t).  ``dim`` is the dimension
+the identities are stated in.
 
 Fields, dumps and solves are written once for both kinds: ``shape`` is
 the shape of a grid's value arrays, ``coords`` maps coordinate names to
@@ -156,6 +157,12 @@ class Grid1D:
         ell = np.asarray(M.log_area_d1(self.nodes), float) if M is not None else 0.0
         return hess[0] + ell * grad[0]
 
+    def ricci(self, grad):
+        """Ric(grad u, grad u), the manifold's radial term; 0 on the flat line."""
+        M = self.manifold
+        return (np.asarray(M.radial_ricci_term(self.nodes, grad[0] ** 2), float)
+                if M is not None else 0.0)
+
 
 class Grid2D:
     """Uniform tensor grid on [x0,x1] x [y0,y1] with flat Lebesgue measure."""
@@ -256,6 +263,9 @@ class Grid2D:
 
     def laplacian(self, grad, hess) -> np.ndarray:
         return hess[0] + hess[2]
+
+    def ricci(self, grad) -> float:
+        return 0.0
 
 
 def _pairs(n: int, left, right):

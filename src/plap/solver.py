@@ -78,7 +78,8 @@ class SolveConfig:
 
     def __post_init__(self):
         sched = np.asarray(self.eps_schedule, dtype=float)
-        if sched.size and (np.any(sched <= 0) or np.any(np.diff(sched) >= 0)):
+        # written so that NaN fails
+        if not (np.all(sched > 0) and np.all(np.diff(sched) < 0)):
             raise InvalidInputError("eps schedule must be strictly decreasing, positive")
         if self.max_newton_iters < 1:
             raise InvalidInputError("max_newton_iters must be positive")
@@ -210,23 +211,34 @@ def solve_dirichlet(spec: EnergySpec, grid, boundary,
     return fields[-1], cold.report
 
 
+# an overflow shows up as a non-finite energy or residual, which raises
+# NonConvergenceError, or as a trial energy the line search rejects
+@np.errstate(over="ignore", invalid="ignore")
 def _newton(spec, grid, mask, vals, initial, cfg):
     """Damped Newton for E_{p,eps} from ``initial``, with the fixed nodes
-    set to their values."""
+    set to their values.  A non-finite energy or residual raises
+    NonConvergenceError."""
     report = SolveReport()
     eps = spec.eps
     u = np.array(initial, dtype=float)
     u[mask] = vals[mask]
     f = DiscreteField(grid, u)
     e_val = en.energy(spec, f)
-    r = en.weak_residual(spec, f, mask)
-    # tolerance relative to the elementary flux magnitude: the residual's
-    # rounding floor grows with the fluxes (roughly like 1/h)
-    tol = cfg.residual_tol * (1.0 + en.residual_scale(spec, f))
-    r_max = float(np.max(np.abs(r)))
     iters = 0
     floor = False
-    while r_max > tol and not floor:
+    while True:
+        r = en.weak_residual(spec, f, mask)
+        # tolerance relative to the elementary flux magnitude: the
+        # residual's rounding floor grows with the fluxes (roughly like 1/h)
+        tol = cfg.residual_tol * (1.0 + en.residual_scale(spec, f))
+        r_max = float(np.max(np.abs(r)))
+        if not np.isfinite(e_val + r_max):
+            # NaN fails every comparison below and would stop as "floor"
+            raise NonConvergenceError(
+                f"energy {e_val:.3e} or residual {r_max:.3e} is not finite",
+                best=f, report=report)
+        if r_max <= tol or floor:
+            break
         if iters >= cfg.max_newton_iters:
             report.add_step(eps, iters, r_max, e_val,
                             en.q_energy(f, spec.p), "max_iters")
@@ -253,9 +265,6 @@ def _newton(spec, grid, mask, vals, initial, cfg):
                 raise NonConvergenceError("line search collapsed", best=f,
                                           report=report)
         f, e_val = trial, e_trial
-        r = en.weak_residual(spec, f, mask)
-        tol = cfg.residual_tol * (1.0 + en.residual_scale(spec, f))
-        r_max = float(np.max(np.abs(r)))
         iters += 1
     report.add_step(eps, iters, r_max, e_val, en.q_energy(f, spec.p),
                     "tol" if r_max <= tol else "floor")

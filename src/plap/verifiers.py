@@ -2,12 +2,16 @@
 
 The pointwise checks (Kato ratio, strong form, Bochner identity) are each
 one formula written in the grid's nodal calculus: the nodal jet
-(``fd_gradient``, ``fd_hessian``) and ``grad_norm``, ``hess_sq`` and
-``laplacian``, which on a 1D grid are those of a radial field on the
-attached model manifold and on a 2D grid those of a flat field.  A
-radial field with a closed-form descriptor supplies its jet exactly.
-Only the collars, and the staggered divergence of the 1D Bochner check,
-depend on the grid type.
+(``fd_gradient``, ``fd_hessian``) and ``grad_norm``, ``hess_sq``,
+``laplacian`` and ``ricci``, which on a 1D grid are those of a radial
+field on the attached model manifold and on a 2D grid those of a flat
+field.  A radial field with a closed-form descriptor supplies its jet
+exactly.  The Bochner check's L_eps is the energy Hessian itself
+(``energy.linearized_action``, the operator the Newton solve linearizes
+with); its residual decays at order 1 in 1D and order 2 in 2D once two
+nodes are trimmed at each end of every axis.  Every collar is a number
+of nodes cut off each end of every axis, so no pointwise check asks
+which kind of grid it has.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .grid import Analytic1D, DiscreteField, Grid1D, Grid2D, integrate_field
 
 def kappa(p: float, m: int, variant: str = "RefinedKS") -> float:
     """Kato-improvement constant; three published strengths."""
-    if p <= 1:
+    if not p > 1:
         raise InvalidInputError(f"kappa needs p > 1, got p = {p:g}")
     if m < 2:
         raise InvalidInputError(f"kappa needs dimension m >= 2, got m = {m}")
@@ -105,17 +109,12 @@ def kato_ratio(u: DiscreteField, p: float, collar: int = 2) -> VerifierReport:
     # |grad f| for f = |grad u|: difference f itself, per the statement
     df = g.fd_gradient(grad_mag)
     den = _dot(df, df)
-    if isinstance(g, Grid1D):
+    sel = grad_mag > 1e-8 * float(np.max(grad_mag))
+    if collar > 0 and not closed:
         # the collar cuts off the one-sided end stencils of a differenced jet
-        sel = np.ones(g.n, dtype=bool)
-        if collar > 0 and not closed:
-            sel[:collar] = sel[-collar:] = False
-    else:
-        sel = np.zeros(grad_mag.shape, dtype=bool)
-        c = max(collar, 1)
-        sel[c:-c, c:-c] = True
-
-    sel = sel & (grad_mag > 1e-8 * float(np.max(grad_mag)))
+        inner = np.zeros(sel.shape, dtype=bool)
+        inner[(slice(collar, -collar),) * sel.ndim] = True
+        sel &= inner
     excluded = int(sel.size - sel.sum())
     if not sel.any():
         raise NoDataError("every node is gradient-degenerate or in the collar")
@@ -161,63 +160,31 @@ def strong_form_residual(u: DiscreteField, p: float) -> VerifierReport:
 # ---------------------------------------------------------------------------
 
 
-def _staggered_l_op(grid: Grid1D, coef_mid: np.ndarray, psi: np.ndarray):
-    """div(coef grad psi)/A at interior nodes with the energy's fluxes."""
-    t = grid.nodes
-    flux = coef_mid * np.diff(psi) / grid.h
-    mid_area = (grid.area[:-1] + grid.area[1:]) / 2.0
-    F = mid_area * flux
-    dt = (t[2:] - t[:-2]) / 2.0
-    return (F[1:] - F[:-1]) / (dt * grid.area[1:-1])
-
-
 def bochner_residual(u: DiscreteField, p: float, eps: float) -> VerifierReport:
     """Residual of the perturbed Bochner identity
 
         1/2 L_eps(f_eps^2) = (p-2)/4 f^{p-4}|grad f^2|^2
                              + f^{p-2}(|Hess u|^2 + Ric(grad u, grad u))
 
-    with f_eps^2 = |grad u|^2 + eps.  In 1D the divergence is assembled
-    from the same staggered fluxes as the energy module, and the residual
-    decays at first order under refinement.  In 2D it is a nodal
-    difference three stencils deep; with at least three boundary rings
-    dropped it decays at second order."""
-    if eps <= 0:
-        raise SingularityError("the identity is checked for eps > 0 only")
+    with f_eps^2 = |grad u|^2 + eps.  L_eps is the energy Hessian H:
+    H = -p M L_eps with M the lumped mass (the grid's node weights), so
+    the left side is -H(f_eps^2) / (2 p M).  Two nodes are dropped at
+    each end of every axis; ring 1 is the only one whose stencil reads
+    boundary values.  The residual then decays at first order in 1D and
+    at second order in 2D under refinement."""
     g = u.grid
     grad = g.fd_gradient(u.values)
     w = _dot(grad, grad) + eps
+    # EnergySpec rejects p <= 1 and eps < 0, the action eps = 0
+    lhs = -0.5 * en.linearized_action(EnergySpec(p, eps), u,
+                                      DiscreteField(g, w)) / (p * g.weights)
     dw = g.fd_gradient(w)
-    fac = w ** ((p - 2.0) / 2.0)
-    keep = np.zeros(w.shape, dtype=bool)
-    if isinstance(g, Grid1D):
-        t = g.nodes
-        M = g.manifold
-        # radial linearized coefficient at cell midpoints
-        du_mid = np.diff(u.values) / g.h
-        w_mid = du_mid * du_mid + eps
-        coef_mid = w_mid ** ((p - 2.0) / 2.0) * (1.0 + (p - 2.0) * du_mid**2 / w_mid)
-        lhs = np.zeros(g.n)  # the end nodes are never kept
-        lhs[1:-1] = 0.5 * _staggered_l_op(g, coef_mid, w)
-        ric = (np.asarray(M.radial_ricci_term(t, grad[0] ** 2), float)
-               if M is not None else 0.0)
-        # exclude a fixed physical collar (5% of the interval, at least
-        # two cells) so the reported max lives on an n-independent
-        # interior region (plus the FD-polluted end nodes)
-        ti = t[1:-1]
-        width = max(0.05 * (t[-1] - t[0]), 2.0 * np.max(g.h))
-        keep_c = (ti >= t[0] + width) & (ti <= t[-1] - width)
-        keep[1:-1] = keep_c if keep_c.any() else True
-    else:
-        gw = _dot(grad, dw)
-        q = [fac * (d + (p - 2.0) * gw * gi / w) for d, gi in zip(dw, grad)]
-        lhs = 0.5 * sum(g.fd_gradient(qi)[i] for i, qi in enumerate(q))
-        ric = 0.0
-        keep[3:-3, 3:-3] = True
     rhs = (0.25 * (p - 2.0) * w ** ((p - 4.0) / 2.0) * _dot(dw, dw)
-           + fac * (g.hess_sq(grad, g.fd_hessian(grad)) + ric))
-    res = np.abs(lhs - rhs)[keep]
-    grad_mag = g.grad_norm(grad)[keep]
+           + w ** ((p - 2.0) / 2.0)
+           * (g.hess_sq(grad, g.fd_hessian(grad)) + g.ricci(grad)))
+    trim = (slice(2, -2),) * w.ndim
+    res = np.abs(lhs - rhs)[trim]
+    grad_mag = g.grad_norm(grad)[trim]
     theta = 1e-8 * float(np.max(grad_mag)) if np.max(grad_mag) > 0 else 0.0
     keep = grad_mag > theta
     excluded = int(keep.size - keep.sum())
@@ -261,10 +228,8 @@ def bochner_s_residual(u: DiscreteField, p: float, s: float,
     if M is not None:
         ell = np.asarray(M.log_area_d1(t), float)
         ell1 = np.asarray(M.log_area_d2(t), float)
-        ric = np.asarray(M.radial_ricci_term(t, du * du), float)
     else:
         ell = ell1 = np.zeros_like(t)
-        ric = np.zeros_like(t)
     w = du * du + eps
     dw = 2.0 * du * d2u
     d2w = 2.0 * (d2u * d2u + du * d3u)
@@ -278,7 +243,7 @@ def bochner_s_residual(u: DiscreteField, p: float, s: float,
     lap = d2u + ell * du
     dlap = d3u + ell * d2u + ell1 * du
     rhs = (0.25 * s * w ** (s / 2.0 - 1.0) * dw**2
-           + w ** (s / 2.0) * (hess_sq + ric)
+           + w ** (s / 2.0) * (hess_sq + grid.ricci([du]))
            + 0.25 * (p - 2.0) * (s - p + 2.0) * w ** (s / 2.0 - 2.0)
            * (du * dw) ** 2
            + eps * (w ** (s / 2.0 - 1.0) * du * dlap

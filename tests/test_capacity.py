@@ -235,3 +235,15 @@ def test_volume_growth_rejects_negative_lambda():
     with pytest.raises(InvalidInputError):
         cap.volume_growth_check(warped(2, Exponential(1.0)), 2.0, -0.1,
                                 [2.0, 4.0])
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, np.nan])
+@pytest.mark.parametrize("call", [
+    lambda p: M3.phi_integral(p, 1.0, 2.0),
+    lambda p: cap.capacity_analytic(M3, p, 1.0, 2.0),
+    lambda p: sv.radial_p_harmonic(M3, p, 1.0, 2.0, 1.0, 0.0),
+], ids=["phi_integral", "capacity_analytic", "radial_p_harmonic"])
+def test_phi_integral_needs_p_above_one(call, p):
+    # p = 1 raised ZeroDivisionError; p = 0.5 gave a capacity of 31.29
+    with pytest.raises(InvalidInputError):
+        call(p)

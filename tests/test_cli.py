@@ -64,6 +64,14 @@ def test_solve_nonconvergence_exit_code(tmp_path, euclid3):
     assert rc == cli.EXIT_NO_CONVERGENCE
 
 
+def test_solve_nonfinite_energy_exit_code(tmp_path, euclid3, capsys):
+    rc = cli.run(["solve", "--manifold", euclid3, "--p", "60", "--a", "1",
+                  "--b", "1.000001", "--nodes", "65", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_NO_CONVERGENCE
+    assert "not finite" in capsys.readouterr().err
+    assert not (tmp_path / "solution.csv").exists()
+
+
 def test_unknown_subcommand():
     assert cli.run(["frobnicate"]) == cli.EXIT_INVALID
 

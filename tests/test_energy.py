@@ -251,6 +251,12 @@ def test_property_hessian_symmetric_and_residual_jacobian(fr, p, eps, pinned):
     diag = en.hessian_diagonal(spec, f, fixed_mask=mask)
     assert np.array_equal(
         diag, np.where(mask, 1.0, np.diag(H).reshape(mask.shape)))
+    # the matrix-free action is the restricted assembled Hessian
+    psi = np.cos(np.arange(u.size) + 0.5 * p)
+    ref = np.where(mask.ravel(), 0.0, H @ np.where(mask.ravel(), 0.0, psi))
+    act = en.linearized_action(spec, f, f.copy_with(psi.reshape(mask.shape)),
+                               fixed_mask=mask).ravel()
+    assert np.max(np.abs(act - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @settings(max_examples=15, deadline=None)

@@ -142,6 +142,9 @@ def test_classify_end_bounded_domain_rejected():
 def test_classify_end_bad_p():
     with pytest.raises(InvalidInputError):
         euclidean(3).classify_end(1.0, +1)
+    # NaN once passed the check and gave "parabolic"
+    with pytest.raises(InvalidInputError):
+        euclidean(3).classify_end(np.nan, +1)
 
 
 def test_tabulated_interpolation_and_asymptotics():

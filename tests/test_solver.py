@@ -42,6 +42,17 @@ def test_config_validation():
         sv.SolveConfig(max_newton_iters=0)
 
 
+def test_nan_inputs_rejected():
+    # each check is written so that NaN fails it; the solve used to
+    # "converge" on NaN
+    with pytest.raises(InvalidInputError):
+        EnergySpec(np.nan, 1e-3)
+    with pytest.raises(InvalidInputError):
+        EnergySpec(3.0, np.nan)
+    with pytest.raises(InvalidInputError):
+        sv.SolveConfig(eps_schedule=[1.0, np.nan])
+
+
 def test_p2_matches_harmonic_solution():
     g = annulus(257)
     f, rep = sv.solve_dirichlet(EnergySpec(2.0, 1e-12), g, (1.0, 0.0))
@@ -89,6 +100,16 @@ def test_nonconvergence_carries_best_iterate():
     assert err.report.steps[-1]["eps"] == 1e-8
     assert err.report.steps[-1]["iterations"] == 1
     assert err.report.steps[-1]["stop"] == "max_iters"
+
+
+@pytest.mark.parametrize("p, b, n", [(60.0, 1.0 + 1e-6, 65),
+                                     (200.0, 1.01, 513)])
+def test_nonfinite_energy_raises(p, b, n):
+    # |u'| ~ 1/(b - 1) overflows (|u'|^2 + eps)^(p/2): energy inf and
+    # residual NaN, which once stopped as "floor" after 0 iterations
+    grid = Grid1D.uniform(1.0, b, n, manifold=M3)
+    with pytest.raises(NonConvergenceError, match="not finite"):
+        sv.solve_dirichlet(EnergySpec(p, 1e-6), grid, (1.0, 0.0))
 
 
 EXP_SURFACE = warped(2, Exponential(1.0))

@@ -32,6 +32,9 @@ def test_kappa_values():
 def test_kappa_validation():
     with pytest.raises(InvalidInputError, match="p > 1"):
         vf.kappa(1.0, 3)
+    # NaN once gave kappa = nan and a Kato check that "failed"
+    with pytest.raises(InvalidInputError, match="p > 1"):
+        vf.kappa(np.nan, 3)
     with pytest.raises(InvalidInputError, match="dimension m >= 2"):
         vf.kappa(2.0, 1)
     with pytest.raises(InvalidInputError):
@@ -152,6 +155,8 @@ def test_bochner_rejects_eps_zero():
         vf.bochner_residual(f, 3.0, 0.0)
     with pytest.raises(SingularityError):
         vf.bochner_s_residual(f, 3.0, 1.0, 0.0)
+    with pytest.raises(InvalidInputError):
+        vf.bochner_residual(f, 0.5, 1e-3)
 
 
 def test_bochner_2d_linear_field():
