@@ -8,9 +8,9 @@ exactly at the discrete level, the weak residual D^T(meas phi' D u) is
 literally the gradient of the discrete energy with respect to node
 values, and the Hessian is D^T (meas B) D with the per-cell blocks B of
 ``cell_hessian``.  ``hessian`` assembles it on the grid's cached
-``cell_structure``: each Newton step forms the local cell blocks and
-scatters them into a fixed CSR pattern with one ``np.bincount``, for
-any number of gradient components.  ``linearized_action`` applies the
+``cell_structure``, read off the same stencil as D: each Newton step
+forms the local cell blocks and scatters them into a fixed CSR pattern
+with one ``np.bincount``, for any number of gradient components.  ``linearized_action`` applies the
 same Hessian matrix-free, as D^T(meas B D psi), the way ``weak_residual``
 is written; ``hessian`` is the only assembled form.
 """
@@ -141,7 +141,7 @@ def weak_residual(spec: EnergySpec, field: DiscreteField,
 def hessian(spec: EnergySpec, field: DiscreteField):
     """Hessian of the discrete energy at u as a sparse nodes x nodes CSR
     matrix on values.ravel(): D^T (meas B) D with D the grid's
-    ``cell_matrix``.
+    ``cell_gradient``.
 
     This is the discretization of the linearized operator
     div(f_eps^{p-2} (id + (p-2) grad u x grad u / f_eps^2) grad psi)

@@ -1,13 +1,19 @@
 """Discretization layer: measure-weighted 1D grids, flat 2D grids, fields.
 
-Each grid owns the cell-gradient operator D that the energy is built on:
-``cell_gradient`` maps node values to per-cell gradient components (one
-in 1D, two in 2D), ``cell_divergence`` is its exact transpose,
-``cell_matrix`` is D as a sparse matrix (components stacked, cells x
-nodes), ``cell_structure`` is the cell-to-node structure derived from
-it once per grid, on which the energy Hessian is assembled, and
-``cell_measure`` weighs the cells.  Changing the discretization means
-changing these members only.
+Each grid states the cell-gradient operator D that the energy is built
+on once, as a stencil: ``cells`` is the shape of the cell array,
+``cell_nodes`` the index offsets of a cell's nodes, ``cell_signs[i][a]``
+the sign gradient component i gives node a, and ``cell_scale[i]`` the
+divisor of component i.  In 1D the nodes are (0,), (1,) with signs
+(-1, +1) over h; in 2D they are (0,0), (1,0), (0,1), (1,1), each
+component the mean of the two edge differences in its direction, over
+(2hx, 2hy).  The rest is read off the stencil once for both kinds:
+``cell_gradient`` maps node values to per-cell gradient components,
+``cell_divergence`` is its exact transpose, ``cell_structure`` is the
+cell-to-node structure on which the energy Hessian is assembled, and
+``flux_spacing`` is the smallest divisor.  ``cell_measure`` weighs the
+cells.  Changing the discretization means changing the stencil and
+``cell_measure`` only.
 
 Each grid also owns the nodal calculus the verifiers are written in:
 ``fd_gradient`` maps values to the gradient components ([u'] in 1D,
@@ -23,15 +29,15 @@ the shape of a grid's value arrays, ``coords`` maps coordinate names to
 node arrays ({"t": nodes} or {"x": X, "y": Y}), and ``fill(mask, vals)``
 is the solver's cold start at the free nodes.
 
-Finite differences are 2nd order (central interior, one-sided at the
-boundary); quadrature is a measure-weighted composite trapezoid rule so
-that node weights stay local.
+Finite differences are 2nd order (``np.gradient``: central interior,
+one-sided at the boundary); quadrature is a measure-weighted composite
+trapezoid rule so that node weights stay local.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -45,16 +51,118 @@ from .geometry import ModelManifold
 # ---------------------------------------------------------------------------
 
 
-class Grid1D:
+class CellStructure(NamedTuple):
+    """Cell-to-node structure of H = D^T W D, W block diagonal over cells.
+
+    ``coef[i, a, c]`` is the D coefficient of gradient component i at the
+    a-th node of cell c (zero where the component skips that node);
+    ``indices`` and ``indptr`` are the CSR pattern of H, shared read-only
+    by every matrix assembled on it; ``pos`` gives, for each local entry
+    (a, b, c) raveled, its position in H.data.  So H.data is
+    ``np.bincount(pos, weights=K.ravel())`` for the local blocks
+    K[a, b, c] = sum_ij coef[i, a, c] W_ij[c] coef[j, b, c].
+    """
+
+    coef: np.ndarray
+    pos: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+def _signed_sum(terms, plus, minus):
+    """The terms indexed by ``plus`` added in order, then those indexed
+    by ``minus`` subtracted in order.  In this order D and D^T are bit
+    for bit the explicit slice formulas, ((v10 + v11) - v00) - v01 among
+    them."""
+    return reduce(np.subtract, [terms[a] for a in minus],
+                  reduce(np.add, [terms[a] for a in plus]))
+
+
+class _CellGrid:
+    """D read off the grid's stencil: ``cells``, ``cell_nodes``,
+    ``cell_signs`` and ``cell_scale`` (a scalar or one value per cell).
+    Component i of D u at cell c is
+    sum_a cell_signs[i][a] * u[c + cell_nodes[a]] / cell_scale[i]."""
+
+    @cached_property
+    def _cell_slices(self) -> list:
+        """Per stencil node, the slices that pick it out of every cell."""
+        return [tuple(slice(o, o + k) for o, k in zip(off, self.cells))
+                for off in self.cell_nodes]
+
+    @cached_property
+    def _split_signs(self) -> tuple:
+        """The stencil by rows (components) and by columns (nodes), each
+        entry split into the indices of its + and - signs."""
+        def split(signs):
+            return ([k for k, s in enumerate(signs) if s > 0],
+                    [k for k, s in enumerate(signs) if s < 0])
+        return ([split(row) for row in self.cell_signs],
+                [split(col) for col in zip(*self.cell_signs)])
+
+    @cached_property
+    def flux_spacing(self):
+        """1 / (largest entry of D) per cell: a cell flux times this is the
+        force it puts on a node."""
+        return reduce(np.minimum, self.cell_scale)
+
+    def cell_gradient(self, values) -> list:
+        """D u: the gradient components at the cells."""
+        terms = [values[sl] for sl in self._cell_slices]
+        return [_signed_sum(terms, *pm) / scale
+                for pm, scale in zip(self._split_signs[0], self.cell_scale)]
+
+    def cell_divergence(self, fluxes) -> np.ndarray:
+        """D^T: per-cell fluxes, one list entry per component, to nodes."""
+        scaled = [f / scale for f, scale in zip(fluxes, self.cell_scale)]
+        out = np.zeros(self.shape)
+        for sl, (plus, minus) in zip(self._cell_slices, self._split_signs[1]):
+            # where no component adds, subtract the sum: no negated copy
+            if plus:
+                out[sl] += _signed_sum(scaled, plus, minus)
+            else:
+                out[sl] -= _signed_sum(scaled, minus, [])
+        return out
+
+    @cached_property
+    def cell_structure(self) -> CellStructure:
+        """The stencil's nodes and coefficients per cell, a cell's nodes
+        in raveled order; H's pattern is every pair of nodes that share a
+        cell."""
+        n = int(np.prod(self.shape))
+        index = np.arange(n).reshape(self.shape)
+        nodes = np.array([index[sl].ravel() for sl in self._cell_slices])
+        order = np.argsort(nodes[:, 0])
+        nodes = nodes[order]
+        coef = np.array([[np.broadcast_to(signs[a] / scale, self.cells).ravel()
+                          for a in order]
+                         for signs, scale in zip(self.cell_signs,
+                                                 self.cell_scale)])
+        pattern, pos = np.unique(nodes[:, None] * n + nodes[None, :],
+                                 return_inverse=True)
+        indices = (pattern % n).astype(np.int32)
+        indptr = np.searchsorted(pattern, np.arange(n + 1) * n)
+        indptr = indptr.astype(np.int32)
+        indices.flags.writeable = indptr.flags.writeable = False
+        return CellStructure(coef, pos.ravel(), indices, indptr)
+
+
+class Grid1D(_CellGrid):
     """Strictly increasing nodes with a trapezoid measure A(t_i) * h_i/2.
 
     ``manifold`` supplies the area weight; None means the flat measure.
+    The cells are the intervals [t_i, t_{i+1}], D the difference quotient.
     """
+
+    cell_nodes = ((0,), (1,))
+    cell_signs = ((-1, 1),)
 
     def __init__(self, nodes, manifold: Optional[ModelManifold] = None):
         nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 9:
             raise InvalidInputError("Grid1D needs at least 9 nodes")
+        if not np.all(np.isfinite(nodes)):
+            raise InvalidInputError("nodes must be finite")
         h = np.diff(nodes)
         if np.any(h <= 0):
             raise InvalidInputError("nodes must be strictly increasing")
@@ -78,11 +186,9 @@ class Grid1D:
         w[-1] = h[-1] / 2
         w[1:-1] = (h[:-1] + h[1:]) / 2
         self.weights = self.area * w
-        # the cells are the intervals [t_i, t_{i+1}]
+        self.cells = h.shape
+        self.cell_scale = (h,)
         self.cell_measure = h * (self.area[:-1] + self.area[1:]) / 2.0
-        # 1 / (largest entry of D) per cell: a cell flux times this is
-        # the force it puts on a node
-        self.flux_spacing = h
 
     @property
     def n(self) -> int:
@@ -91,6 +197,8 @@ class Grid1D:
     @classmethod
     def uniform(cls, a: float, b: float, n: int,
                 manifold: Optional[ModelManifold] = None) -> "Grid1D":
+        if not np.all(np.isfinite([a, b])):
+            raise InvalidInputError("grid ends must be finite")
         return cls(np.linspace(a, b, n), manifold=manifold)
 
     def boundary_mask(self) -> np.ndarray:
@@ -104,27 +212,6 @@ class Grid1D:
         u[~mask] = np.interp(self.nodes[~mask], self.nodes[mask], vals[mask])
         return u
 
-    def cell_gradient(self, values) -> list:
-        """[du/dt] at the cell midpoints."""
-        return [np.diff(values) / self.h]
-
-    def cell_divergence(self, fluxes) -> np.ndarray:
-        """D^T: per-cell fluxes, one list entry per component, to nodes."""
-        flux = fluxes[0] / self.h
-        out = np.zeros(self.n)
-        out[:-1] -= flux
-        out[1:] += flux
-        return out
-
-    @cached_property
-    def cell_matrix(self):
-        """D as a sparse cells x nodes matrix: D @ u is cell_gradient(u)[0]."""
-        return _pairs(self.n, -1.0 / self.h, 1.0 / self.h)
-
-    @cached_property
-    def cell_structure(self) -> "CellStructure":
-        return _cell_structure(self.cell_matrix, self.n - 1)
-
     @property
     def dim(self) -> int:
         """m of the attached manifold; 1 on the flat line."""
@@ -132,11 +219,11 @@ class Grid1D:
 
     def fd_gradient(self, values) -> list:
         """[u'] at the nodes."""
-        return [_deriv_1d(self.nodes, values)]
+        return [np.gradient(values, self.nodes, edge_order=2)]
 
     def fd_hessian(self, grad) -> list:
         """[u''] at the nodes, from the nodal gradient [u']."""
-        return [_deriv_1d(self.nodes, grad[0])]
+        return [np.gradient(grad[0], self.nodes, edge_order=2)]
 
     def grad_norm(self, grad) -> np.ndarray:
         return np.abs(grad[0])
@@ -164,12 +251,22 @@ class Grid1D:
                 if M is not None else 0.0)
 
 
-class Grid2D:
-    """Uniform tensor grid on [x0,x1] x [y0,y1] with flat Lebesgue measure."""
+class Grid2D(_CellGrid):
+    """Uniform tensor grid on [x0,x1] x [y0,y1] with flat Lebesgue measure.
+
+    The cells are the squares between four neighbouring nodes; each
+    component of D is the mean of the two edge differences in its
+    direction.
+    """
+
+    cell_nodes = ((0, 0), (1, 0), (0, 1), (1, 1))
+    cell_signs = ((-1, 1, -1, 1), (-1, -1, 1, 1))
 
     def __init__(self, x0, x1, y0, y1, nx, ny):
         if nx < 8 or ny < 8:
             raise InvalidInputError("Grid2D needs nx, ny >= 8")
+        if not np.all(np.isfinite([x0, x1, y0, y1])):
+            raise InvalidInputError("rectangle ends must be finite")
         if not (x1 > x0 and y1 > y0):
             raise InvalidInputError("degenerate rectangle")
         self.x = np.linspace(x0, x1, nx)
@@ -186,9 +283,9 @@ class Grid2D:
         wy = np.full(ny, self.hy)
         wy[0] = wy[-1] = self.hy / 2
         self.weights = np.outer(wx, wy)
-        # the cells are the squares between four neighbouring nodes
+        self.cells = (nx - 1, ny - 1)
+        self.cell_scale = (2 * self.hx, 2 * self.hy)
         self.cell_measure = self.hx * self.hy
-        self.flux_spacing = 2 * min(self.hx, self.hy)
 
     def boundary_mask(self) -> np.ndarray:
         mask = np.zeros((self.nx, self.ny), dtype=bool)
@@ -201,44 +298,6 @@ class Grid2D:
         u = np.array(vals, dtype=float)
         u[~mask] = float(np.mean(vals[mask]))
         return u
-
-    def cell_gradient(self, values) -> list:
-        """[du/dx, du/dy] at the cell centers: the mean of the two edge
-        differences in each direction."""
-        v = values
-        return [
-            (v[1:, :-1] + v[1:, 1:] - v[:-1, :-1] - v[:-1, 1:]) / (2 * self.hx),
-            (v[:-1, 1:] + v[1:, 1:] - v[:-1, :-1] - v[1:, :-1]) / (2 * self.hy),
-        ]
-
-    def cell_divergence(self, fluxes) -> np.ndarray:
-        """D^T: per-cell fluxes [fx, fy] to nodes."""
-        fx = fluxes[0] / (2 * self.hx)
-        fy = fluxes[1] / (2 * self.hy)
-        both, diff = fx + fy, fx - fy
-        out = np.zeros((self.nx, self.ny))
-        # corner (i, j) enters gx with -, gy with -; (i+1, j): +, -; etc.
-        out[:-1, :-1] -= both
-        out[1:, :-1] += diff
-        out[:-1, 1:] -= diff
-        out[1:, 1:] += both
-        return out
-
-    @cached_property
-    def cell_matrix(self):
-        """D as a sparse matrix on values.ravel(): the components of
-        cell_gradient stacked, each raveled over the cells."""
-        import scipy.sparse as sp
-
-        nx, ny = self.nx, self.ny
-        return sp.vstack([
-            sp.kron(_pairs(nx, -1.0, 1.0), _pairs(ny, 1.0, 1.0)) / (2 * self.hx),
-            sp.kron(_pairs(nx, 1.0, 1.0), _pairs(ny, -1.0, 1.0)) / (2 * self.hy),
-        ], format="csr")
-
-    @cached_property
-    def cell_structure(self) -> "CellStructure":
-        return _cell_structure(self.cell_matrix, (self.nx - 1) * (self.ny - 1))
 
     dim = 2
 
@@ -266,59 +325,6 @@ class Grid2D:
 
     def ricci(self, grad) -> float:
         return 0.0
-
-
-def _pairs(n: int, left, right):
-    """(n-1) x n CSR: row i holds left[i] at node i and right[i] at node
-    i+1 (scalars are broadcast)."""
-    # scipy.sparse is imported where it is used, here and in energy.py:
-    # a module-level import ahead of plap.geometry made every CLI launch
-    # about 4% slower, although the same modules load
-    import scipy.sparse as sp
-
-    return sp.diags([left, right], [0, 1], shape=(n - 1, n), format="csr")
-
-
-class CellStructure(NamedTuple):
-    """Cell-to-node structure of H = D^T W D, W block diagonal over cells.
-
-    ``coef[i, a, c]`` is the D coefficient of gradient component i at the
-    a-th node of cell c (zero where the component skips that node);
-    ``indices`` and ``indptr`` are the CSR pattern of H, shared read-only
-    by every matrix assembled on it; ``pos`` gives, for each local entry
-    (a, b, c) raveled, its position in H.data.  So H.data is
-    ``np.bincount(pos, weights=K.ravel())`` for the local blocks
-    K[a, b, c] = sum_ij coef[i, a, c] W_ij[c] coef[j, b, c].
-    """
-
-    coef: np.ndarray
-    pos: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-
-
-def _cell_structure(D, cells: int) -> CellStructure:
-    """The CellStructure of the cell operator D (``cell_matrix``: one
-    block of ``cells`` rows per gradient component); every cell has the
-    same number of nodes."""
-    comps = [D[i:i + cells] for i in range(0, D.shape[0], cells)]
-    # P (cells x nodes) is nonzero where any component reads a node: its
-    # rows list each cell's nodes, and P^T P, whose positive entries
-    # cannot cancel, has the pattern of H
-    P = sum(abs(Di) for Di in comps)
-    L = P.nnz // cells
-    cell = np.repeat(np.arange(cells), L)
-    coef = np.array([np.asarray(Di[cell, P.indices]).reshape(cells, L).T
-                     for Di in comps])
-    nodes = P.indices.reshape(cells, L).T.astype(np.int64)
-    H = (P.T @ P).tocsr()
-    H.sort_indices()
-    n = D.shape[1]
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(H.indptr))
-    pos = np.searchsorted(rows * n + H.indices,
-                          (nodes[:, None] * n + nodes[None, :]).ravel())
-    H.indices.flags.writeable = H.indptr.flags.writeable = False
-    return CellStructure(coef, pos, H.indices, H.indptr)
 
 
 # ---------------------------------------------------------------------------
@@ -358,37 +364,6 @@ class DiscreteField:
 
     def copy_with(self, values) -> "DiscreteField":
         return DiscreteField(self.grid, values)
-
-
-# ---------------------------------------------------------------------------
-# Finite differences
-# ---------------------------------------------------------------------------
-
-
-def _deriv_1d(nodes: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """2nd-order first derivative on a (possibly nonuniform) 1D grid."""
-    d = np.empty_like(v)
-    hm = nodes[1:-1] - nodes[:-2]
-    hp = nodes[2:] - nodes[1:-1]
-    d[1:-1] = (
-        -hp / (hm * (hm + hp)) * v[:-2]
-        + (hp - hm) / (hm * hp) * v[1:-1]
-        + hm / (hp * (hm + hp)) * v[2:]
-    )
-    # one-sided 2nd order at the ends
-    h0, h1 = nodes[1] - nodes[0], nodes[2] - nodes[1]
-    d[0] = (
-        -(2 * h0 + h1) / (h0 * (h0 + h1)) * v[0]
-        + (h0 + h1) / (h0 * h1) * v[1]
-        - h0 / (h1 * (h0 + h1)) * v[2]
-    )
-    hn, hn1 = nodes[-1] - nodes[-2], nodes[-2] - nodes[-3]
-    d[-1] = (
-        (2 * hn + hn1) / (hn * (hn + hn1)) * v[-1]
-        - (hn + hn1) / (hn * hn1) * v[-2]
-        + hn / (hn1 * (hn + hn1)) * v[-3]
-    )
-    return d
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,15 @@ def test_solve_nonfinite_energy_exit_code(tmp_path, euclid3, capsys):
     assert not (tmp_path / "solution.csv").exists()
 
 
+@pytest.mark.parametrize("end", [["--b", "inf"], ["--a", "nan"]])
+def test_solve_nonfinite_end_exit_code(tmp_path, capsys, end):
+    # --b inf exited 3 after RuntimeWarnings from np.linspace
+    rc = cli.run(["solve", "--p", "3", *end, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_INVALID
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "solution.csv").exists()
+
+
 def test_unknown_subcommand():
     assert cli.run(["frobnicate"]) == cli.EXIT_INVALID
 

@@ -9,7 +9,6 @@ from plap.grid import (
     DiscreteField,
     Grid1D,
     Grid2D,
-    _deriv_1d,
     dump_csv,
     integrate_field,
     lp_norm,
@@ -47,18 +46,80 @@ def test_grid2d_validation():
         Grid2D(0, 0, 0, 1, 20, 20)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Grid1D.uniform(1.0, np.inf, 9),
+    lambda: Grid1D.uniform(np.nan, 1.0, 9),
+    lambda: Grid1D(np.r_[np.linspace(0.0, 1.0, 8), np.inf]),
+    lambda: Grid1D(np.r_[np.nan, np.linspace(0.0, 1.0, 8)]),
+    lambda: Grid2D(0, np.inf, 0, 1, 9, 9),
+    lambda: Grid2D(0, 1, -np.inf, 1, 9, 9),
+    lambda: Grid2D(np.nan, 1, 0, 1, 9, 9),
+])
+def test_grids_reject_nonfinite_coordinates(make):
+    # Grid2D(0, inf, 0, 1, 9, 9) was accepted with hx = nan
+    with pytest.raises(InvalidInputError, match="finite"):
+        make()
+
+
+def _reference_cell_operators(grid, values, fluxes):
+    """D and D^T as explicit slice formulas."""
+    if isinstance(grid, Grid1D):
+        flux = fluxes[0] / grid.h
+        div = np.zeros(grid.n)
+        div[:-1] -= flux
+        div[1:] += flux
+        return [np.diff(values) / grid.h], div
+    v = values
+    grad = [
+        (v[1:, :-1] + v[1:, 1:] - v[:-1, :-1] - v[:-1, 1:]) / (2 * grid.hx),
+        (v[:-1, 1:] + v[1:, 1:] - v[:-1, :-1] - v[1:, :-1]) / (2 * grid.hy),
+    ]
+    fx = fluxes[0] / (2 * grid.hx)
+    fy = fluxes[1] / (2 * grid.hy)
+    both, diff = fx + fy, fx - fy
+    div = np.zeros((grid.nx, grid.ny))
+    div[:-1, :-1] -= both
+    div[1:, :-1] += diff
+    div[:-1, 1:] -= diff
+    div[1:, 1:] += both
+    return grad, div
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["flat", "euclid", "2d"]))
+def test_property_stencil_matches_slice_formulas(seed, kind):
+    # the stencil reproduces the explicit formulas bit for bit
+    rng = np.random.default_rng(seed)
+    if kind == "2d":
+        grid = Grid2D(0.0, rng.uniform(0.5, 2.0), -0.5, rng.uniform(0.5, 2.0),
+                      int(rng.integers(8, 20)), int(rng.integers(8, 20)))
+    else:
+        n = int(rng.integers(9, 60))
+        nodes = 1.0 + np.concatenate(
+            [[0.0], np.cumsum(rng.uniform(0.5, 1.5, n - 1) / n)])
+        M = euclidean(3) if kind == "euclid" else None
+        grid = Grid1D(nodes, manifold=M)
+    values = rng.normal(size=grid.shape)
+    fluxes = [rng.normal(size=g.shape) for g in grid.cell_gradient(values)]
+    ref_grad, ref_div = _reference_cell_operators(grid, values, fluxes)
+    grad = grid.cell_gradient(values)
+    assert len(grad) == len(ref_grad)
+    assert all(np.array_equal(g, r) for g, r in zip(grad, ref_grad))
+    assert np.array_equal(grid.cell_divergence(fluxes), ref_div)
+
+
 def test_deriv_1d_second_order():
     errs = []
     for n in (33, 65):
         t = np.linspace(0.3, 1.7, n)
-        d = _deriv_1d(t, np.sin(t))
+        d = Grid1D(t).fd_gradient(np.sin(t))[0]
         errs.append(np.max(np.abs(d - np.cos(t))))
     assert errs[0] / errs[1] > 3.5  # ~4 for 2nd order
 
 
 def test_deriv_1d_exact_on_quadratics():
     t = np.linspace(0.0, 2.0, 17)
-    d = _deriv_1d(t, 3 * t**2 - t + 5)
+    d = Grid1D(t).fd_gradient(3 * t**2 - t + 5)[0]
     assert np.allclose(d, 6 * t - 1, atol=1e-12)
 
 
