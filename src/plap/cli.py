@@ -3,6 +3,10 @@
 Exit codes: 0 success / all checks pass, 1 a check failed (reports still
 written), 2 invalid input, 3 solver non-convergence.  All numeric output
 uses 12 significant digits so golden files are meaningful.
+
+Options are checked and loaded as they are parsed: ``--p`` must exceed 1,
+``--samples`` must be at least 1, and ``--manifold`` is read into a
+ModelManifold, so a subcommand only runs on valid inputs.
 """
 
 from __future__ import annotations
@@ -48,27 +52,29 @@ def _num(s: str) -> float:
 
 def load_manifold(path: str) -> ModelManifold:
     """key = value config: variant, m, warp.kind, warp.<param>, domain,
-    ricci_N_lower."""
+    ricci_N_lower.  The ``--manifold`` type: argparse would reword a
+    ValueError (a malformed number, an undecodable file), so it is raised
+    as InvalidInputError with its text."""
     kv = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidInputError(f"bad config line: {line!r}")
-            k, v = line.split("=", 1)
-            kv[k.strip()] = v.strip()
-    variant = kv.get("variant", "euclidean")
-    m = int(kv.get("m", "3"))
-    domain = None
-    if "domain" in kv:
-        lo, hi = kv["domain"].split()
-        domain = (_num(lo), _num(hi))
-    if variant == "euclidean":
-        return euclidean(m, domain=domain or (0.0, np.inf))
-    kind = kv.get("warp.kind", "").lower()
     try:
+        with open(path) as fh:
+            for line in fh:
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise InvalidInputError(f"bad config line: {line!r}")
+                k, v = line.split("=", 1)
+                kv[k.strip()] = v.strip()
+        kind = kv.get("warp.kind", "").lower()
+        variant = kv.get("variant", "euclidean")
+        m = int(kv.get("m", "3"))
+        domain = None
+        if "domain" in kv:
+            lo, hi = kv["domain"].split()
+            domain = (_num(lo), _num(hi))
+        if variant == "euclidean":
+            return euclidean(m, domain=domain or (0.0, np.inf))
         if kind == "power":
             w = Power(alpha=float(kv["warp.alpha"]),
                       sigma=float(kv.get("warp.sigma", "0")),
@@ -81,10 +87,12 @@ def load_manifold(path: str) -> ModelManifold:
             w = PolyEven(alpha=float(kv["warp.alpha"]))
         else:
             raise InvalidInputError(f"unknown warp.kind {kind!r}")
+        return warped(m, w, ricci_N_lower=float(kv.get("ricci_N_lower", "0")),
+                      domain=domain)
     except KeyError as exc:
         raise InvalidInputError(f"warp.kind = {kind} needs {exc}") from None
-    return warped(m, w, ricci_N_lower=float(kv.get("ricci_N_lower", "0")),
-                  domain=domain)
+    except ValueError as exc:
+        raise InvalidInputError(str(exc)) from None
 
 
 def _outdir(args) -> str:
@@ -102,9 +110,22 @@ def _write_csv(path: str, header: str, rows) -> None:
                 for v in row) + "\n")
 
 
-def _check_p(p: float) -> None:
-    if not p > 1:
-        raise InvalidInputError("p must exceed 1")
+def _checked(kind, ok, message):
+    """An argparse type: kind(s), refused with InvalidInputError(message)
+    unless ok.  argparse passes a PlapError through unchanged, so stderr
+    reads "error: <message>" with no usage line."""
+    def parse(s: str):
+        value = kind(s)
+        if not ok(value):
+            raise InvalidInputError(message)
+        return value
+    # a string kind(s) rejects is reported as "invalid float value: 's'"
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_p_value = _checked(float, lambda p: p > 1, "p must exceed 1")
+_sample_count = _checked(int, lambda n: n >= 1, "samples must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +134,7 @@ def _check_p(p: float) -> None:
 
 
 def cmd_solve(args) -> int:
-    _check_p(args.p)
-    M = load_manifold(args.manifold) if args.manifold else None
-    grid = Grid1D.uniform(args.a, args.b, args.nodes, manifold=M)
+    grid = Grid1D.uniform(args.a, args.b, args.nodes, manifold=args.manifold)
     cfg = sv.SolveConfig(max_newton_iters=args.max_iters)
     f, rep = sv.solve_dirichlet(EnergySpec(args.p, args.eps), grid,
                                 (args.ua, args.ub), cfg=cfg)
@@ -131,9 +150,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_continuation(args) -> int:
-    _check_p(args.p)
-    M = load_manifold(args.manifold) if args.manifold else None
-    grid = Grid1D.uniform(args.a, args.b, args.nodes, manifold=M)
+    grid = Grid1D.uniform(args.a, args.b, args.nodes, manifold=args.manifold)
     cfg = sv.SolveConfig(eps_schedule=sv.default_schedule(args.eps0, args.steps))
     fields, rep = sv.epsilon_continuation(args.p, grid, (args.ua, args.ub), cfg)
     rows = [(s["eps"], s["energy_p"], s["energy_eps"], d)
@@ -148,8 +165,7 @@ def cmd_continuation(args) -> int:
 
 
 def cmd_capacity(args) -> int:
-    _check_p(args.p)
-    M = load_manifold(args.manifold)
+    M = args.manifold
     ana = cap.capacity_analytic(M, args.p, args.a, args.b)
     grid = Grid1D.uniform(args.a, args.b, args.nodes, manifold=M)
     pad = 1e-9 * (args.b - args.a)
@@ -164,17 +180,12 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    _check_p(args.p)
-    M = load_manifold(args.manifold)
-    kind = M.classify_end(args.p, args.direction)
-    print(kind)
+    print(args.manifold.classify_end(args.p, args.direction))
     return EXIT_OK
 
 
 def cmd_barrier(args) -> int:
-    _check_p(args.p)
-    M = load_manifold(args.manifold)
-    f, meta = sv.two_end_barrier(M, args.p, args.tmin, args.tmax,
+    f, meta = sv.two_end_barrier(args.manifold, args.p, args.tmin, args.tmax,
                                  n=args.nodes)
     out = os.path.join(_outdir(args), "barrier.csv")
     dump_csv(f, out)
@@ -185,9 +196,8 @@ def cmd_barrier(args) -> int:
 
 
 def cmd_decay(args) -> int:
-    _check_p(args.p)
-    M = load_manifold(args.manifold)
-    res = cap.tail_energy_profile(M, args.p, args.r0, args.lambda_p, args.R)
+    res = cap.tail_energy_profile(args.manifold, args.p, args.r0,
+                                  args.lambda_p, args.R)
     out = os.path.join(_outdir(args), "decay.csv")
     _write_csv(out, "R,tail,bound,pass",
                [(r["R"], r["tail"], r["bound"], r["pass"]) for r in res["rows"]])
@@ -198,9 +208,7 @@ def cmd_decay(args) -> int:
 
 
 def cmd_volume(args) -> int:
-    _check_p(args.p)
-    M = load_manifold(args.manifold)
-    res = cap.volume_growth_check(M, args.p, args.lambda_p, args.R)
+    res = cap.volume_growth_check(args.manifold, args.p, args.lambda_p, args.R)
     out = os.path.join(_outdir(args), "volume.csv")
     _write_csv(out, "R,measured,bound,pass",
                [(r["R"], r["measured"], r["bound"], r["pass"])
@@ -210,23 +218,25 @@ def cmd_volume(args) -> int:
     return EXIT_OK if res["ok"] else EXIT_CHECK_FAILED
 
 
+# the items of ``verifiers.example_gallery`` that ``--gallery`` names
+_GALLERY_TAGS = {"a": "log_annulus_m2", "b": "power_p3_m4", "d": "arctan_warped"}
+
+
+def _gallery_item(tag: str) -> dict:
+    if tag not in _GALLERY_TAGS:
+        raise InvalidInputError(f"unknown gallery tag {tag!r}")
+    return next(item for item in vf.example_gallery()
+                if item["name"] == _GALLERY_TAGS[tag])
+
+
 def _gallery_field(tag: str, p=None):
     """The gallery field ``tag`` and p: the given one, or the field's own."""
-    if tag == "a":
-        f, p_own = vf.log_radial_field(m=2), 2.0
-    elif tag == "b":
-        f, p_own = vf.power_radial_field(p=3.0, m=4), 3.0
-    elif tag == "d":
-        f, p_own = vf.arctan_model_field()[0], 3.0
-    else:
-        raise InvalidInputError(f"unknown gallery tag {tag!r}")
-    return f, (p_own if p is None else p)
+    item = _gallery_item(tag)
+    return item["field"], (item["p"] if p is None else p)
 
 
 def cmd_verify(args) -> int:
     name = args.name
-    if args.p is not None:
-        _check_p(args.p)
     reports = []
     if name == "kato":
         if args.gallery:
@@ -310,9 +320,10 @@ def cmd_report(args) -> int:
     lines.append("capacity_oracle,%s,%s,%s" % (FMT % num, FMT % ana,
                                                "pass" if good else "FAIL"))
 
-    for tag, expect in (("a", 2.0), ("b", 7.0 / 3.0)):
-        f, p = _gallery_field(tag)
-        rep = vf.kato_ratio(f, p)
+    for tag in ("a", "b"):
+        item = _gallery_item(tag)
+        expect = item["expected"]["kato_ratio"]
+        rep = vf.kato_ratio(item["field"], item["p"])
         good = abs(rep.mean - expect) < 1e-3 and rep.passed
         ok &= good
         lines.append("kato_%s,%s,%s,%s" % (tag, FMT % rep.mean, FMT % expect,
@@ -353,94 +364,61 @@ def build_parser() -> _Parser:
     ap = _Parser(prog="plap", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, manifold=None, seed=False):
-        # manifold: None (no --manifold), False (optional), True (required)
+    def command(name, fn, manifold=None, p=None, seed=False):
+        # manifold and p: None (no option), False (optional), True (required)
+        sp = sub.add_parser(name)
+        sp.set_defaults(fn=fn)
         if manifold is not None:
-            sp.add_argument("--manifold", required=manifold)
+            sp.add_argument("--manifold", type=load_manifold, required=manifold)
         sp.add_argument("--out", default=None)
         if seed:
             sp.add_argument("--seed", type=int, default=0)
+        if p is not None:
+            sp.add_argument("--p", type=_p_value, required=p)
+        return sp
 
-    sp = sub.add_parser("solve")
-    common(sp, manifold=False)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--eps", type=float, default=1e-6)
-    sp.add_argument("--a", type=float, default=1.0)
-    sp.add_argument("--b", type=float, default=2.0)
-    sp.add_argument("--ua", type=float, default=1.0)
-    sp.add_argument("--ub", type=float, default=0.0)
-    sp.add_argument("--nodes", type=int, default=513)
-    sp.add_argument("--max-iters", dest="max_iters", type=int, default=50)
-    sp.set_defaults(fn=cmd_solve)
+    solve = command("solve", cmd_solve, manifold=False, p=True)
+    solve.add_argument("--eps", type=float, default=1e-6)
+    cont = command("continuation", cmd_continuation, manifold=False, p=True)
+    # the Dirichlet problem on [a, b] with u(a) = ua, u(b) = ub
+    for sp in (solve, cont):
+        for opt, default in (("--a", 1.0), ("--b", 2.0), ("--ua", 1.0),
+                             ("--ub", 0.0)):
+            sp.add_argument(opt, type=float, default=default)
+        sp.add_argument("--nodes", type=int, default=513)
+    solve.add_argument("--max-iters", dest="max_iters", type=int, default=50)
+    cont.add_argument("--eps0", type=float, default=1.0)
+    cont.add_argument("--steps", type=int, default=20)
 
-    sp = sub.add_parser("continuation")
-    common(sp, manifold=False)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--a", type=float, default=1.0)
-    sp.add_argument("--b", type=float, default=2.0)
-    sp.add_argument("--ua", type=float, default=1.0)
-    sp.add_argument("--ub", type=float, default=0.0)
-    sp.add_argument("--nodes", type=int, default=513)
-    sp.add_argument("--eps0", type=float, default=1.0)
-    sp.add_argument("--steps", type=int, default=20)
-    sp.set_defaults(fn=cmd_continuation)
-
-    sp = sub.add_parser("capacity")
-    common(sp, manifold=True)
-    sp.add_argument("--p", type=float, required=True)
+    sp = command("capacity", cmd_capacity, manifold=True, p=True)
     sp.add_argument("--a", type=float, required=True)
     sp.add_argument("--b", type=float, required=True)
     sp.add_argument("--nodes", type=int, default=1025)
-    sp.set_defaults(fn=cmd_capacity)
 
-    sp = sub.add_parser("classify")
-    common(sp, manifold=True)
-    sp.add_argument("--p", type=float, required=True)
+    sp = command("classify", cmd_classify, manifold=True, p=True)
     sp.add_argument("--direction", type=int, default=1, choices=(-1, 1))
-    sp.set_defaults(fn=cmd_classify)
 
-    sp = sub.add_parser("barrier")
-    common(sp, manifold=True)
-    sp.add_argument("--p", type=float, required=True)
+    sp = command("barrier", cmd_barrier, manifold=True, p=True)
     sp.add_argument("--tmin", type=float, default=-20.0)
     sp.add_argument("--tmax", type=float, default=20.0)
     sp.add_argument("--nodes", type=int, default=1025)
-    sp.set_defaults(fn=cmd_barrier)
 
-    sp = sub.add_parser("decay")
-    common(sp, manifold=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--r0", type=float, default=1.0)
-    sp.add_argument("--lambda-p", dest="lambda_p", type=float, required=True)
-    sp.add_argument("--R", type=float, nargs="+", required=True)
-    sp.set_defaults(fn=cmd_decay)
+    decay = command("decay", cmd_decay, manifold=True, p=True)
+    decay.add_argument("--r0", type=float, default=1.0)
+    for sp in (decay, command("volume", cmd_volume, manifold=True, p=True)):
+        sp.add_argument("--lambda-p", dest="lambda_p", type=float, required=True)
+        sp.add_argument("--R", type=float, nargs="+", required=True)
 
-    sp = sub.add_parser("volume")
-    common(sp, manifold=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--lambda-p", dest="lambda_p", type=float, required=True)
-    sp.add_argument("--R", type=float, nargs="+", required=True)
-    sp.set_defaults(fn=cmd_volume)
-
-    sp = sub.add_parser("verify")
-    common(sp, seed=True)
+    sp = command("verify", cmd_verify, p=False, seed=True)
     sp.add_argument("name")
     sp.add_argument("--gallery", default=None)
-    sp.add_argument("--p", type=float, default=None)
     sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--s", type=float, default=None)
     sp.add_argument("--eps", type=float, default=1e-3)
-    sp.add_argument("--samples", type=int, default=10_000)
-    sp.set_defaults(fn=cmd_verify)
+    sp.add_argument("--samples", type=_sample_count, default=10_000)
 
-    sp = sub.add_parser("gallery")
-    common(sp)
-    sp.set_defaults(fn=cmd_gallery)
-
-    sp = sub.add_parser("report")
-    common(sp, seed=True)
-    sp.set_defaults(fn=cmd_report)
-
+    command("gallery", cmd_gallery)
+    command("report", cmd_report, seed=True)
     return ap
 
 

@@ -10,7 +10,9 @@ through one quadrature helper, ``_gauss_kronrod``: adaptive G7/K15 on
 all intervals at once, infinite ends mapped onto finite ones, with
 scipy's ``quad`` only for pieces that do not converge (singular
 endpoints).  An infinite end over which the integral diverges, as the
-asymptotics of A tell, gives +inf without being integrated.
+asymptotics of A tell, gives +inf without being integrated; so does Phi
+from a zero of eta where A^{-1/(p-1)} is not integrable (the origin of
+Euclidean space for p <= m).
 """
 
 from __future__ import annotations
@@ -152,10 +154,12 @@ class WarpFunction:
 
     ``tail(direction)`` describes the asymptotic behaviour toward
     direction = +1 or -1 infinity as ("power", e) meaning eta ~ c|t|^e,
-    ("exp", r) meaning eta ~ c e^{r t}, or None when unknown.
+    ("exp", r) meaning eta ~ c e^{r t}, or None when unknown.  ``zero``
+    is (t0, k) where eta vanishes at t0 in its domain like |t - t0|^k.
     """
 
     domain: tuple[float, float] = (-INF, INF)
+    zero: tuple[float, float] | None = None
 
     def value(self, t):
         raise NotImplementedError
@@ -302,6 +306,7 @@ class Linear(WarpFunction):
     """eta(t) = t on [0, inf): the warp of radial Euclidean space."""
 
     domain = (0.0, INF)
+    zero = (0.0, 1.0)
 
     def value(self, t):
         return np.asarray(t, dtype=float)
@@ -544,7 +549,8 @@ class ModelManifold:
 
         Array ends give one integral per pair (lo, hi), all in one batched
         quadrature; scalar ends give a float.  An infinite end that
-        ``classify_end`` calls parabolic gives inf.
+        ``classify_end`` calls parabolic gives inf, and so does an end at
+        a zero of eta of order k with k (m-1) >= p-1.
         """
         if not p > 1:
             raise InvalidInputError("p must exceed 1")
@@ -565,6 +571,10 @@ class ModelManifold:
                                      np.asarray(b, dtype=float))
         div = self._divergent(lo, hi, lambda d, kind, e: self.classify_end(
             p, d) == EndKind.PARABOLIC)
+        zero = self.warp.zero
+        if zero is not None and zero[1] * (self.m - 1) >= p - 1.0:
+            # A^expo ~ |t - t0|^(-k (m-1)/(p-1)) next to a zero t0 of order k
+            div |= (lo <= zero[0]) & (zero[0] <= hi)
         # a divergent interval is made empty for the quadrature
         out = _gauss_kronrod(integrand, lo, np.where(div, lo, hi))
         out[div.ravel()] = INF

@@ -141,14 +141,17 @@ def _newton_direction(spec, field, mask, rhs):
     at the fixed nodes."""
     grid = field.grid
     if isinstance(grid, Grid1D):
-        # H is tridiagonal with off-diagonal -k; fixed nodes become
+        # H is tridiagonal, read off the stencil: k on the diagonal and
+        # sign(a) sign(b) k between a cell's nodes; fixed nodes become
         # identity rows cut off from their neighbours
-        k = en.cell_hessian(spec, field)[0][0] * grid.cell_measure / grid.h**2
+        k = (en.cell_hessian(spec, field)[0][0] * grid.cell_measure
+             / grid.cell_scale[0]**2)
+        sa, sb = grid.cell_signs[0]
         ab = np.zeros((3, grid.n))
         ab[1, :-1] += k
         ab[1, 1:] += k
         ab[1, mask] = 1.0
-        off = np.where(mask[:-1] | mask[1:], 0.0, -k)
+        off = np.where(mask[:-1] | mask[1:], 0.0, sa * sb * k)
         ab[0, 1:] = off
         ab[2, :-1] = off
         return solve_banded((1, 1), ab, np.where(mask, 0.0, rhs))

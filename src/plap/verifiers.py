@@ -355,7 +355,9 @@ def weighted_caccioppoli_check(M: ModelManifold, p: float,
 
 
 def monotonicity_gap(X, Y, p: float) -> dict:
-    """<X-Y, |X|^{p-2}X - |Y|^{p-2}Y> against the comparison term Psi."""
+    """<X-Y, |X|^{p-2}X - |Y|^{p-2}Y> against the comparison term Psi;
+    floats for a single pair of vectors, arrays over rows otherwise."""
+    squeeze = max(np.ndim(X), np.ndim(Y)) <= 1
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape != Y.shape:
@@ -373,7 +375,6 @@ def monotonicity_gap(X, Y, p: float) -> dict:
         psi = (p - 1.0) * d**2 / (1.0 + nx**2 + ny**2) ** ((2.0 - p) / 2.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(psi > 0, lhs / psi, np.inf)
-    squeeze = lhs.size == 1
     out = {"lhs": lhs, "psi": psi, "ratio": ratio}
     if squeeze:
         out = {k: float(v.reshape(-1)[0]) for k, v in out.items()}
@@ -386,6 +387,8 @@ def monotonicity_suite(p_values=(1.5, 2.0, 3.0, 4.0), n: int = 100_000,
     X = Y, and the empirical constant C_emp = min ratio re-verified at
     half strength on a fresh sample.  Adversarial near-equal and
     near-collinear pairs included."""
+    if n < 1:
+        raise InvalidInputError("monotonicity_suite needs n >= 1")
     dim = 3
     results = {}
     for ip, p in enumerate(p_values):

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -300,3 +301,155 @@ def test_verify_checks_given_p(tmp_path, capsys, name, p):
 ])
 def test_unused_options_are_not_registered(tmp_path, argv):
     assert cli.run(argv + ["--out", str(tmp_path)]) == cli.EXIT_INVALID
+
+
+# every subcommand's options as first released:
+# flag -> (dest, default, required, choices)
+OPTION_TABLE = {
+    "solve": {
+        "--manifold": ("manifold", None, False, None),
+        "--out": ("out", None, False, None),
+        "--p": ("p", None, True, None),
+        "--eps": ("eps", 1e-06, False, None),
+        "--a": ("a", 1.0, False, None),
+        "--b": ("b", 2.0, False, None),
+        "--ua": ("ua", 1.0, False, None),
+        "--ub": ("ub", 0.0, False, None),
+        "--nodes": ("nodes", 513, False, None),
+        "--max-iters": ("max_iters", 50, False, None),
+    },
+    "continuation": {
+        "--manifold": ("manifold", None, False, None),
+        "--out": ("out", None, False, None),
+        "--p": ("p", None, True, None),
+        "--a": ("a", 1.0, False, None),
+        "--b": ("b", 2.0, False, None),
+        "--ua": ("ua", 1.0, False, None),
+        "--ub": ("ub", 0.0, False, None),
+        "--nodes": ("nodes", 513, False, None),
+        "--eps0": ("eps0", 1.0, False, None),
+        "--steps": ("steps", 20, False, None),
+    },
+    "capacity": {
+        "--manifold": ("manifold", None, True, None),
+        "--out": ("out", None, False, None),
+        "--p": ("p", None, True, None),
+        "--a": ("a", None, True, None),
+        "--b": ("b", None, True, None),
+        "--nodes": ("nodes", 1025, False, None),
+    },
+    "classify": {
+        "--manifold": ("manifold", None, True, None),
+        "--out": ("out", None, False, None),
+        "--p": ("p", None, True, None),
+        "--direction": ("direction", 1, False, (-1, 1)),
+    },
+    "barrier": {
+        "--manifold": ("manifold", None, True, None),
+        "--out": ("out", None, False, None),
+        "--p": ("p", None, True, None),
+        "--tmin": ("tmin", -20.0, False, None),
+        "--tmax": ("tmax", 20.0, False, None),
+        "--nodes": ("nodes", 1025, False, None),
+    },
+    "decay": {
+        "--manifold": ("manifold", None, True, None),
+        "--out": ("out", None, False, None),
+        "--p": ("p", None, True, None),
+        "--r0": ("r0", 1.0, False, None),
+        "--lambda-p": ("lambda_p", None, True, None),
+        "--R": ("R", None, True, None),
+    },
+    "volume": {
+        "--manifold": ("manifold", None, True, None),
+        "--out": ("out", None, False, None),
+        "--p": ("p", None, True, None),
+        "--lambda-p": ("lambda_p", None, True, None),
+        "--R": ("R", None, True, None),
+    },
+    "verify": {
+        "--out": ("out", None, False, None),
+        "--seed": ("seed", 0, False, None),
+        "name": ("name", None, True, None),
+        "--gallery": ("gallery", None, False, None),
+        "--p": ("p", None, False, None),
+        "--m": ("m", None, False, None),
+        "--s": ("s", None, False, None),
+        "--eps": ("eps", 0.001, False, None),
+        "--samples": ("samples", 10000, False, None),
+    },
+    "gallery": {
+        "--out": ("out", None, False, None),
+    },
+    "report": {
+        "--out": ("out", None, False, None),
+        "--seed": ("seed", 0, False, None),
+    },
+}
+
+
+def test_option_table_is_unchanged():
+    ap = cli.build_parser()
+    sub = next(a for a in ap._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: {(a.option_strings or [a.dest])[0]:
+                  (a.dest, a.default, a.required, a.choices)
+                  for a in sp._actions if a.dest != "help"}
+           for name, sp in sub.choices.items()}
+    assert got == OPTION_TABLE
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"],
+    ["continuation"],
+    ["capacity", "--manifold", "{cfg}", "--a", "1", "--b", "2"],
+    ["classify", "--manifold", "{cfg}"],
+    ["barrier", "--manifold", "{cfg}"],
+    ["decay", "--manifold", "{cfg}", "--lambda-p", "0.25", "--R", "2", "3"],
+    ["volume", "--manifold", "{cfg}", "--lambda-p", "0.25", "--R", "2", "3"],
+])
+@pytest.mark.parametrize("p", ["1", "nan"])
+def test_p_is_checked_as_parsed(tmp_path, euclid3, capsys, argv, p):
+    argv = [a.format(cfg=euclid3) for a in argv]
+    rc = cli.run(argv + ["--p", p, "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_INVALID
+    assert capsys.readouterr().err == "error: p must exceed 1\n"
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("body, message", [
+    ("variant = euclidean\nm = abc\n",
+     "invalid literal for int() with base 10: 'abc'"),
+    ("variant = warped\nm = 3\nwarp.kind = polyeven\nwarp.alpha = x\n",
+     "could not convert string to float: 'x'"),
+    ("variant = euclidean\nm = 3\ndomain = 1\n",
+     "not enough values to unpack (expected 2, got 1)"),
+])
+def test_malformed_config_number(tmp_path, capsys, body, message):
+    # argparse would reword a ValueError raised while loading --manifold
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(body)
+    rc = cli.run(["classify", "--manifold", str(cfg), "--p", "2"])
+    assert rc == cli.EXIT_INVALID
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_undecodable_config(tmp_path, capsys):
+    cfg = tmp_path / "binary.cfg"
+    cfg.write_bytes(b"\xff\xfe\x00")
+    rc = cli.run(["classify", "--manifold", str(cfg), "--p", "2"])
+    assert rc == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "can't decode" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["monotonicity", "regularization"])
+def test_verify_samples_at_least_one(tmp_path, capsys, name):
+    # --samples 1 exited 1 with a traceback; --samples 0 passed vacuously
+    # (regularization) or failed inside numpy (monotonicity)
+    rc = cli.run(["verify", name, "--samples", "0", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_INVALID
+    assert capsys.readouterr().err == "error: samples must be at least 1\n"
+    rc = cli.run(["verify", name, "--samples", "1", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_OK

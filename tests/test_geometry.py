@@ -6,6 +6,7 @@ import pytest
 import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
+from plap.capacity import capacity_analytic
 from plap.errors import (
     DomainError,
     InvalidInputError,
@@ -279,6 +280,21 @@ def test_phi_integral_pinned_cases():
     want = math.exp(-c * a) * -math.expm1(-c * (b - a)) / c
     got = warped(5, Exponential(beta)).phi_integral(p, a, b)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_phi_from_origin_diverges_for_p_up_to_m(m):
+    # A^{-1/(p-1)} ~ t^{-(m-1)/(p-1)} is not integrable at t = 0 for p <= m,
+    # so a point has p-capacity 0; on euclidean(3), quad returned 0.158,
+    # -0.555 and 88.0 at p = 2, 2.5 and 3 (and a capacity of 6.34 at p = 2)
+    M = euclidean(m)
+    for p in (1.5, float(m)):
+        assert M.phi_integral(p, 0.0, 1.0) == np.inf
+        assert capacity_analytic(M, p, 0.0, 1.0).value == 0.0
+        got = M.phi_integral(p, np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+        assert got[0] == np.inf
+        assert got[1] == M.phi_integral(p, 1.0, 2.0)
 
 
 @pytest.mark.parametrize("R", [10.0, 20.0, 40.0])

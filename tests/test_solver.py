@@ -325,6 +325,16 @@ def test_exponential_surface_solve():
     assert np.max(np.abs(f.values - exact)) < 1e-4
 
 
+class Grid1DWideStencil(Grid1D):
+    """D = diff / 2h: a 1D stencil other than the stock one.  The energy,
+    residual and Hessian follow its cell_scale, so the banded Newton
+    direction has to as well."""
+
+    def __init__(self, nodes, manifold=None):
+        super().__init__(nodes, manifold=manifold)
+        self.cell_scale = (2.0 * self.h,)
+
+
 @st.composite
 def newton_systems(draw):
     """A field, a fixed mask holding the grid boundary and a right-hand
@@ -335,7 +345,8 @@ def newton_systems(draw):
         n = draw(st.integers(9, 60))
         nodes = 1.0 + np.concatenate(
             [[0.0], np.cumsum(rng.uniform(0.5, 1.5, n - 1) / n)])
-        grid = Grid1D(nodes, manifold=M3 if draw(st.booleans()) else None)
+        kind = draw(st.sampled_from([Grid1D, Grid1DWideStencil]))
+        grid = kind(nodes, manifold=M3 if draw(st.booleans()) else None)
         mask = grid.boundary_mask()
         for _ in range(draw(st.integers(0, 3))):
             start = draw(st.integers(0, n - 1))

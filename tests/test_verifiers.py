@@ -322,6 +322,17 @@ def test_monotonicity_gap_examples():
     assert out["psi"] == pytest.approx(4.0)
 
 
+def test_monotonicity_one_sample():
+    # one pair as a (1, 3) block stays an array: n = 1 raised a TypeError
+    # at ratio[finite]
+    out = vf.monotonicity_gap(np.ones((1, 3)), np.zeros((1, 3)), 3.0)
+    assert all(v.shape == (1,) for v in out.values())
+    res = vf.monotonicity_suite(p_values=(1.5, 3.0), n=1, seed=0)
+    assert res[1.5]["violations"] == res[3.0]["violations"] == 0
+    with pytest.raises(InvalidInputError):
+        vf.monotonicity_suite(n=0)
+
+
 def test_monotonicity_suite_small():
     out = vf.monotonicity_suite(p_values=(1.5, 3.0), n=20_000, seed=7)
     assert out["ok"]
