@@ -232,9 +232,7 @@ def volume_growth_check(M: ModelManifold, p: float, lambda_p: float,
         if lambda_p <= 0:
             raise InvalidInputError(
                 "parabolic volume bound needs lambda_p > 0")
-        measured = np.array([M.volume_between(R, M.domain[1] if
-                                              np.isfinite(M.domain[1]) else np.inf)
-                             for R in R_values])
+        measured = np.array([M.volume_between(R, M.domain[1]) for R in R_values])
         shape = np.array([R**p * np.exp(-rate * (R - 1.0)) for R in R_values])
         C = measured[0] / shape[0]
         passed = measured <= C * shape * (1 + 1e-9)

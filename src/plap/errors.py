@@ -18,7 +18,8 @@ class UnsupportedVariantError(PlapError):
 
 
 class NeedsAsymptoticsError(PlapError):
-    """Convergence of an improper integral cannot be decided numerically."""
+    """The warp declares no asymptotics toward an infinite end, so whether
+    an integral converges toward it is not known."""
 
 
 class SingularityError(PlapError):

@@ -5,14 +5,15 @@ of the warp eta and the fibre volume vol_N, normalized to 1 on a warped
 product.  Radial Euclidean space is (0, inf) x_t S^{m-1}: eta(t) = t and
 vol_N = omega_{m-1}, so A(t) = omega_{m-1} t^(m-1).
 
-Radial integrals (the Phi integral of A^{-1/(p-1)}, shell volumes) go
-through one quadrature helper, ``_gauss_kronrod``: adaptive G7/K15 on
-all intervals at once, infinite ends mapped onto finite ones, with
-scipy's ``quad`` only for pieces that do not converge (singular
-endpoints).  An infinite end over which the integral diverges, as the
-asymptotics of A tell, gives +inf without being integrated; so does Phi
-from a zero of eta where A^{-1/(p-1)} is not integrable (the origin of
-Euclidean space for p <= m).
+A manifold's domain is an interval inside its warp's.  One rule decides
+whether int A^{1/q} dt converges toward an end (q = 1 - p for the Phi
+integrand A^{-1/(p-1)}, q = 1 for shell volumes): toward an infinite end
+it reads the warp's declared ``tail`` (NeedsAsymptoticsError if there is
+none), at a zero of eta its ``zero``.  Phi and volumes are one integral
+of A^{1/q}: +inf over a divergent end, without integrating, else one
+quadrature helper, ``_gauss_kronrod``: adaptive G7/K15 on all intervals
+at once, infinite ends mapped onto finite ones, with scipy's ``quad``
+only for pieces that do not converge (singular endpoints).
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ class WarpFunction:
 
     ``tail(direction)`` describes the asymptotic behaviour toward
     direction = +1 or -1 infinity as ("power", e) meaning eta ~ c|t|^e,
-    ("exp", r) meaning eta ~ c e^{r t}, or None when unknown.  ``zero``
+    ("exp", r) meaning eta ~ c e^{r t}, or None when undeclared.  ``zero``
     is (t0, k) where eta vanishes at t0 in its domain like |t - t0|^k.
     """
 
@@ -287,6 +288,11 @@ class Tabulated(WarpFunction):
         object.__setattr__(self, "_spline", CubicSpline(t, v, bc_type="clamped"))
         if self.domain is None:
             object.__setattr__(self, "domain", (float(t[0]), float(t[-1])))
+        elif not t[0] <= self.domain[0] < self.domain[1] <= t[-1]:
+            # past the samples the spline extrapolates, maybe below zero
+            raise InvalidInputError(
+                f"Tabulated domain {tuple(self.domain)} must be an interval "
+                f"inside the samples' range [{t[0]}, {t[-1]}]")
 
     def value(self, t):
         self.check_point(t)
@@ -348,16 +354,21 @@ class ModelManifold:
         if self.m < 2:
             raise InvalidInputError(f"{self.variant} variant needs m >= 2")
         if self.variant == "euclidean":
-            if self.domain is not None and self.domain[0] < 0:
-                raise InvalidInputError("radial Euclidean domain must lie in t >= 0")
             object.__setattr__(self, "warp", Linear())
             object.__setattr__(self, "vol_N", sphere_area(self.m))
         elif self.warp is None:
             raise InvalidInputError("warped product needs a warp function")
         elif self.vol_N != 1.0:
             raise InvalidInputError("fiber volume is normalized to vol_N = 1")
+        w_lo, w_hi = self.warp.domain
         dom = self.domain if self.domain is not None else self.warp.domain
-        object.__setattr__(self, "domain", (float(dom[0]), float(dom[1])))
+        lo, hi = map(float, dom)
+        # written so that a NaN end fails too
+        if not w_lo <= lo < hi <= w_hi:
+            raise InvalidInputError(
+                f"domain ({lo}, {hi}) must be an interval inside the warp's "
+                f"domain ({w_lo}, {w_hi})")
+        object.__setattr__(self, "domain", (lo, hi))
 
     # -- basic queries ------------------------------------------------------
 
@@ -392,7 +403,7 @@ class ModelManifold:
         if self.variant != "warped":
             raise UnsupportedVariantError("weight rho is defined on warped products")
         self.check_point(t)
-        out = (self.m - 2) * np.asarray(self.warp.d2(t)) / np.asarray(self.warp.value(t))
+        out = (self.m - 2) * self._d2_ratio(t)
         return float(out) if out.ndim == 0 else out
 
     def radial_ricci_term(self, t, grad_sq):
@@ -418,7 +429,7 @@ class ModelManifold:
         self.check_point(t)
         t = np.asarray(t, dtype=float)
         k = self.m - 1
-        r1 = np.asarray(self.warp.d1(t)) / np.asarray(self.warp.value(t))
+        r1 = self.metric_factor(t)
         out = k * (self._d2_ratio(t) - r1 * r1)
         return float(out) if out.ndim == 0 else out
 
@@ -440,9 +451,8 @@ class ModelManifold:
             raise InvalidInputError("empty sample list")
         self.check_point(t)
         eta = np.asarray(self.warp.value(t), dtype=float)
-        d1 = np.asarray(self.warp.d1(t), dtype=float)
         d2 = np.asarray(self.warp.d2(t), dtype=float)
-        log_dd = d2 / eta - (d1 / eta) ** 2
+        log_dd = self._d2_ratio(t) - self.metric_factor(t) ** 2
         cond2 = (self.m - 2) * log_dd + self.ricci_N_lower / eta**2
         violations = []
         for i, ti in enumerate(t):
@@ -452,15 +462,55 @@ class ModelManifold:
                 violations.append((float(ti), "(m-2)(log eta)'' + Ric_N/eta^2 < 0"))
         return {"ok": not violations, "violations": violations}
 
-    # -- end classification -------------------------------------------------
+    # -- the one integrability rule -----------------------------------------
 
-    def _area_tail(self, direction: int):
-        """Asymptotics of A toward the given infinity, same encoding as warp.tail."""
-        w = self.warp.tail(direction)
-        if w is None:
-            return None
-        kind, e = w
-        return (kind, (self.m - 1) * e)
+    def _converges(self, q: float, end: float) -> bool:
+        """Whether int A^{1/q} dt converges toward ``end``: +-inf, read from
+        the warp's ``tail``, or the zero of eta, read from its ``zero``.
+        The tests divide by q: e / (1 - p) is -(e / (p - 1)) bit for bit,
+        while e * (1 / q) rounds twice and can flip a critical exponent."""
+        if end in (INF, -INF):
+            d = 1 if end > 0 else -1
+            tail = self.warp.tail(d)
+            if tail is None:
+                raise NeedsAsymptoticsError(
+                    f"the warp declares no asymptotics toward {end}")
+            kind, e = tail
+            # A ~ |t|^e or e^{e t}, so the integrand is |t|^{e/q} or e^{e t/q}
+            e = (self.m - 1) * e
+            return e / q < -1.0 if kind == "power" else e * d / q < 0.0
+        # A^{1/q} ~ |t - t0|^{k (m-1)/q} next to a zero t0 of order k
+        return self.warp.zero[1] * (self.m - 1) / q > -1.0
+
+    def _integral(self, q: float, lo, hi) -> np.ndarray:
+        """int_lo^hi A^{1/q} dt for each pair of ends (lo <= hi, broadcast,
+        inside the domain), flattened; +inf where an end (an infinite one,
+        or a zero of eta inside [lo, hi]) makes it diverge."""
+        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                     np.asarray(hi, dtype=float))
+        self.check_point(np.stack([lo, hi]))
+        ends = [(INF, hi == INF), (-INF, lo == -INF)]
+        if self.warp.zero is not None:
+            t0 = self.warp.zero[0]
+            ends.append((t0, (lo <= t0) & (t0 <= hi)))
+        div = np.zeros(lo.shape, dtype=bool)
+        for end, on in ends:
+            if on.any() and not self._converges(q, end):
+                div |= on
+        expo = 1.0 / q
+        scale, power = self.vol_N**expo, (self.m - 1) * expo
+
+        def integrand(t):
+            # A^expo formed as vol_N^expo eta^((m-1) expo): for q < 0 it
+            # stays finite where A itself overflows; eta may still overflow
+            # deep in a tail, and inf**power -> 0.0
+            with np.errstate(over="ignore"):
+                return scale * np.asarray(self.warp.value(t)) ** power
+
+        # a divergent interval is made empty for the quadrature
+        out = _gauss_kronrod(integrand, lo, np.where(div, lo, hi))
+        out[div.ravel()] = INF
+        return out
 
     def classify_end(self, p: float, direction: int) -> str:
         """Hyperbolic iff int^inf A^{-1/(p-1)} dt converges toward the end."""
@@ -472,62 +522,8 @@ class ModelManifold:
             raise InvalidInputError("domain bounded toward +infinity")
         if direction < 0 and lo != -INF:
             raise InvalidInputError("domain bounded toward -infinity")
-        tail = self._area_tail(direction)
-        if tail is not None:
-            kind, e = tail
-            if kind == "power":
-                # integrand |t|^{-e/(p-1)}: converges iff e/(p-1) > 1 strictly
-                return (
-                    EndKind.HYPERBOLIC
-                    if e / (p - 1.0) > 1.0
-                    else EndKind.PARABOLIC
-                )
-            # integrand e^{-e t/(p-1)}: converges toward the end iff the
-            # exponent decays in that direction
-            return (
-                EndKind.HYPERBOLIC
-                if e * direction > 0
-                else EndKind.PARABOLIC
-            )
-        return self._classify_by_slope(p, direction)
-
-    def _classify_by_slope(self, p: float, direction: int) -> str:
-        """Log-log slope test on the integrand A^{-1/(p-1)} up to t = 1e6."""
-        ts = np.geomspace(1e2, 1e6, 9) * direction
-        try:
-            g = np.array([self.area(t) ** (-1.0 / (p - 1.0)) for t in ts])
-        except DomainError as exc:
-            raise NeedsAsymptoticsError(
-                "domain too short for numeric tail-slope test"
-            ) from exc
-        slopes = np.diff(np.log(g)) / np.diff(np.log(np.abs(ts)))
-        s = slopes[-3:]
-        if np.ptp(s) > 1e-2:
-            raise NeedsAsymptoticsError("integrand log-log slope has not stabilized")
-        slope = float(np.mean(s))
-        if slope < -1.0 - 1e-3:
-            return EndKind.HYPERBOLIC
-        if slope > -1.0 + 1e-3:
-            return EndKind.PARABOLIC
-        raise NeedsAsymptoticsError(
-            f"tail slope {slope:.6f} too close to -1 to decide"
-        )
-
-    # -- volume ---------------------------------------------------------------
-
-    def _divergent(self, lo, hi, diverges):
-        """Mask of the intervals [lo, hi] whose infinite end toward
-        direction d has diverges(d, kind, e) for the asymptotics (kind, e)
-        of A there (``_area_tail``).  Where those are unknown the tail is
-        integrated as any other."""
-        div = np.zeros(lo.shape, dtype=bool)
-        for d, end, bound in ((1, hi, self.domain[1]), (-1, lo, self.domain[0])):
-            on = end == d * INF
-            if bound == d * INF and on.any():
-                tail = self._area_tail(d)
-                if tail is not None and diverges(d, *tail):
-                    div |= on
-        return div
+        return (EndKind.HYPERBOLIC if self._converges(1.0 - p, direction * INF)
+                else EndKind.PARABOLIC)
 
     def volume_between(self, r1: float, r2: float) -> float:
         """int_{r1}^{r2} A(t) dt: the volume of the shell r1 <= t <= r2.
@@ -535,14 +531,9 @@ class ModelManifold:
         Infinite toward an end where A is not integrable: A ~ |t|^e with
         e >= -1, or A ~ e^{r t} not decaying toward that end.
         """
-        if r1 > r2:
+        if not r1 <= r2:
             raise InvalidInputError("volume_between needs R1 <= R2")
-        self.check_point([r1, r2])
-        if self._divergent(np.array(r1, dtype=float), np.array(r2, dtype=float),
-                           lambda d, kind, e: e >= -1.0 if kind == "power"
-                           else e * d >= 0.0):
-            return INF
-        return float(_gauss_kronrod(self.area, r1, r2)[0])
+        return float(self._integral(1.0, r1, r2)[0])
 
     def phi_integral(self, p: float, a, b):
         """int_a^b A(t)^{-1/(p-1)} dt; a, b may be infinite.
@@ -556,28 +547,7 @@ class ModelManifold:
             raise InvalidInputError("p must exceed 1")
         if not np.all(np.less(a, b)):
             raise InvalidInputError("need a < b")
-        expo = -1.0 / (p - 1.0)
-        scale, power = self.vol_N**expo, (self.m - 1) * expo
-
-        def integrand(t):
-            # A^expo formed as vol_N^expo eta^((m-1) expo): it stays finite
-            # where A itself overflows; eta may still overflow deep in a
-            # tail, and inf**power -> 0.0
-            self.check_point(t)
-            with np.errstate(over="ignore"):
-                return scale * np.asarray(self.warp.value(t)) ** power
-
-        lo, hi = np.broadcast_arrays(np.asarray(a, dtype=float),
-                                     np.asarray(b, dtype=float))
-        div = self._divergent(lo, hi, lambda d, kind, e: self.classify_end(
-            p, d) == EndKind.PARABOLIC)
-        zero = self.warp.zero
-        if zero is not None and zero[1] * (self.m - 1) >= p - 1.0:
-            # A^expo ~ |t - t0|^(-k (m-1)/(p-1)) next to a zero t0 of order k
-            div |= (lo <= zero[0]) & (zero[0] <= hi)
-        # a divergent interval is made empty for the quadrature
-        out = _gauss_kronrod(integrand, lo, np.where(div, lo, hi))
-        out[div.ravel()] = INF
+        out = self._integral(1.0 - p, a, b)
         return float(out[0]) if np.ndim(a) == np.ndim(b) == 0 else out
 
 

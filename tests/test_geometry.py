@@ -151,10 +151,16 @@ def test_classify_end_bad_p():
 def test_tabulated_interpolation_and_asymptotics():
     ts = np.linspace(0.5, 20.0, 200)
     tab = Tabulated(list(zip(ts, np.cosh(ts))))
-    M = warped(3, tab, domain=(0.5, np.inf))
-    assert M.area(3.0) == pytest.approx(np.cosh(3.0) ** 2, rel=1e-6)
-    with pytest.raises(NeedsAsymptoticsError):
-        M.classify_end(2.0, +1)
+    # a manifold reaching past its warp's samples has no asymptotics to
+    # read, and is rejected when built
+    with pytest.raises(InvalidInputError):
+        warped(3, tab, domain=(0.5, np.inf))
+    M = warped(3, tab)
+    assert M.domain == tab.domain == (0.5, 20.0)
+    for t in (0.5, 3.0, 20.0):
+        assert M.area(t) == pytest.approx(np.cosh(t) ** 2, rel=1e-6)
+    assert M.volume_between(1.0, 2.0) == pytest.approx(
+        (np.sinh(4.0) - np.sinh(2.0)) / 4.0 + 0.5, rel=1e-6)
 
 
 def test_tabulated_rejects_bad_samples():
@@ -162,6 +168,90 @@ def test_tabulated_rejects_bad_samples():
         Tabulated([(0, 1), (1, 2), (2, 3)])  # too few
     with pytest.raises(InvalidInputError):
         Tabulated([(0, 1), (1, 2), (2, -1), (3, 2), (4, 3)])  # nonpositive
+
+
+def test_tabulated_domain_inside_samples():
+    ts = np.linspace(0.5, 20.0, 200)
+    samples = list(zip(ts, np.cosh(ts)))
+    # past the samples the spline extrapolates: eta(60) = -1.19e15 on this
+    # domain, and A = eta^2 hid the sign as a positive area
+    for dom in ((-50.0, 60.0), (0.5, 20.5), (0.4, 20.0), (3.0, 2.0),
+                (np.nan, 20.0)):
+        with pytest.raises(InvalidInputError):
+            Tabulated(samples, domain=dom)
+    assert Tabulated(samples, domain=(1.0, 10.0)).domain == (1.0, 10.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: euclidean(3, domain=(2.0, 1.0)),
+    lambda: euclidean(3, domain=(1.0, 1.0)),
+    lambda: euclidean(3, domain=(np.nan, 2.0)),
+    lambda: euclidean(3, domain=(1.0, np.nan)),
+    lambda: euclidean(3, domain=(-1.0, np.inf)),
+    lambda: warped(3, Cosh(), domain=(np.inf, np.inf)),
+    lambda: warped(2, Power(1.0, domain=(1.0, np.inf)), domain=(0.5, 2.0)),
+], ids=["reversed", "empty", "nan-lo", "nan-hi", "past-origin", "at-infinity",
+        "past-warp"])
+def test_manifold_domain_inside_warp_domain(make):
+    with pytest.raises(InvalidInputError):
+        make()
+
+
+def test_integrals_reject_ends_outside_domain():
+    # Phi once gave +inf here, from the zero of eta = t at the origin
+    for a in (-1.0, -np.inf):
+        with pytest.raises(DomainError):
+            euclidean(3).phi_integral(2.0, a, 1.0)
+    with pytest.raises(DomainError):
+        warped(2, Power(1.0, domain=(1.0, np.inf))).volume_between(0.5, 2.0)
+    # a NaN end once passed the R1 <= R2 check and gave a volume of 0.0
+    for r1, r2 in ((np.nan, 1.0), (1.0, np.nan)):
+        with pytest.raises(InvalidInputError):
+            euclidean(3).volume_between(r1, r2)
+
+
+class _Untailed(Cosh):
+    """cosh, with no asymptotics declared toward either infinity."""
+
+    def tail(self, direction):
+        return None
+
+
+def test_tail_less_warp_needs_asymptotics():
+    M, ref = warped(3, _Untailed()), warped(3, Cosh())
+    for direction in (+1, -1):
+        with pytest.raises(NeedsAsymptoticsError):
+            M.classify_end(2.0, direction)
+    for a, b in ((0.0, np.inf), (-np.inf, 0.0), (-np.inf, np.inf)):
+        with pytest.raises(NeedsAsymptoticsError):
+            M.phi_integral(2.0, a, b)
+        with pytest.raises(NeedsAsymptoticsError):
+            M.volume_between(a, b)
+    with pytest.raises(NeedsAsymptoticsError):
+        M.phi_integral(2.0, np.array([0.0, 1.0]), np.array([1.0, np.inf]))
+    # finite intervals still integrate, to the same numbers
+    assert M.phi_integral(2.0, -1.0, 2.0) == ref.phi_integral(2.0, -1.0, 2.0)
+    assert M.volume_between(-1.0, 2.0) == ref.volume_between(-1.0, 2.0)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 10, 17, 50])
+def test_critical_exponent_is_parabolic_euclidean(m):
+    # p = m: A^{-1/(p-1)} ~ t^{-1} at infinity and at the origin.  The
+    # rule divides by 1 - p; a product with 1/(1 - p) gives
+    # 49 * (1/-49) = -0.9999999999999999 at m = 50, a finite Phi at the origin
+    M, p = euclidean(m), float(m)
+    assert M.classify_end(p, +1) == EndKind.PARABOLIC
+    assert M.phi_integral(p, 1.0, np.inf) == np.inf
+    assert M.phi_integral(p, 0.0, 1.0) == np.inf
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 2.0, 6.125, 12.25, 24.5])
+def test_critical_exponent_is_parabolic_polyeven(alpha):
+    # A ~ |t|^{2 alpha} on m = 3, critical at p = 1 + 2 alpha (exact here)
+    M, p = warped(3, PolyEven(alpha)), 1.0 + 2.0 * alpha
+    for direction in (+1, -1):
+        assert M.classify_end(p, direction) == EndKind.PARABOLIC
+    assert M.phi_integral(p, 0.0, np.inf) == np.inf
 
 
 def test_power_warp_rejects_singular_origin():
