@@ -5,19 +5,23 @@ of the warp eta and the fibre volume vol_N, normalized to 1 on a warped
 product.  Radial Euclidean space is (0, inf) x_t S^{m-1}: eta(t) = t and
 vol_N = omega_{m-1}, so A(t) = omega_{m-1} t^(m-1).
 
-A manifold's domain is an interval inside its warp's.  One rule decides
-whether int A^{1/q} dt converges toward an end (q = 1 - p for the Phi
-integrand A^{-1/(p-1)}, q = 1 for shell volumes): toward an infinite end
-it reads the warp's declared ``tail`` (NeedsAsymptoticsError if there is
-none), at a zero of eta its ``zero``.  Phi and volumes are one integral
-of A^{1/q}: +inf over a divergent end, without integrating, else one
-quadrature helper, ``_gauss_kronrod``: adaptive G7/K15 on all intervals
-at once, infinite ends mapped onto finite ones, with scipy's ``quad``
-only for pieces that do not converge (singular endpoints).
+A manifold's domain is an interval inside its warp's.  Every pointwise
+query (A, A', rho, Ricci, (log A)', (log A)'', eta'/eta) reads t as
+floats, checks it once against the domain (NaN fails) and returns a float
+for a scalar t.  One rule decides whether int A^{1/q} dt converges toward
+an end (q = 1 - p for the Phi integrand A^{-1/(p-1)}, q = 1 for shell
+volumes): toward an infinite end it reads the warp's declared ``tail``
+(NeedsAsymptoticsError if there is none), at a zero of eta its ``zero``.
+Phi and volumes are one integral of A^{1/q}: +inf over a divergent end,
+without integrating, else one quadrature helper, ``_gauss_kronrod``:
+adaptive G7/K15 on all intervals at once, infinite ends mapped onto
+finite ones, with scipy's ``quad`` only for pieces that do not converge
+(singular endpoints).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -175,9 +179,7 @@ class WarpFunction:
         return None
 
     def check_point(self, t):
-        lo, hi = self.domain
-        if np.any(np.asarray(t) < lo) or np.any(np.asarray(t) > hi):
-            raise DomainError(f"t={t} outside warp domain [{lo}, {hi}]")
+        _check_inside(t, self.domain, "warp")
 
 
 @dataclass(frozen=True)
@@ -332,6 +334,24 @@ class Linear(WarpFunction):
 # ---------------------------------------------------------------------------
 
 
+def _check_inside(t, domain, what):
+    lo, hi = domain
+    # written so that NaN fails
+    if not np.all(np.less_equal(lo, t) & np.less_equal(t, hi)):
+        raise DomainError(f"t={t} outside {what} domain [{lo}, {hi}]")
+
+
+def _pointwise(query):
+    """Query at t as floats, checked once against the domain; float if scalar."""
+    @functools.wraps(query)
+    def at(self, t, *args):
+        t = np.asarray(t, dtype=float)
+        self.check_point(t)
+        out = query(self, t, *args)
+        return float(out) if np.ndim(out) == 0 else out
+    return at
+
+
 class EndKind:
     PARABOLIC = "Parabolic"
     HYPERBOLIC = "Hyperbolic"
@@ -373,72 +393,55 @@ class ModelManifold:
     # -- basic queries ------------------------------------------------------
 
     def check_point(self, t):
-        lo, hi = self.domain
-        if np.any(np.asarray(t) < lo) or np.any(np.asarray(t) > hi):
-            raise DomainError(f"t={t} outside manifold domain [{lo}, {hi}]")
+        _check_inside(t, self.domain, "manifold")
 
+    @_pointwise
     def area(self, t):
         """A(t) = vol_N eta^(m-1)."""
-        self.check_point(t)
-        t = np.asarray(t, dtype=float)
-        out = self.vol_N * np.asarray(self.warp.value(t)) ** (self.m - 1)
-        return float(out) if out.ndim == 0 else out
+        return self.vol_N * np.asarray(self.warp.value(t)) ** (self.m - 1)
 
+    @_pointwise
     def area_d1(self, t):
         """dA/dt, analytic."""
-        self.check_point(t)
-        t = np.asarray(t, dtype=float)
         k = self.m - 1
-        out = (self.vol_N * k * np.asarray(self.warp.value(t)) ** (k - 1)
-               * self.warp.d1(t))
-        return float(out) if out.ndim == 0 else out
+        return (self.vol_N * k * np.asarray(self.warp.value(t)) ** (k - 1)
+                * self.warp.d1(t))
 
     def _d2_ratio(self, t):
         """eta''/eta, kept at eta'' where eta'' = 0 (no 0/0 at eta = 0)."""
         d2 = np.array(self.warp.d2(t), dtype=float)
         return np.divide(d2, self.warp.value(t), out=d2, where=d2 != 0)
 
+    @_pointwise
     def weight_rho(self, t):
         """rho = (m-2) eta'' / eta (warped products only)."""
         if self.variant != "warped":
             raise UnsupportedVariantError("weight rho is defined on warped products")
-        self.check_point(t)
-        out = (self.m - 2) * self._d2_ratio(t)
-        return float(out) if out.ndim == 0 else out
+        return (self.m - 2) * self._d2_ratio(t)
 
+    @_pointwise
     def radial_ricci_term(self, t, grad_sq):
-        """Ric(grad u, grad u) for radial u: -(m-1) eta''/eta |grad u|^2.
+        """Ric(grad u, grad u) for radial u: -(m-1) eta''/eta |grad u|^2,
+        that is -(m-1)/(m-2) rho |grad u|^2 for m > 2, and finite at m = 2,
+        where rho vanishes identically."""
+        return -(self.m - 1) * self._d2_ratio(t) * np.asarray(grad_sq)
 
-        Equals -(m-1)/(m-2) rho |grad u|^2 for m > 2 and stays finite at
-        m = 2, where rho vanishes identically.
-        """
-        self.check_point(t)
-        out = -(self.m - 1) * self._d2_ratio(t) * np.asarray(grad_sq)
-        return float(out) if np.ndim(out) == 0 else out
-
+    @_pointwise
     def log_area_d1(self, t):
         """(log A)' = A'/A."""
-        self.check_point(t)
-        t = np.asarray(t, dtype=float)
         k = self.m - 1
-        out = k * np.asarray(self.warp.d1(t)) / np.asarray(self.warp.value(t))
-        return float(out) if out.ndim == 0 else out
+        return k * np.asarray(self.warp.d1(t)) / np.asarray(self.warp.value(t))
 
+    @_pointwise
     def log_area_d2(self, t):
         """(log A)'' = (A'/A)'."""
-        self.check_point(t)
-        t = np.asarray(t, dtype=float)
-        k = self.m - 1
         r1 = self.metric_factor(t)
-        out = k * (self._d2_ratio(t) - r1 * r1)
-        return float(out) if out.ndim == 0 else out
+        return (self.m - 1) * (self._d2_ratio(t) - r1 * r1)
 
+    @_pointwise
     def metric_factor(self, t):
         """eta'/eta: the non-radial Hessian factor (1/t on Euclidean space)."""
-        self.check_point(t)
-        t = np.asarray(t, dtype=float)
-        out = np.asarray(self.warp.d1(t)) / np.asarray(self.warp.value(t))
-        return float(out) if out.ndim == 0 else out
+        return np.asarray(self.warp.d1(t)) / np.asarray(self.warp.value(t))
 
     # -- admissibility ------------------------------------------------------
 
@@ -446,7 +449,7 @@ class ModelManifold:
         """Check eta'' > 0 and (m-2)(log eta)'' + eta^{-2} Ric_N >= 0."""
         if self.variant != "warped":
             raise UnsupportedVariantError("admissibility applies to warped products")
-        t = np.asarray(t_samples, dtype=float)
+        t = np.atleast_1d(np.asarray(t_samples, dtype=float))
         if t.size == 0:
             raise InvalidInputError("empty sample list")
         self.check_point(t)

@@ -174,10 +174,7 @@ class Grid1D(_CellGrid):
         self.coords = {"t": nodes}
         self.h = h
         self.manifold = manifold
-        if manifold is not None:
-            self.area = np.asarray(manifold.area(nodes), dtype=float)
-        else:
-            self.area = np.ones_like(nodes)
+        self.area = manifold.area(nodes) if manifold is not None else np.ones_like(nodes)
         if np.any(self.area <= 0):
             raise InvalidInputError("area weight must be positive on the grid")
         # trapezoid node weights: A_i * (h_{i-1} + h_i)/2
@@ -235,20 +232,19 @@ class Grid1D(_CellGrid):
         d2u = hess[0]
         if self.manifold is None:
             return d2u * d2u
-        c = np.asarray(self.manifold.metric_factor(self.nodes), float)
+        c = self.manifold.metric_factor(self.nodes)
         return d2u * d2u + (self.manifold.m - 1) * (c * grad[0]) ** 2
 
     def laplacian(self, grad, hess) -> np.ndarray:
         """u'' + (log A)' u'."""
         M = self.manifold
-        ell = np.asarray(M.log_area_d1(self.nodes), float) if M is not None else 0.0
+        ell = M.log_area_d1(self.nodes) if M is not None else 0.0
         return hess[0] + ell * grad[0]
 
     def ricci(self, grad):
         """Ric(grad u, grad u), the manifold's radial term; 0 on the flat line."""
         M = self.manifold
-        return (np.asarray(M.radial_ricci_term(self.nodes, grad[0] ** 2), float)
-                if M is not None else 0.0)
+        return M.radial_ricci_term(self.nodes, grad[0] ** 2) if M is not None else 0.0
 
 
 class Grid2D(_CellGrid):

@@ -79,8 +79,9 @@ class SolveConfig:
     def __post_init__(self):
         sched = np.asarray(self.eps_schedule, dtype=float)
         # written so that NaN fails
-        if not (np.all(sched > 0) and np.all(np.diff(sched) < 0)):
-            raise InvalidInputError("eps schedule must be strictly decreasing, positive")
+        if not (sched.size and np.all(sched > 0) and np.all(np.diff(sched) < 0)):
+            raise InvalidInputError(
+                "eps schedule must be non-empty, strictly decreasing, positive")
         if self.max_newton_iters < 1:
             raise InvalidInputError("max_newton_iters must be positive")
 
@@ -283,8 +284,6 @@ def eps_path(p: float, grid, boundary, cfg: Optional[SolveConfig] = None):
     """
     cfg = cfg or SolveConfig()
     sched = np.asarray(cfg.eps_schedule, dtype=float)
-    if sched.size == 0:
-        raise InvalidInputError("empty eps schedule")
     boundary = _normalize_boundary(grid, boundary)
     # every solve on the path gets a start, so none retries on a path of
     # its own

@@ -213,8 +213,10 @@ def bochner_s_residual(u: DiscreteField, p: float, s: float,
     Requires an analytic descriptor with third derivatives: everything
     is evaluated in closed form, so the residual must sit at rounding
     level for strongly p-harmonic u."""
-    if eps <= 0:
+    if not eps > 0:
         raise SingularityError("eps must be positive")
+    if not np.isfinite(s):
+        raise InvalidInputError("s must be finite")
     a = u.analytic
     if a is None or a.d2u is None or a.d3u is None:
         raise InvalidInputError(
@@ -226,8 +228,8 @@ def bochner_s_residual(u: DiscreteField, p: float, s: float,
     t = grid.nodes
     du, d2u, d3u = _closed_form(u, 3)
     if M is not None:
-        ell = np.asarray(M.log_area_d1(t), float)
-        ell1 = np.asarray(M.log_area_d2(t), float)
+        ell = M.log_area_d1(t)
+        ell1 = M.log_area_d2(t)
     else:
         ell = ell1 = np.zeros_like(t)
     w = du * du + eps
@@ -330,9 +332,9 @@ def weighted_caccioppoli_check(M: ModelManifold, p: float,
     t = grid.nodes
     if t[0] > -2.0 * R or t[-1] < 2.0 * R:
         raise InvalidInputError("field must cover B(2R)")
-    rho = np.asarray(M.weight_rho(t), float)
+    rho = M.weight_rho(t)
     # Ric >= -tau rho must hold pointwise for the estimate's hypotheses
-    ric_unit = np.asarray(M.radial_ricci_term(t, np.ones_like(t)), float)
+    ric_unit = M.radial_ricci_term(t, np.ones_like(t))
     if np.any(ric_unit < -tau * rho - 1e-12 * (1.0 + np.abs(rho))):
         raise InvalidInputError("Ric >= -tau rho fails on the grid")
     B, C = weighted_caccioppoli_constants(p, kappa_val, tau, eps1, eps2)
@@ -481,7 +483,7 @@ def weighted_poincare_check(M: ModelManifold,
         if not adm["ok"]:
             raise InvalidInputError(
                 f"manifold fails admissibility: {adm['violations'][:3]}")
-        rho = np.asarray(M.weight_rho(grid.nodes), float)
+        rho = M.weight_rho(grid.nodes)
         lhs = integrate_field(rho * f.values**2, grid)
         g = _node_gradients(f)
         rhs = integrate_field(g * g, grid)

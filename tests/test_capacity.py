@@ -229,6 +229,17 @@ def test_p_poincare_bound():
         cap.p_poincare_bound(-1.0, 3.0)
 
 
+def test_lambda_nan_is_invalid():
+    # NaN passed the lambda < 0 checks and gave NaN bounds and rows
+    M = warped(2, Exponential(1.0))
+    with pytest.raises(InvalidInputError):
+        cap.volume_growth_check(M, 2.0, np.nan, [2.0, 4.0])
+    with pytest.raises(InvalidInputError):
+        cap.tail_energy_profile(M, 2.0, 1.0, np.nan, [2.0, 4.0])
+    with pytest.raises(InvalidInputError):
+        cap.p_poincare_bound(np.nan, 3.0)
+
+
 def test_volume_growth_rejects_negative_lambda():
     # on a hyperbolic end lambda_p < 0 made the rate, and every bound,
     # complex

@@ -265,13 +265,25 @@ def test_launch_imports_no_interpolate_or_integrate(tmp_path):
 
 
 def test_volume_negative_lambda_is_invalid(tmp_path, exp2, capsys):
-    # wrote complex bounds and exited 0 before
-    rc = cli.run(["volume", "--manifold", exp2, "--p", "2",
-                  "--lambda-p", "-0.1", "--R", "2", "4",
-                  "--out", str(tmp_path)])
+    # -0.1 wrote complex bounds and exited 0 before; nan passed the check
+    # and wrote NaN rows (exit 1), in decay as in volume
+    for name, extra in (("volume", []), ("decay", ["--r0", "1"])):
+        for lam in ("-0.1", "nan"):
+            rc = cli.run([name, "--manifold", exp2, "--p", "2", *extra,
+                          "--lambda-p", lam, "--R", "2", "4",
+                          "--out", str(tmp_path)])
+            assert rc == cli.EXIT_INVALID
+            assert "lambda_p" in capsys.readouterr().err
+            assert not (tmp_path / (name + ".csv")).exists()
+
+
+@pytest.mark.parametrize("option", [["--eps", "nan"], ["--s", "nan"]])
+def test_verify_bochner_s_rejects_nan(tmp_path, capsys, option):
+    # both ran and wrote a CSV of NaN residuals (exit 1) before
+    rc = cli.run(["verify", "bochner_s", *option, "--out", str(tmp_path)])
     assert rc == cli.EXIT_INVALID
-    assert "lambda_p" in capsys.readouterr().err
-    assert not (tmp_path / "volume.csv").exists()
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "verify_bochner_s.csv").exists()
 
 
 def test_config_without_warp_parameter(tmp_path, capsys):

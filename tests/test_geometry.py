@@ -280,6 +280,49 @@ def test_domain_enforced():
         euclidean(3).radial_ricci_term(-1.0, 1.0)
 
 
+_QUERIES = {
+    "area": lambda M, t: M.area(t),
+    "area_d1": lambda M, t: M.area_d1(t),
+    "weight_rho": lambda M, t: M.weight_rho(t),
+    "radial_ricci_term": lambda M, t: M.radial_ricci_term(t, 2.0),
+    "log_area_d1": lambda M, t: M.log_area_d1(t),
+    "log_area_d2": lambda M, t: M.log_area_d2(t),
+    "metric_factor": lambda M, t: M.metric_factor(t),
+}
+
+
+@pytest.mark.parametrize("M", [warped(3, Cosh()), euclidean(3)],
+                         ids=["cosh", "euclidean"])
+@pytest.mark.parametrize("name", sorted(_QUERIES))
+def test_pointwise_query_checks_t_and_returns_floats(M, name):
+    # NaN passed the domain check and came back as nan
+    query = _QUERIES[name]
+    for t in (np.nan, np.array([1.0, np.nan])):
+        with pytest.raises(DomainError):
+            query(M, t)
+    t = np.array([[0.5, 1.0, 2.0], [3.0, 4.0, 5.0]])
+    if M.variant == "euclidean" and name == "weight_rho":
+        with pytest.raises(UnsupportedVariantError):
+            query(M, t)
+        return
+    for scalar in (1.5, np.float64(1.5), np.array(1.5)):
+        assert type(query(M, scalar)) is float
+    out = query(M, t)
+    assert isinstance(out, np.ndarray) and out.shape == t.shape
+    assert out[1, 2] == query(M, 5.0)
+
+
+def test_scalar_admissibility_sample_and_tabulated_nan():
+    # a scalar sample raised TypeError (iteration over a 0-d array)
+    for M in (warped(3, Cosh()), warped(3, PolyEven(0.5))):
+        assert M.admissibility_check(2.0) == M.admissibility_check([2.0])
+    ts = np.linspace(-3.0, 3.0, 13)
+    warp = Tabulated(samples=[(t, math.cosh(t)) for t in ts])
+    for f in (warp.value, warp.d1, warp.d2):
+        with pytest.raises(DomainError):
+            f(np.nan)
+
+
 def test_admissibility_only_for_warped():
     with pytest.raises(UnsupportedVariantError):
         euclidean(3).admissibility_check([1.0, 2.0])

@@ -194,6 +194,15 @@ def test_bochner_residual_decays_on_solver_output():
     assert slope > 0.8
 
 
+def test_bochner_s_rejects_nan():
+    f = vf.power_radial_field(3.0, 4)
+    with pytest.raises(SingularityError):
+        vf.bochner_s_residual(f, 3.0, 1.0, np.nan)
+    for s in (np.nan, np.inf):
+        with pytest.raises(InvalidInputError):
+            vf.bochner_s_residual(f, 3.0, s, 1e-3)
+
+
 def test_bochner_s_rounding_level():
     f = vf.power_radial_field(3.0, 4)
     rep = vf.bochner_s_residual(f, 3.0, 1.0, 1e-3)
