@@ -184,8 +184,8 @@ def tail_energy_profile(M: ModelManifold, p: float, R0: float,
     """
     if M.classify_end(p, +1) != EndKind.HYPERBOLIC:
         raise UnsupportedVariantError("tail profile needs a hyperbolic end")
-    if not lambda_p >= 0:
-        raise InvalidInputError("lambda_p lower bound must be >= 0")
+    if not 0 <= lambda_p < np.inf:
+        raise InvalidInputError("lambda_p lower bound must be finite and >= 0")
     R_values = sorted(R_values)
     if len(R_values) < 2:
         raise InvalidInputError("need at least two R values")
@@ -214,8 +214,8 @@ def volume_growth_check(M: ModelManifold, p: float, lambda_p: float,
     """Shell-volume growth (hyperbolic) or tail-volume decay (parabolic)
     against the exponential bounds, with the constant fitted at the
     smallest R; each row's "measured" is the shell or the tail volume."""
-    if not lambda_p >= 0:
-        raise InvalidInputError("lambda_p lower bound must be >= 0")
+    if not 0 <= lambda_p < np.inf:
+        raise InvalidInputError("lambda_p lower bound must be finite and >= 0")
     R_values = sorted(R_values)
     if len(R_values) < 2:
         raise InvalidInputError("need at least two R values")
@@ -247,8 +247,8 @@ def volume_growth_check(M: ModelManifold, p: float, lambda_p: float,
 
 def p_poincare_bound(lambda2: float, p: float) -> float:
     """Lower bound lambda_p >= (2 sqrt(lambda2) / p)^p, valid for p >= 2."""
-    if not lambda2 >= 0:
-        raise InvalidInputError("lambda2 must be >= 0")
+    if not 0 <= lambda2 < np.inf:
+        raise InvalidInputError("lambda2 must be finite and >= 0")
     if p < 2:
         raise UnsupportedVariantError(
             "the spectral comparison is only available for p >= 2")

@@ -342,11 +342,15 @@ def _check_inside(t, domain, what):
 
 
 def _pointwise(query):
-    """Query at t as floats, checked once against the domain; float if scalar."""
+    """Query at t as floats, checked once against the domain; float if scalar.
+    An infinite end is inside the closed domain, but no query has a
+    finite answer there."""
     @functools.wraps(query)
     def at(self, t, *args):
         t = np.asarray(t, dtype=float)
         self.check_point(t)
+        if not np.all(np.isfinite(t)):
+            raise DomainError(f"t={t} is not finite")
         out = query(self, t, *args)
         return float(out) if np.ndim(out) == 0 else out
     return at

@@ -4,8 +4,11 @@ Damped Newton on the convex discrete energy.  Each Newton direction is a
 direct solve with the energy Hessian on the free nodes, which is symmetric
 and, for eps > 0 with the grid boundary fixed, positive definite: one
 tridiagonal banded solve in 1D, in 2D a SuperLU factorization of the
-assembled ``energy.hessian`` in its symmetric mode (minimum degree on
-A^T + A, diagonal pivots; X. S. Li, ACM TOMS 31, 2005).  A solve stops
+assembled ``energy.hessian``'s free block.  The grid orders that block
+once per mask by geometric nested dissection (``free_block``: A. George,
+SIAM J. Numer. Anal. 10, 1973) and gives the gather that cuts it out of
+H.data; SuperLU then factors it in that natural order in its symmetric
+mode, with diagonal pivots (X. S. Li, ACM TOMS 31, 2005).  A solve stops
 at the residual tolerance ("tol"), or, where rounding keeps the residual
 above it, after the step from a Newton decrement -r.d at the energy's
 rounding level ("floor").  The choice of that linear solve is the only
@@ -35,6 +38,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from typing import ClassVar, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import solve_banded
 from scipy.sparse.linalg import splu
 # unused: only kept because perfbench/tracing.py wraps solver.spsolve and
@@ -156,14 +160,19 @@ def _newton_direction(spec, field, mask, rhs):
         ab[0, 1:] = off
         ab[2, :-1] = off
         return solve_banded((1, 1), ab, np.where(mask, 0.0, rhs))
-    free = ~mask.ravel()
-    H = en.hessian(spec, field)
+    block = grid.free_block(mask)
     d = np.zeros(rhs.size)
-    # the free block is symmetric positive definite: SuperLU's symmetric
-    # mode orders it by minimum degree on A^T + A and pivots on the diagonal
-    lu = splu(H[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A",
-              diag_pivot_thresh=0, options={"SymmetricMode": True})
-    d[free] = lu.solve(rhs.ravel()[free])
+    if block.perm.size:
+        # the free block is symmetric positive definite: factor it in the
+        # grid's nested-dissection order, fixed for the mask, with
+        # SuperLU's symmetric mode (no reordering, diagonal pivots)
+        H = en.hessian(spec, field)
+        lu = splu(sp.csc_matrix((H.data[block.gather], block.indices,
+                                 block.indptr),
+                                shape=(block.perm.size,) * 2),
+                  permc_spec="NATURAL", diag_pivot_thresh=0,
+                  options={"SymmetricMode": True})
+        d[block.perm] = lu.solve(rhs.ravel()[block.perm])
     return d.reshape(rhs.shape)
 
 

@@ -215,8 +215,8 @@ def bochner_s_residual(u: DiscreteField, p: float, s: float,
     level for strongly p-harmonic u."""
     if not eps > 0:
         raise SingularityError("eps must be positive")
-    if not np.isfinite(s):
-        raise InvalidInputError("s must be finite")
+    if not np.isfinite([s, eps]).all():
+        raise InvalidInputError("s and eps must be finite")
     a = u.analytic
     if a is None or a.d2u is None or a.d3u is None:
         raise InvalidInputError(

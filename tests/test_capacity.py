@@ -93,6 +93,15 @@ def test_capacity_numeric_decade_path_matches_halving(grid, p):
     assert _ulps(num, ref) <= 4
 
 
+def test_capacity_numeric_2d_annulus_is_pinned():
+    # the 0.5/1.5 annulus at 65^2, p=3: a change of ordering in the 2D
+    # Newton solve moves it by rounding only
+    grid = Grid2D(-2.0, 2.0, -2.0, 2.0, 65, 65)
+    cond = cap.Condenser(inner=(0.0, 0.5), outer=(1.5, np.inf))
+    assert _ulps(cap.capacity_numeric(grid, 3.0, cond).value,
+                 5.122888710632457) <= 4
+
+
 def test_zero_potential_difference_has_zero_energy():
     # equal plate potentials: the minimizer is constant, p-energy 0
     g = Grid1D.uniform(1.0, 2.0, 65, manifold=M3)
@@ -227,6 +236,17 @@ def test_p_poincare_bound():
         cap.p_poincare_bound(1.0, 1.5)
     with pytest.raises(InvalidInputError):
         cap.p_poincare_bound(-1.0, 3.0)
+
+
+def test_lambda_inf_is_invalid():
+    # inf passed the lambda >= 0 checks, and inf/inf gave NaN bounds and rows
+    M = warped(2, Exponential(1.0))
+    with pytest.raises(InvalidInputError, match="finite"):
+        cap.volume_growth_check(M, 2.0, np.inf, [2.0, 4.0])
+    with pytest.raises(InvalidInputError, match="finite"):
+        cap.tail_energy_profile(M, 2.0, 1.0, np.inf, [2.0, 4.0])
+    with pytest.raises(InvalidInputError, match="finite"):
+        cap.p_poincare_bound(np.inf, 3.0)
 
 
 def test_lambda_nan_is_invalid():

@@ -286,6 +286,20 @@ def test_verify_bochner_s_rejects_nan(tmp_path, capsys, option):
     assert not (tmp_path / "verify_bochner_s.csv").exists()
 
 
+def test_infinite_lambda_and_eps_are_invalid(tmp_path, exp2, capsys):
+    # each wrote a CSV of inf/NaN rows and exited 1, a failed check
+    runs = [("decay", ["decay", "--manifold", exp2, "--p", "2", "--r0", "1",
+                       "--lambda-p", "inf", "--R", "2", "4"]),
+            ("volume", ["volume", "--manifold", exp2, "--p", "2",
+                        "--lambda-p", "inf", "--R", "2", "4"]),
+            ("verify_bochner_s", ["verify", "bochner_s", "--eps", "inf"])]
+    for name, argv in runs:
+        rc = cli.run([*argv, "--out", str(tmp_path)])
+        assert rc == cli.EXIT_INVALID, name
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / (name + ".csv")).exists()
+
+
 def test_config_without_warp_parameter(tmp_path, capsys):
     cfg = tmp_path / "polyeven.cfg"
     cfg.write_text("variant = warped\nm = 3\nwarp.kind = polyeven\n")

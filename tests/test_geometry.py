@@ -295,9 +295,10 @@ _QUERIES = {
                          ids=["cosh", "euclidean"])
 @pytest.mark.parametrize("name", sorted(_QUERIES))
 def test_pointwise_query_checks_t_and_returns_floats(M, name):
-    # NaN passed the domain check and came back as nan
+    # NaN passed the domain check and came back as nan; an infinite end
+    # is in the closed domain, and came back as inf or as nan with a warning
     query = _QUERIES[name]
-    for t in (np.nan, np.array([1.0, np.nan])):
+    for t in (np.nan, np.array([1.0, np.nan]), np.inf, np.array([1.0, np.inf])):
         with pytest.raises(DomainError):
             query(M, t)
     t = np.array([[0.5, 1.0, 2.0], [3.0, 4.0, 5.0]])

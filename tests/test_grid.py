@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from plap.errors import InvalidInputError
@@ -106,6 +107,68 @@ def test_property_stencil_matches_slice_formulas(seed, kind):
     assert len(grad) == len(ref_grad)
     assert all(np.array_equal(g, r) for g, r in zip(grad, ref_grad))
     assert np.array_equal(grid.cell_divergence(fluxes), ref_div)
+
+
+@st.composite
+def interior_masks(draw):
+    """A 2D grid and a mask fixing its boundary and random interior nodes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = Grid2D(0.0, 1.0, 0.0, draw(st.floats(0.5, 2.0)),
+                  draw(st.integers(8, 20)), draw(st.integers(8, 20)))
+    mask = grid.boundary_mask() | (rng.random(grid.shape) < draw(
+        st.floats(0.0, 0.9)))
+    return grid, mask, rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(interior_masks())
+def test_property_free_block_is_the_permuted_free_block(case):
+    grid, mask, rng = case
+    block = grid.free_block(mask)
+    free = np.flatnonzero(~mask.ravel())
+    assert np.array_equal(np.sort(block.perm), free)
+    # any values on the grid's pattern: the gather cuts out P H_ff P^T
+    cs = grid.cell_structure
+    n = mask.size
+    H = sp.csr_matrix((rng.normal(size=cs.indices.size), cs.indices,
+                       cs.indptr), shape=(n, n))
+    got = sp.csc_matrix((H.data[block.gather], block.indices, block.indptr),
+                        shape=(block.perm.size,) * 2)
+    want = H[block.perm][:, block.perm].tocsc()
+    want.sort_indices()
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+def test_free_block_follows_the_mask():
+    grid = Grid2D(0.0, 1.0, 0.0, 1.0, 12, 12)
+    mask = grid.boundary_mask()
+    first = grid.free_block(mask)
+    assert grid.free_block(mask.copy()) is first
+    other = mask.copy()
+    other[5, 5] = True
+    second = grid.free_block(other)
+    assert 5 * 12 + 5 not in second.perm
+    # a mask edited in place is a new mask
+    mask[3, 7] = True
+    third = grid.free_block(mask)
+    assert 3 * 12 + 7 not in third.perm and 5 * 12 + 5 in third.perm
+    assert third.perm.size == first.perm.size - 1
+
+
+def test_free_block_cuts_the_middle_line_last():
+    grid = Grid2D(0.0, 1.0, 0.0, 1.0, 9, 9)
+    perm = grid.free_block(grid.boundary_mask()).perm
+    # the first cut of a square is its middle row, free nodes in order
+    assert np.array_equal(perm[-7:], 4 * 9 + np.arange(1, 8))
+
+
+def test_free_block_of_an_all_fixed_mask_is_empty():
+    grid = Grid2D(0.0, 1.0, 0.0, 1.0, 8, 10)
+    block = grid.free_block(np.ones(grid.shape, dtype=bool))
+    assert block.perm.size == block.gather.size == block.indices.size == 0
+    assert np.array_equal(block.indptr, [0])
 
 
 def test_deriv_1d_second_order():

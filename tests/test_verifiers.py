@@ -203,6 +203,13 @@ def test_bochner_s_rejects_nan():
             vf.bochner_s_residual(f, 3.0, s, 1e-3)
 
 
+def test_bochner_s_rejects_infinite_eps():
+    # eps = inf ran and gave NaN residuals
+    f = vf.power_radial_field(3.0, 4)
+    with pytest.raises(InvalidInputError, match="finite"):
+        vf.bochner_s_residual(f, 3.0, 1.0, np.inf)
+
+
 def test_bochner_s_rounding_level():
     f = vf.power_radial_field(3.0, 4)
     rep = vf.bochner_s_residual(f, 3.0, 1.0, 1e-3)
