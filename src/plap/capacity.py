@@ -22,7 +22,8 @@ from .solver import SolveConfig, eps_path, radial_p_harmonic
 @dataclass(frozen=True)
 class Condenser:
     """Regions where the potential is pinned: 1 on the inner set, 0 on
-    the outer set.  On model manifolds both are t-intervals."""
+    the outer set, which the grid's boundary joins.  Both are intervals
+    of the grid's ``radius``: t on a 1D grid, |x| on a 2D grid."""
 
     inner: tuple[float, float]
     outer: tuple[float, float]
@@ -62,19 +63,16 @@ def capacity_numeric(domain, p: float, condenser: Condenser,
                      cfg: Optional[SolveConfig] = None) -> CapacityResult:
     """Minimize the p-energy over fields that are 1/0 on the condenser
     plates along ``cfg``'s eps path (by default the decade path down to
-    2^-19); returns E_p of the final iterate."""
+    2^-19); returns E_p of the final iterate.  The grid's boundary joins
+    the outer plate and the inner plate wins where they meet: this is
+    Cap_p(K, Omega), Omega the grid's box, on either grid."""
     cfg = cfg or SolveConfig()
-    if isinstance(domain, Grid1D):
-        nodes = domain.nodes
-        in_inner = (nodes >= condenser.inner[0]) & (nodes <= condenser.inner[1])
-        in_outer = (nodes >= condenser.outer[0]) & (nodes <= condenser.outer[1])
-    elif isinstance(domain, Grid2D):
-        rr = np.hypot(domain.X, domain.Y)
-        in_inner = (rr >= condenser.inner[0]) & (rr <= condenser.inner[1])
-        in_outer = (rr >= condenser.outer[0]) & (rr <= condenser.outer[1])
-        in_outer |= domain.boundary_mask()
-    else:
+    if not isinstance(domain, (Grid1D, Grid2D)):
         raise InvalidInputError("domain must be a Grid1D or Grid2D")
+    r = domain.radius
+    in_inner = (r >= condenser.inner[0]) & (r <= condenser.inner[1])
+    in_outer = (r >= condenser.outer[0]) & (r <= condenser.outer[1])
+    in_outer |= domain.boundary_mask()
     if not in_inner.any() or not in_outer.any():
         raise InvalidInputError("condenser regions resolve to empty node sets")
     mask = in_inner | in_outer

@@ -40,7 +40,10 @@ INF = math.inf
 
 def sphere_area(m: int) -> float:
     """Area of the unit (m-1)-sphere, 2 pi^(m/2) / Gamma(m/2)."""
-    return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
+    try:
+        return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
+    except OverflowError:  # Gamma(m/2) overflows from m = 344 on
+        raise InvalidInputError(f"m = {m} is too large") from None
 
 
 # ---------------------------------------------------------------------------

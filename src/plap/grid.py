@@ -13,22 +13,24 @@ component the mean of the two edge differences in its direction, over
 cell-to-node structure on which the energy Hessian is assembled, and
 ``flux_spacing`` is the smallest divisor; ``free_block(mask)`` orders
 a mask's free nodes by nested dissection and maps H.data onto their
-block.  ``cell_measure`` weighs the cells.  Changing the discretization means changing the stencil and
-``cell_measure`` only.
+block.  ``cell_measure`` weighs the cells.  Changing the
+discretization means changing the stencil and ``cell_measure`` only.
 
-Each grid also owns the nodal calculus the verifiers are written in:
-``fd_gradient`` maps values to the gradient components ([u'] in 1D,
-[u_x, u_y] in 2D), ``fd_hessian`` maps those to the Hessian components
-([u''], [u_xx, u_xy, u_yy]), and ``grad_norm``, ``hess_sq``,
-``laplacian`` and ``ricci`` read |grad u|, |Hess u|^2, Delta u and
-Ric(grad u, grad u) off that jet; on a 1D grid over a model manifold
-they are those of the radial function u(t).  ``dim`` is the dimension
-the identities are stated in.
+The nodal calculus the verifiers are written in is shared too, read off
+``spacing`` (per axis, as ``np.gradient`` takes it: the nodes in 1D,
+(hx, hy) in 2D): ``boundary_mask`` (every node on a face of the box),
+``fd_gradient`` ([u'] or [u_x, u_y]), ``fd_hessian`` of that gradient
+([u''] or [u_xx, u_xy, u_yy]) and ``grad_norm``.  Each grid states its
+geometry, radial warped or flat, in ``hess_sq``, ``laplacian``,
+``ricci`` and ``dim``: |Hess u|^2, Delta u, Ric(grad u, grad u) and the
+dimension the identities are stated in.
 
-Fields, dumps and solves are written once for both kinds: ``shape`` is
-the shape of a grid's value arrays, ``coords`` maps coordinate names to
-node arrays ({"t": nodes} or {"x": X, "y": Y}), and ``fill(mask, vals)``
-is the solver's cold start at the free nodes.
+Fields, dumps, solves and condensers are written once for both kinds:
+``shape`` is the shape of a grid's value arrays, ``coords`` maps
+coordinate names to node arrays ({"t": nodes} or {"x": X, "y": Y}),
+``fill(mask, vals)`` is the solver's cold start at the free nodes, and
+``radius`` is the coordinate a condenser's plates are read in (the
+signed t in 1D, |x| in 2D).
 
 Finite differences are 2nd order (``np.gradient``: central interior,
 one-sided at the boundary); quadrature is a measure-weighted composite
@@ -98,7 +100,31 @@ class _CellGrid:
     """D read off the grid's stencil: ``cells``, ``cell_nodes``,
     ``cell_signs`` and ``cell_scale`` (a scalar or one value per cell).
     Component i of D u at cell c is
-    sum_a cell_signs[i][a] * u[c + cell_nodes[a]] / cell_scale[i]."""
+    sum_a cell_signs[i][a] * u[c + cell_nodes[a]] / cell_scale[i].
+    The nodal calculus is read off ``spacing``, one entry per axis;
+    ``radius`` is the coordinate condenser plates are read in."""
+
+    def boundary_mask(self) -> np.ndarray:
+        """Every node on a face of the box."""
+        mask = np.ones(self.shape, dtype=bool)
+        mask[(slice(1, -1),) * mask.ndim] = False
+        return mask
+
+    def fd_gradient(self, values) -> list:
+        """[u'] or [u_x, u_y] at the nodes."""
+        return [np.gradient(values, h, axis=i, edge_order=2)
+                for i, h in enumerate(self.spacing)]
+
+    def fd_hessian(self, grad) -> list:
+        """d_j of gradient component i for j >= i: [u''] or
+        [u_xx, u_xy, u_yy] at the nodes."""
+        return [np.gradient(g, self.spacing[j], axis=j, edge_order=2)
+                for i, g in enumerate(grad)
+                for j in range(i, len(self.spacing))]
+
+    def grad_norm(self, grad) -> np.ndarray:
+        """|u'| or hypot(u_x, u_y)."""
+        return reduce(np.hypot, grad, 0.0)
 
     @cached_property
     def _cell_slices(self) -> list:
@@ -243,6 +269,8 @@ class Grid1D(_CellGrid):
         self.nodes = nodes
         self.shape = nodes.shape
         self.coords = {"t": nodes}
+        self.spacing = (nodes,)
+        self.radius = nodes
         self.h = h
         self.manifold = manifold
         self.area = manifold.area(nodes) if manifold is not None else np.ones_like(nodes)
@@ -269,11 +297,6 @@ class Grid1D(_CellGrid):
             raise InvalidInputError("grid ends must be finite")
         return cls(np.linspace(a, b, n), manifold=manifold)
 
-    def boundary_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n, dtype=bool)
-        mask[0] = mask[-1] = True
-        return mask
-
     def fill(self, mask, vals) -> np.ndarray:
         """Cold start: the fixed values interpolated linearly in t."""
         u = np.array(vals, dtype=float)
@@ -284,17 +307,6 @@ class Grid1D(_CellGrid):
     def dim(self) -> int:
         """m of the attached manifold; 1 on the flat line."""
         return self.manifold.m if self.manifold is not None else 1
-
-    def fd_gradient(self, values) -> list:
-        """[u'] at the nodes."""
-        return [np.gradient(values, self.nodes, edge_order=2)]
-
-    def fd_hessian(self, grad) -> list:
-        """[u''] at the nodes, from the nodal gradient [u']."""
-        return [np.gradient(grad[0], self.nodes, edge_order=2)]
-
-    def grad_norm(self, grad) -> np.ndarray:
-        return np.abs(grad[0])
 
     def hess_sq(self, grad, hess) -> np.ndarray:
         """|Hess u|^2 = u''^2 + (m-1) (c u')^2, c the metric factor: in an
@@ -342,8 +354,10 @@ class Grid2D(_CellGrid):
         self.shape = (nx, ny)
         self.hx = self.x[1] - self.x[0]
         self.hy = self.y[1] - self.y[0]
+        self.spacing = (self.hx, self.hy)
         self.X, self.Y = np.meshgrid(self.x, self.y, indexing="ij")
         self.coords = {"x": self.X, "y": self.Y}
+        self.radius = np.hypot(self.X, self.Y)
         # tensor trapezoid node weights
         wx = np.full(nx, self.hx)
         wx[0] = wx[-1] = self.hx / 2
@@ -354,12 +368,6 @@ class Grid2D(_CellGrid):
         self.cell_scale = (2 * self.hx, 2 * self.hy)
         self.cell_measure = self.hx * self.hy
 
-    def boundary_mask(self) -> np.ndarray:
-        mask = np.zeros((self.nx, self.ny), dtype=bool)
-        mask[0, :] = mask[-1, :] = True
-        mask[:, 0] = mask[:, -1] = True
-        return mask
-
     def fill(self, mask, vals) -> np.ndarray:
         """Cold start: the mean of the fixed values at every free node."""
         u = np.array(vals, dtype=float)
@@ -367,21 +375,6 @@ class Grid2D(_CellGrid):
         return u
 
     dim = 2
-
-    def _diff(self, v, axis: int) -> np.ndarray:
-        return np.gradient(v, (self.hx, self.hy)[axis], axis=axis, edge_order=2)
-
-    def fd_gradient(self, values) -> list:
-        """[u_x, u_y] at the nodes."""
-        return [self._diff(values, 0), self._diff(values, 1)]
-
-    def fd_hessian(self, grad) -> list:
-        """[u_xx, u_xy, u_yy] at the nodes, from the nodal gradient."""
-        return [self._diff(grad[0], 0), self._diff(grad[0], 1),
-                self._diff(grad[1], 1)]
-
-    def grad_norm(self, grad) -> np.ndarray:
-        return np.hypot(grad[0], grad[1])
 
     def hess_sq(self, grad, hess) -> np.ndarray:
         uxx, uxy, uyy = hess
@@ -410,12 +403,15 @@ class Analytic1D:
 
 
 class DiscreteField:
-    """Scalar samples on a grid, optionally backed by a closed form."""
+    """Scalar samples on a grid; on a Grid1D, optionally backed by a
+    closed form."""
 
     def __init__(self, grid, values, analytic=None):
         values = np.asarray(values, dtype=float)
         if not isinstance(grid, (Grid1D, Grid2D)):
             raise InvalidInputError("unknown grid type")
+        if analytic is not None and not isinstance(grid, Grid1D):
+            raise InvalidInputError("a closed-form descriptor needs a Grid1D")
         if values.shape != grid.shape:
             raise InvalidInputError("value shape does not match grid")
         if not np.all(np.isfinite(values)):
@@ -425,9 +421,8 @@ class DiscreteField:
         self.analytic = analytic
 
     @classmethod
-    def from_function(cls, grid, fn, analytic=None):
-        vals = np.asarray(fn(*grid.coords.values()), dtype=float)
-        return cls(grid, vals, analytic=analytic)
+    def from_function(cls, grid, fn):
+        return cls(grid, np.asarray(fn(*grid.coords.values()), dtype=float))
 
     def copy_with(self, values) -> "DiscreteField":
         return DiscreteField(self.grid, values)

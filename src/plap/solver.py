@@ -366,6 +366,25 @@ def _phi_on_nodes(M: ModelManifold, p: float, nodes: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate(([0.0], cells)))
 
 
+def _radial_profile(M: ModelManifold, p: float, nodes: np.ndarray,
+                    phi: np.ndarray, level):
+    """u(t) = level(Phi(t)) for any t, from Phi's node values ``phi``:
+    Phi at the last node at or below t plus the integral on to t (below
+    the first node, Phi there).  At the nodes u is level(phi) exactly."""
+
+    def u(t):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        k = np.clip(np.searchsorted(nodes, t, side="right") - 1,
+                    0, nodes.size - 1)
+        ph = phi[k]
+        part = t > nodes[k]
+        ph[part] += M.phi_integral(p, nodes[k[part]], t[part])
+        out = level(ph)
+        return out if out.size > 1 else float(out[0])
+
+    return u
+
+
 def _radial_derivatives(M: ModelManifold, p: float, scale: float):
     """(du, d2u) of u = const + scale Phi: du = scale A^(-1/(p-1))."""
     expo = -1.0 / (p - 1.0)
@@ -394,18 +413,8 @@ def radial_p_harmonic(M: ModelManifold, p: float, a: float, b: float,
     scale = (u_b - u_a) / phi[-1]
     vals = u_a + scale * phi
     du, d2u = _radial_derivatives(M, p, scale)
-
-    def u(t):
-        # Phi at the last node at or below t, plus the integral on to t
-        # (u = u_a below a); at the nodes u equals the field values
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        k = np.clip(np.searchsorted(grid.nodes, t, side="right") - 1, 0, n - 1)
-        ph = phi[k]
-        part = t > grid.nodes[k]
-        ph[part] += M.phi_integral(p, grid.nodes[k[part]], t[part])
-        out = u_a + scale * ph
-        return out if out.size > 1 else float(out[0])
-
+    # u = u_a below a
+    u = _radial_profile(M, p, grid.nodes, phi, lambda ph: u_a + scale * ph)
     return DiscreteField(grid, vals, analytic=Analytic1D(u=u, du=du, d2u=d2u))
 
 
@@ -427,8 +436,8 @@ def two_end_barrier(M: ModelManifold, p: float, t_min: float, t_max: float,
     phi_total = phi[-1] + M.phi_integral(p, t_max, np.inf)
     vals = phi / phi_total
     du, d2u = _radial_derivatives(M, p, 1.0 / phi_total)
-    f = DiscreteField(grid, vals, analytic=Analytic1D(
-        u=lambda t: np.interp(t, grid.nodes, vals), du=du, d2u=d2u))
+    u = _radial_profile(M, p, grid.nodes, phi, lambda ph: ph / phi_total)
+    f = DiscreteField(grid, vals, analytic=Analytic1D(u=u, du=du, d2u=d2u))
     meta = {
         "sup": float(vals.max()),
         "inf": float(vals.min()),

@@ -172,6 +172,8 @@ def bochner_residual(u: DiscreteField, p: float, eps: float) -> VerifierReport:
     each end of every axis; ring 1 is the only one whose stencil reads
     boundary values.  The residual then decays at first order in 1D and
     at second order in 2D under refinement."""
+    if not np.isfinite(eps):
+        raise InvalidInputError("eps must be finite")
     g = u.grid
     grad = g.fd_gradient(u.values)
     w = _dot(grad, grad) + eps
@@ -222,8 +224,6 @@ def bochner_s_residual(u: DiscreteField, p: float, s: float,
         raise InvalidInputError(
             "needs an analytic descriptor with u', u'', u'''")
     grid = u.grid
-    if not isinstance(grid, Grid1D):
-        raise InvalidInputError("analytic path is radial (Grid1D)")
     M = grid.manifold
     t = grid.nodes
     du, d2u, d3u = _closed_form(u, 3)
@@ -267,7 +267,7 @@ def bochner_s_residual(u: DiscreteField, p: float, s: float,
 
 def _node_gradients(f: DiscreteField):
     """|grad u| at the nodes: exact for a radial field with a descriptor."""
-    if isinstance(f.grid, Grid1D) and f.analytic is not None:
+    if f.analytic is not None:
         return np.abs(_closed_form(f, 1)[0])
     return f.grid.grad_norm(f.grid.fd_gradient(f.values))
 

@@ -102,6 +102,26 @@ def test_capacity_numeric_2d_annulus_is_pinned():
                  5.122888710632457) <= 4
 
 
+@pytest.mark.parametrize("M, p", [(warped(3, PolyEven(2.0)), 3.0),
+                                  (warped(2, Cosh()), 2.4)])
+def test_capacity_numeric_grounds_the_1d_grid_ends(M, p):
+    # the outer plate covers only t = 4; the grid's other end at t = -4
+    # is grounded with it, so this is Cap_p([-1, 1], [-4, 4]), whose
+    # closed form is Phi(-4, -1)^{1-p} + Phi(1, 4)^{1-p}.  Plate ends are
+    # nodes; the error is second order
+    exact = (M.phi_integral(p, -4.0, -1.0) ** (1.0 - p)
+             + M.phi_integral(p, 1.0, 4.0) ** (1.0 - p))
+    cond = cap.Condenser(inner=(-1.0, 1.0), outer=(4.0, 5.0))
+    errs = []
+    for n in (257, 513):
+        g = Grid1D.uniform(-4.0, 4.0, n, manifold=M)
+        num = cap.capacity_numeric(g, p, cond)
+        assert num.extremal.values[0] == num.extremal.values[-1] == 0.0
+        errs.append(abs(num.value / exact - 1.0))
+    assert errs[0] < 1e-3
+    assert np.log2(errs[0] / errs[1]) > 1.9
+
+
 def test_zero_potential_difference_has_zero_energy():
     # equal plate potentials: the minimizer is constant, p-energy 0
     g = Grid1D.uniform(1.0, 2.0, 65, manifold=M3)

@@ -300,6 +300,19 @@ def test_infinite_lambda_and_eps_are_invalid(tmp_path, exp2, capsys):
         assert not (tmp_path / (name + ".csv")).exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--manifold", "CFG", "--p", "2"],
+    ["verify", "kato", "--p", "2.5", "--m", "400"],
+])
+def test_huge_euclidean_dimension_is_invalid(tmp_path, capsys, argv):
+    # Gamma(m/2) overflowed in sphere_area: a traceback and exit 1
+    cfg = tmp_path / "e400.cfg"
+    cfg.write_text("variant = euclidean\nm = 400\n")
+    argv = [str(cfg) if a == "CFG" else a for a in argv]
+    assert cli.run([*argv, "--out", str(tmp_path)]) == cli.EXIT_INVALID
+    assert "m = 400 is too large" in capsys.readouterr().err
+
+
 def test_config_without_warp_parameter(tmp_path, capsys):
     cfg = tmp_path / "polyeven.cfg"
     cfg.write_text("variant = warped\nm = 3\nwarp.kind = polyeven\n")

@@ -32,6 +32,15 @@ def test_sphere_area_values():
     assert sphere_area(4) == pytest.approx(2 * np.pi**2)
 
 
+def test_sphere_area_of_a_huge_dimension_is_invalid():
+    # Gamma(m/2) overflows from m = 344 on; it raised OverflowError
+    assert sphere_area(343) == 3.848314693351256e-223
+    with pytest.raises(InvalidInputError, match="m = 344"):
+        sphere_area(344)
+    with pytest.raises(InvalidInputError):
+        euclidean(400)
+
+
 def test_euclidean_area():
     M = euclidean(3)
     assert M.area(2.0) == pytest.approx(16 * np.pi)

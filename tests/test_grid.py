@@ -261,6 +261,15 @@ def test_analytic_descriptor_carried():
     assert f.analytic.du(2.0) == pytest.approx(0.5)
 
 
+def test_analytic_descriptor_needs_a_1d_grid():
+    # a closed form is of a radial profile u(t); on a 2D grid the
+    # verifiers died reading grid.nodes
+    g = Grid2D(0.0, 1.0, 0.0, 1.0, 9, 9)
+    ana = Analytic1D(u=np.log, du=lambda t: 1 / t)
+    with pytest.raises(InvalidInputError, match="Grid1D"):
+        DiscreteField(g, np.ones(g.shape), analytic=ana)
+
+
 def test_dump_csv_deterministic(tmp_path):
     g = Grid1D.uniform(0, 1, 9)
     f = DiscreteField(g, np.sqrt(g.nodes + 0.1))

@@ -293,6 +293,19 @@ def test_two_end_barrier_cosh():
     assert np.all(np.diff(f.values) >= 0)
 
 
+def test_two_end_barrier_descriptor_is_the_closed_form():
+    # on the arctan model u = (arctan t + pi/2) / pi; the descriptor was a
+    # linear interpolant, 2e-2 off at cell midpoints at 65 nodes
+    M = warped(3, PolyEven(2.0))
+    f, _ = sv.two_end_barrier(M, 3.0, -30.0, 30.0, n=65)
+    t = f.grid.nodes
+    assert np.array_equal(f.analytic.u(t), f.values)
+    mid = 0.5 * (t[:-1] + t[1:])
+    np.testing.assert_allclose(f.analytic.u(mid),
+                               (np.arctan(mid) + np.pi / 2.0) / np.pi,
+                               rtol=0.0, atol=1e-12)
+
+
 def test_two_end_barrier_needs_hyperbolic_ends():
     M = warped(3, PolyEven(2.0))  # parabolic for p = 5
     with pytest.raises(NoBarrierError):

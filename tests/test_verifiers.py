@@ -159,6 +159,14 @@ def test_bochner_rejects_eps_zero():
         vf.bochner_residual(f, 0.5, 1e-3)
 
 
+@pytest.mark.parametrize("eps", [np.inf, np.nan])
+def test_bochner_rejects_nonfinite_eps(eps):
+    # it reported "field values must be finite", about f_eps^2
+    f = vf.power_radial_field(3.0, 4)
+    with pytest.raises(InvalidInputError, match="eps must be finite"):
+        vf.bochner_residual(f, 3.0, eps)
+
+
 def test_bochner_2d_linear_field():
     g = Grid2D(0, 1, 0, 1, 33, 33)
     f = DiscreteField.from_function(g, lambda x, y: x + 2 * y)
