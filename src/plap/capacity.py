@@ -73,7 +73,9 @@ def capacity_numeric(domain, p: float, condenser: Condenser,
     in_inner = (r >= condenser.inner[0]) & (r <= condenser.inner[1])
     in_outer = (r >= condenser.outer[0]) & (r <= condenser.outer[1])
     in_outer |= domain.boundary_mask()
-    if not in_inner.any() or not in_outer.any():
+    # the inner plate wins where the plates meet, so a node is grounded
+    # only outside it; with none, K covers Omega and no field is admissible
+    if not in_inner.any() or not (in_outer & ~in_inner).any():
         raise InvalidInputError("condenser regions resolve to empty node sets")
     mask = in_inner | in_outer
     vals = np.zeros(mask.shape, dtype=float)

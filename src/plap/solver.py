@@ -369,16 +369,19 @@ def _phi_on_nodes(M: ModelManifold, p: float, nodes: np.ndarray) -> np.ndarray:
 def _radial_profile(M: ModelManifold, p: float, nodes: np.ndarray,
                     phi: np.ndarray, level):
     """u(t) = level(Phi(t)) for any t, from Phi's node values ``phi``:
-    Phi at the last node at or below t plus the integral on to t (below
-    the first node, Phi there).  At the nodes u is level(phi) exactly."""
+    Phi at the last node at or below t (the first node, for t below the
+    grid) plus the integral from that node to t, negative below the
+    grid.  At the nodes u is level(phi) exactly."""
 
     def u(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         k = np.clip(np.searchsorted(nodes, t, side="right") - 1,
                     0, nodes.size - 1)
         ph = phi[k]
-        part = t > nodes[k]
-        ph[part] += M.phi_integral(p, nodes[k[part]], t[part])
+        off = t != nodes[k]
+        a, b = nodes[k[off]], t[off]
+        ph[off] += np.sign(b - a) * M.phi_integral(p, np.minimum(a, b),
+                                                   np.maximum(a, b))
         out = level(ph)
         return out if out.size > 1 else float(out[0])
 

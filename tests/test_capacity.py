@@ -122,6 +122,18 @@ def test_capacity_numeric_grounds_the_1d_grid_ends(M, p):
     assert np.log2(errs[0] / errs[1]) > 1.9
 
 
+@pytest.mark.parametrize("grid, cond", [
+    (Grid2D(-2.0, 2.0, -2.0, 2.0, 33, 33), cap.Condenser((0.0, 10.0), (20.0, 30.0))),
+    (Grid1D.uniform(-4.0, 4.0, 65, manifold=warped(2, Cosh())),
+     cap.Condenser((-5.0, 5.0), (6.0, 7.0))),
+])
+def test_capacity_numeric_needs_a_grounded_node(grid, cond):
+    # the inner plate covers the whole grid, boundary included: no node is
+    # grounded, so no field is admissible (this returned 0.0)
+    with pytest.raises(InvalidInputError):
+        cap.capacity_numeric(grid, 3.0, cond)
+
+
 def test_zero_potential_difference_has_zero_energy():
     # equal plate potentials: the minimizer is constant, p-energy 0
     g = Grid1D.uniform(1.0, 2.0, 65, manifold=M3)

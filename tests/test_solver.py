@@ -260,7 +260,7 @@ RADIAL_MODELS = [M3, euclidean(2), warped(2, Exponential(1.5)), warped(3, Cosh()
 def test_property_radial_phi_and_descriptor(M, p, a, width, n):
     # the cumulative cell sums are Phi(a, t_k) at every node, the analytic
     # descriptor reproduces the field values exactly at the nodes, and
-    # between nodes it is u_a + scale Phi(a, t)
+    # off them, below the grid too, it is u_a + scale Phi(a, t)
     b = a + width
     nodes = np.linspace(a, b, n)
     phi = sv._phi_on_nodes(M, p, nodes)
@@ -272,7 +272,18 @@ def test_property_radial_phi_and_descriptor(M, p, a, width, n):
     t = np.linspace(a, b, 7)[1:]
     want = 1.0 - 1.5 * M.phi_integral(p, a, t) / M.phi_integral(p, a, b)
     np.testing.assert_allclose(f.analytic.u(t), want, rtol=0.0, atol=1e-12)
-    assert f.analytic.u(a - 0.1) == 1.0
+    below = 1.0 + 1.5 * M.phi_integral(p, a - 0.1, a) / M.phi_integral(p, a, b)
+    np.testing.assert_allclose(f.analytic.u(a - 0.1), below,
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_radial_p_harmonic_descriptor_off_the_grid():
+    # u = 1 - log2 t on euclidean(3), p = 3, [1, 2]; below the first node
+    # the descriptor held u(1) = 1
+    f = sv.radial_p_harmonic(M3, 3.0, 1.0, 2.0, 1.0, 0.0, n=65)
+    t = np.array([0.5, 0.9, 2.5, 3.0])
+    np.testing.assert_allclose(f.analytic.u(t), 1.0 - np.log2(t),
+                               rtol=1e-12, atol=0.0)
 
 
 def test_radial_p_harmonic_constant_case():
@@ -304,6 +315,11 @@ def test_two_end_barrier_descriptor_is_the_closed_form():
     np.testing.assert_allclose(f.analytic.u(mid),
                                (np.arctan(mid) + np.pi / 2.0) / np.pi,
                                rtol=0.0, atol=1e-12)
+    # off the grid at both ends (u(-40) held u(-30) = 0.010606)
+    off = np.array([-40.0, -31.0, 31.0, 40.0])
+    np.testing.assert_allclose(f.analytic.u(off),
+                               (np.arctan(off) + np.pi / 2.0) / np.pi,
+                               rtol=1e-12, atol=0.0)
 
 
 def test_two_end_barrier_needs_hyperbolic_ends():
