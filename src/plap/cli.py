@@ -7,6 +7,10 @@ uses 12 significant digits so golden files are meaningful.
 Options are checked and loaded as they are parsed: ``--p`` must exceed 1,
 ``--samples`` must be at least 1, and ``--manifold`` is read into a
 ModelManifold, so a subcommand only runs on valid inputs.
+
+``verify <name>`` (kato, strong_form, bochner, bochner_s, monotonicity,
+regularization) writes its report rows to ``verify_<name>.csv`` and
+prints them; a CSV is written before anything is printed.
 """
 
 from __future__ import annotations
@@ -41,15 +45,6 @@ EXIT_INVALID = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-def _num(s: str) -> float:
-    s = s.strip().lower()
-    if s in ("inf", "+inf"):
-        return np.inf
-    if s == "-inf":
-        return -np.inf
-    return float(s)
-
-
 def load_manifold(path: str) -> ModelManifold:
     """key = value config: variant, m, warp.kind, warp.<param>, domain,
     ricci_N_lower.  The ``--manifold`` type: argparse would reword a
@@ -72,7 +67,7 @@ def load_manifold(path: str) -> ModelManifold:
         domain = None
         if "domain" in kv:
             lo, hi = kv["domain"].split()
-            domain = (_num(lo), _num(hi))
+            domain = (float(lo), float(hi))
         if variant == "euclidean":
             return euclidean(m, domain=domain or (0.0, np.inf))
         if kind == "power":
@@ -101,13 +96,25 @@ def _outdir(args) -> str:
     return d
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    with open(path, "w") as fh:
+def _verdict(ok) -> str:
+    return "pass" if ok else "FAIL"
+
+
+def _line(row, sep: str) -> str:
+    return sep.join((FMT % v) if isinstance(v, float) else str(v) for v in row)
+
+
+def _finish(args, name, header, rows, lines=(), ok=True) -> int:
+    """Write ``<out>/<name>.csv``, then print ``lines`` and where the CSV
+    went: an unwritable ``--out`` exits 2 before anything is printed."""
+    out = os.path.join(_outdir(args), name + ".csv")
+    with open(out, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(
-                (FMT % v) if isinstance(v, float) else str(v)
-                for v in row) + "\n")
+        fh.writelines(_line(row, ",") + "\n" for row in rows)
+    for ln in lines:
+        print(ln)
+    print("wrote " + out)
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def _checked(kind, ok, message):
@@ -155,26 +162,27 @@ def cmd_continuation(args) -> int:
     fields, rep = sv.epsilon_continuation(args.p, grid, (args.ua, args.ub), cfg)
     rows = [(s["eps"], s["energy_p"], s["energy_eps"], d)
             for s, d in zip(rep.steps, rep.distances_to_final)]
-    out = os.path.join(_outdir(args), "continuation.csv")
-    _write_csv(out, "eps,E_p,E_p_eps,w1p_dist_to_final", rows)
     ok = all(s["pass"] for s in rep.sandwich)
-    print("final E_p = " + FMT % rep.steps[-1]["energy_p"])
-    print("sandwich = " + ("pass" if ok else "FAIL"))
-    print("wrote " + out)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return _finish(args, "continuation", "eps,E_p,E_p_eps,w1p_dist_to_final",
+                   rows, ["final E_p = " + FMT % rep.steps[-1]["energy_p"],
+                          "sandwich = " + _verdict(ok)], ok)
+
+
+def _capacities(M, p, a, b, nodes):
+    """(analytic, numeric) p-capacity of the condenser [a, b] on M, the
+    numeric one with its plates on the end nodes of a uniform grid."""
+    ana = cap.capacity_analytic(M, p, a, b).value
+    grid = Grid1D.uniform(a, b, nodes, manifold=M)
+    pad = 1e-9 * (b - a)
+    cond = cap.Condenser(inner=(a - pad, a + pad), outer=(b - pad, b + pad))
+    return ana, cap.capacity_numeric(grid, p, cond).value
 
 
 def cmd_capacity(args) -> int:
-    M = args.manifold
-    ana = cap.capacity_analytic(M, args.p, args.a, args.b)
-    grid = Grid1D.uniform(args.a, args.b, args.nodes, manifold=M)
-    pad = 1e-9 * (args.b - args.a)
-    cond = cap.Condenser(inner=(args.a - pad, args.a + pad),
-                         outer=(args.b - pad, args.b + pad))
-    num = cap.capacity_numeric(grid, args.p, cond)
-    print("analytic = " + FMT % ana.value)
-    print("numeric = " + FMT % num.value)
-    rel = abs(num.value - ana.value) / ana.value
+    ana, num = _capacities(args.manifold, args.p, args.a, args.b, args.nodes)
+    print("analytic = " + FMT % ana)
+    print("numeric = " + FMT % num)
+    rel = abs(num - ana) / ana
     print("relative_difference = " + FMT % rel)
     return EXIT_OK if rel <= 0.01 else EXIT_CHECK_FAILED
 
@@ -198,24 +206,18 @@ def cmd_barrier(args) -> int:
 def cmd_decay(args) -> int:
     res = cap.tail_energy_profile(args.manifold, args.p, args.r0,
                                   args.lambda_p, args.R)
-    out = os.path.join(_outdir(args), "decay.csv")
-    _write_csv(out, "R,tail,bound,pass",
-               [(r["R"], r["tail"], r["bound"], r["pass"]) for r in res["rows"]])
-    print("C3 = " + FMT % res["C3"])
-    print("slope_ok = %s, bound_ok = %s" % (res["slope_ok"], res["bound_ok"]))
-    print("wrote " + out)
-    return EXIT_OK if res["ok"] else EXIT_CHECK_FAILED
+    return _finish(args, "decay", "R,tail,bound,pass",
+                   [(r["R"], r["tail"], r["bound"], r["pass"])
+                    for r in res["rows"]],
+                   ["C3 = " + FMT % res["C3"], "slope_ok = %s, bound_ok = %s"
+                    % (res["slope_ok"], res["bound_ok"])], res["ok"])
 
 
 def cmd_volume(args) -> int:
     res = cap.volume_growth_check(args.manifold, args.p, args.lambda_p, args.R)
-    out = os.path.join(_outdir(args), "volume.csv")
-    _write_csv(out, "R,measured,bound,pass",
-               [(r["R"], r["measured"], r["bound"], r["pass"])
-                for r in res["rows"]])
-    print("kind = " + res["kind"])
-    print("wrote " + out)
-    return EXIT_OK if res["ok"] else EXIT_CHECK_FAILED
+    return _finish(args, "volume", "R,measured,bound,pass",
+                   [(r["R"], r["measured"], r["bound"], r["pass"])
+                    for r in res["rows"]], ["kind = " + res["kind"]], res["ok"])
 
 
 # the items of ``verifiers.example_gallery`` that ``--gallery`` names
@@ -229,124 +231,95 @@ def _gallery_item(tag: str) -> dict:
                 if item["name"] == _GALLERY_TAGS[tag])
 
 
-def _gallery_field(tag: str, p=None):
-    """The gallery field ``tag`` and p: the given one, or the field's own."""
-    item = _gallery_item(tag)
-    return item["field"], (item["p"] if p is None else p)
+def _target(args, default_tag):
+    """(field, p) for a field verifier: the ``--gallery`` field, else
+    ``default_tag``'s, at ``--p`` or the field's own p.  Without either
+    tag (``kato``) it is the radial field that ``--p``/``--m`` name."""
+    tag = args.gallery or default_tag
+    if tag is not None:
+        item = _gallery_item(tag)
+        return item["field"], (item["p"] if args.p is None else args.p)
+    if args.p is None or args.m is None:
+        raise InvalidInputError("verify kato needs --gallery or --p/--m")
+    f = vf.power_radial_field(p=args.p, m=args.m) \
+        if args.p != args.m else vf.log_radial_field(m=args.m)
+    return f, args.p
+
+
+def _bochner_s(args):
+    f, p = _target(args, "b")
+    return [vf.bochner_s_residual(f, p, p - 2.0 if args.s is None else args.s,
+                                  args.eps)]
+
+
+def _monotonicity(args):
+    """One report per p: C_emp as both bounds, passing with that p's sweep."""
+    res = vf.monotonicity_suite(seed=args.seed, n=args.samples)
+    return [vf.VerifierReport(name="monotonicity_p%g" % p, minimum=r["C_emp"],
+                              maximum=r["C_emp"], mean=r["C_emp"],
+                              threshold=0.0, passed=r["ok"], details=r)
+            for p, r in res.items() if p != "ok"]
+
+
+# verify's checks: name -> function of the parsed options returning a list
+# of VerifierReport.  Each looks ``vf.<verifier>`` up as it runs, so a
+# verifier wrapped in the module after import is the one called.
+_VERIFIERS = {
+    "kato": lambda a: [vf.kato_ratio(*_target(a, None))],
+    "strong_form": lambda a: [vf.strong_form_residual(*_target(a, "b"))],
+    "bochner": lambda a: [vf.bochner_residual(*_target(a, "b"), a.eps)],
+    "bochner_s": _bochner_s,
+    "monotonicity": _monotonicity,
+    "regularization": lambda a: [vf.regularization_suite(a.samples, a.seed)],
+}
 
 
 def cmd_verify(args) -> int:
-    name = args.name
-    reports = []
-    if name == "kato":
-        if args.gallery:
-            f, p = _gallery_field(args.gallery, args.p)
-        elif args.p is not None and args.m is not None:
-            f = vf.power_radial_field(p=args.p, m=args.m) \
-                if args.p != args.m else vf.log_radial_field(m=args.m)
-            p = args.p
-        else:
-            raise InvalidInputError("verify kato needs --gallery or --p/--m")
-        reports.append(vf.kato_ratio(f, p))
-    elif name == "strong_form":
-        f, p = _gallery_field(args.gallery or "b", args.p)
-        reports.append(vf.strong_form_residual(f, p))
-    elif name == "bochner":
-        f, p = _gallery_field(args.gallery or "b", args.p)
-        reports.append(vf.bochner_residual(f, p, args.eps))
-    elif name == "bochner_s":
-        f, p = _gallery_field(args.gallery or "b", args.p)
-        reports.append(vf.bochner_s_residual(f, p, args.s if args.s is not None
-                                             else p - 2.0, args.eps))
-    elif name == "monotonicity":
-        res = vf.monotonicity_suite(seed=args.seed, n=args.samples)
-        print("monotonicity = " + ("pass" if res["ok"] else "FAIL"))
-        return EXIT_OK if res["ok"] else EXIT_CHECK_FAILED
-    elif name == "regularization":
-        rng = np.random.default_rng(args.seed)
-        bad = 0
-        for _ in range(args.samples):
-            p = rng.uniform(1.0, 6.0)
-            X = rng.normal(size=3)
-            Y = rng.normal(size=3)
-            if np.linalg.norm(X) < np.linalg.norm(Y):
-                X, Y = Y, X
-            rep = vf.regularization_gap(X, Y, rng.uniform(0, 1),
-                                        p, rng.uniform(0.1, 2.0))
-            bad += not rep.passed
-        print("regularization violations = %d / %d" % (bad, args.samples))
-        return EXIT_OK if bad == 0 else EXIT_CHECK_FAILED
-    else:
-        raise InvalidInputError(f"unknown verifier {name!r}")
-    out = os.path.join(_outdir(args), "verify_%s.csv" % name)
-    _write_csv(out, "check,min,max,threshold,pass",
-               [(r.name, r.minimum, r.maximum, r.threshold,
-                 "pass" if r.passed else "FAIL") for r in reports])
-    ok = all(r.passed for r in reports)
-    for r in reports:
-        print("%s: min=%s max=%s threshold=%s %s" % (
-            r.name, FMT % r.minimum, FMT % r.maximum, FMT % r.threshold,
-            "pass" if r.passed else "FAIL"))
-    print("wrote " + out)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    if args.name not in _VERIFIERS:
+        raise InvalidInputError(f"unknown verifier {args.name!r}")
+    reports = _VERIFIERS[args.name](args)
+    rows = [(r.name, r.minimum, r.maximum, r.threshold, _verdict(r.passed))
+            for r in reports]
+    return _finish(args, "verify_" + args.name, "check,min,max,threshold,pass",
+                   rows, ["%s: min=%s max=%s threshold=%s %s"
+                          % (name, FMT % lo, FMT % hi, FMT % thr, verdict)
+                          for name, lo, hi, thr, verdict in rows],
+                   all(r.passed for r in reports))
 
 
 def cmd_gallery(args) -> int:
-    rows = []
+    rows, lines = [], []
     for item in vf.example_gallery():
         exp = item["expected"]
         rows.append((item["name"], item["p"],
                      float(exp.get("kato_ratio", np.nan)),
                      float(exp.get("residual", np.nan))))
-        print("%s: p=%s expected=%s" % (item["name"], FMT % item["p"], exp))
-    out = os.path.join(_outdir(args), "gallery.csv")
-    _write_csv(out, "name,p,expected_kato_ratio,expected_residual", rows)
-    print("wrote " + out)
-    return EXIT_OK
+        lines.append("%s: p=%s expected=%s" % (item["name"], FMT % item["p"], exp))
+    return _finish(args, "gallery", "name,p,expected_kato_ratio,expected_residual",
+                   rows, lines)
 
 
 def cmd_report(args) -> int:
-    """Small battery: capacity oracle, Kato ratios, monotonicity sample."""
-    lines = []
-    ok = True
-
-    M = euclidean(3)
-    ana = cap.capacity_analytic(M, 2.0, 1.0, 2.0).value
-    grid = Grid1D.uniform(1.0, 2.0, 513, manifold=M)
-    cond = cap.Condenser(inner=(1.0, 1.0), outer=(2.0, 2.0))
-    num = cap.capacity_numeric(grid, 2.0, cond).value
-    good = abs(num - ana) / ana < 0.01
-    ok &= good
-    lines.append("capacity_oracle,%s,%s,%s" % (FMT % num, FMT % ana,
-                                               "pass" if good else "FAIL"))
-
+    """Small battery: capacity oracle, Kato ratios, monotonicity sample.
+    Each row ends in its verdict; report.txt holds the same rows."""
+    ana, num = _capacities(euclidean(3), 2.0, 1.0, 2.0, 513)
+    rows = [("capacity_oracle", num, ana, abs(num - ana) / ana < 0.01)]
     for tag in ("a", "b"):
         item = _gallery_item(tag)
         expect = item["expected"]["kato_ratio"]
         rep = vf.kato_ratio(item["field"], item["p"])
-        good = abs(rep.mean - expect) < 1e-3 and rep.passed
-        ok &= good
-        lines.append("kato_%s,%s,%s,%s" % (tag, FMT % rep.mean, FMT % expect,
-                                           "pass" if good else "FAIL"))
-
+        rows.append(("kato_" + tag, rep.mean, expect,
+                     abs(rep.mean - expect) < 1e-3 and rep.passed))
     mono = vf.monotonicity_suite(n=2000, seed=args.seed)
-    ok &= mono["ok"]
-    lines.append("monotonicity,%d,%d,%s" % (
-        sum(mono[p]["violations"] for p in (1.5, 2.0, 3.0, 4.0)), 0,
-        "pass" if mono["ok"] else "FAIL"))
-
-    d = _outdir(args)
-    out = os.path.join(d, "report.csv")
-    with open(out, "w") as fh:
-        fh.write("check,measured,expected,pass\n")
-        fh.write("\n".join(lines) + "\n")
-    with open(os.path.join(d, "report.txt"), "w") as fh:
-        fh.write("overall: %s\n" % ("pass" if ok else "FAIL"))
-        for ln in lines:
-            fh.write(ln.replace(",", "  ") + "\n")
-    print("overall: %s" % ("pass" if ok else "FAIL"))
-    print("wrote " + out)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    rows.append(("monotonicity", sum(r["violations"] for p, r in mono.items()
+                                     if p != "ok"), 0, mono["ok"]))
+    ok = all(row[-1] for row in rows)
+    rows = [row[:-1] + (_verdict(row[-1]),) for row in rows]
+    with open(os.path.join(_outdir(args), "report.txt"), "w") as fh:
+        fh.write("overall: %s\n" % _verdict(ok))
+        fh.writelines(_line(row, "  ") + "\n" for row in rows)
+    return _finish(args, "report", "check,measured,expected,pass", rows,
+                   ["overall: " + _verdict(ok)], ok)
 
 
 # ---------------------------------------------------------------------------

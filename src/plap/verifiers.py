@@ -497,6 +497,29 @@ def regularization_gap(X, Y, eps: float, p: float,
         details={"a": a, "delta": delta, "lhs": lhs, "rhs": rhs})
 
 
+def regularization_suite(n: int = 10_000, seed: int = 0) -> VerifierReport:
+    """regularization_gap on n pairs drawn in this order from one stream:
+    p ~ U(1, 6), X, Y ~ N(0, I_3) swapped so |X| >= |Y|, eps ~ U(0, 1),
+    delta1 ~ U(0.1, 2).  Bounds: least and greatest margin rhs - lhs."""
+    if n < 1:
+        raise InvalidInputError("regularization_suite needs n >= 1")
+    rng = np.random.default_rng(seed)
+    margins, bad = [], 0
+    for _ in range(n):
+        p = rng.uniform(1.0, 6.0)
+        X, Y = rng.normal(size=3), rng.normal(size=3)
+        if np.linalg.norm(X) < np.linalg.norm(Y):
+            X, Y = Y, X
+        rep = regularization_gap(X, Y, rng.uniform(0, 1), p,
+                                 rng.uniform(0.1, 2.0))
+        margins.append(rep.mean)  # rhs - lhs
+        bad += not rep.passed
+    return VerifierReport(
+        name="regularization_gap", minimum=min(margins), maximum=max(margins),
+        mean=float(np.mean(margins)), threshold=0.0, passed=bad == 0,
+        details={"violations": bad})
+
+
 def weighted_poincare_check(M: ModelManifold,
                             fields: Sequence[DiscreteField]) -> VerifierReport:
     """int rho Psi^2 dv <= int |grad Psi|^2 dv for compactly supported Psi

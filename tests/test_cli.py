@@ -214,12 +214,39 @@ def test_verify_monotonicity(tmp_path):
     rc = cli.run(["verify", "monotonicity", "--samples", "2000",
                   "--out", str(tmp_path)])
     assert rc == cli.EXIT_OK
+    # it used to write nothing, --out or not
+    rows = (tmp_path / "verify_monotonicity.csv").read_text().splitlines()
+    assert rows[0] == "check,min,max,threshold,pass"
+    assert [r.split(",")[0] for r in rows[1:]] == [
+        "monotonicity_p1.5", "monotonicity_p2", "monotonicity_p3",
+        "monotonicity_p4"]
+    assert all(r.endswith(",0,pass") for r in rows[1:])
 
 
-def test_verify_regularization(tmp_path):
+def test_verify_regularization(tmp_path, capsys):
     rc = cli.run(["verify", "regularization", "--samples", "500",
                   "--out", str(tmp_path)])
     assert rc == cli.EXIT_OK
+    rows = (tmp_path / "verify_regularization.csv").read_text().splitlines()
+    assert rows[0] == "check,min,max,threshold,pass"
+    assert len(rows) == 2 and rows[1].startswith("regularization_gap,")
+    assert rows[1].endswith(",0,pass")
+    assert capsys.readouterr().out.splitlines()[-1].startswith("wrote ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "kato", "--gallery", "a"],
+    ["verify", "monotonicity", "--samples", "10"],
+    ["decay", "--manifold", "{cfg}", "--p", "2", "--lambda-p", "0.25",
+     "--R", "2", "4"],
+])
+def test_unwritable_out_prints_nothing(tmp_path, exp2, capsys, argv):
+    # the CSV is written before anything is printed
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = [a.format(cfg=exp2) for a in argv]
+    assert cli.run(argv + ["--out", str(taken)]) == cli.EXIT_INVALID
+    assert capsys.readouterr().out == ""
 
 
 def test_gallery_and_report(tmp_path):
@@ -463,6 +490,9 @@ def test_p_is_checked_as_parsed(tmp_path, euclid3, capsys, argv, p):
      "could not convert string to float: 'x'"),
     ("variant = euclidean\nm = 3\ndomain = 1\n",
      "not enough values to unpack (expected 2, got 1)"),
+    # echoed as written
+    ("variant = euclidean\nm = 3\ndomain = 1 ABC\n",
+     "could not convert string to float: 'ABC'"),
 ])
 def test_malformed_config_number(tmp_path, capsys, body, message):
     # argparse would reword a ValueError raised while loading --manifold
@@ -471,6 +501,17 @@ def test_malformed_config_number(tmp_path, capsys, body, message):
     rc = cli.run(["classify", "--manifold", str(cfg), "--p", "2"])
     assert rc == cli.EXIT_INVALID
     assert capsys.readouterr().err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("body, domain", [
+    ("variant = euclidean\nm = 3\ndomain = 0 INF\n", (0.0, np.inf)),
+    ("variant = warped\nm = 2\nwarp.kind = exponential\nwarp.beta = 1\n"
+     "domain = -Inf 0\n", (-np.inf, 0.0)),
+])
+def test_config_infinite_domain_end(tmp_path, body, domain):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(body)
+    assert tuple(cli.load_manifold(str(cfg)).domain) == domain
 
 
 def test_undecodable_config(tmp_path, capsys):

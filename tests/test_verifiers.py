@@ -451,6 +451,28 @@ def test_regularization_gap_validation():
         vf.regularization_gap([1.0], [0.5], 0.1, 3.0, 0.0)
 
 
+def test_regularization_suite_matches_pairwise_loop():
+    # the same stream drawn pair by pair: p, X, Y, the swap, eps, delta1
+    rng = np.random.default_rng(0)
+    margins, bad = [], 0
+    for _ in range(500):
+        p = rng.uniform(1.0, 6.0)
+        X = rng.normal(size=3)
+        Y = rng.normal(size=3)
+        if np.linalg.norm(X) < np.linalg.norm(Y):
+            X, Y = Y, X
+        eps, delta1 = rng.uniform(0, 1), rng.uniform(0.1, 2.0)
+        rep = vf.regularization_gap(X, Y, eps, p, delta1)
+        margins.append(rep.details["rhs"] - rep.details["lhs"])
+        bad += not rep.passed
+    rep = vf.regularization_suite(n=500, seed=0)
+    assert rep.name == "regularization_gap" and rep.threshold == 0.0
+    assert rep.details["violations"] == bad == 0 and rep.passed
+    assert rep.minimum == min(margins) and rep.maximum == max(margins)
+    with pytest.raises(InvalidInputError):
+        vf.regularization_suite(n=0)
+
+
 def test_weighted_poincare_cosh():
     M = warped(4, Cosh())
     grid = Grid1D.uniform(-6.0, 6.0, 513, manifold=M)
