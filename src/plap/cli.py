@@ -10,7 +10,9 @@ ModelManifold, so a subcommand only runs on valid inputs.
 
 ``verify <name>`` (kato, strong_form, bochner, bochner_s, monotonicity,
 regularization) writes its report rows to ``verify_<name>.csv`` and
-prints them; a CSV is written before anything is printed.
+prints them.  Every CSV, the field tables of ``solve`` and ``barrier``
+included, goes through one writer in the number format ``FMT``, and is
+written before anything is printed.
 """
 
 from __future__ import annotations
@@ -145,15 +147,13 @@ def cmd_solve(args) -> int:
     cfg = sv.SolveConfig(max_newton_iters=args.max_iters)
     f, rep = sv.solve_dirichlet(EnergySpec(args.p, args.eps), grid,
                                 (args.ua, args.ub), cfg=cfg)
-    out = os.path.join(_outdir(args), "solution.csv")
-    dump_csv(f, out)
     step = rep.steps[-1]
-    print("energy_eps = " + FMT % step["energy_eps"])
-    print("energy_p = " + FMT % step["energy_p"])
     # a cold solve retried along the eps path reports every step
-    print("iterations = %d" % sum(s["iterations"] for s in rep.steps))
-    print("wrote " + out)
-    return EXIT_OK
+    iters = sum(s["iterations"] for s in rep.steps)
+    return _finish(args, "solution", *dump_csv(f),
+                   ["energy_eps = " + FMT % step["energy_eps"],
+                    "energy_p = " + FMT % step["energy_p"],
+                    "iterations = %d" % iters])
 
 
 def cmd_continuation(args) -> int:
@@ -195,12 +195,8 @@ def cmd_classify(args) -> int:
 def cmd_barrier(args) -> int:
     f, meta = sv.two_end_barrier(args.manifold, args.p, args.tmin, args.tmax,
                                  n=args.nodes)
-    out = os.path.join(_outdir(args), "barrier.csv")
-    dump_csv(f, out)
-    for k in ("sup", "inf", "E_p"):
-        print(k + " = " + FMT % meta[k])
-    print("wrote " + out)
-    return EXIT_OK
+    return _finish(args, "barrier", *dump_csv(f),
+                   [k + " = " + FMT % meta[k] for k in ("sup", "inf", "E_p")])
 
 
 def cmd_decay(args) -> int:

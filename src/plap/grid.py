@@ -87,6 +87,17 @@ class FreeBlock(NamedTuple):
     indptr: np.ndarray
 
 
+def _trapezoid(widths) -> np.ndarray:
+    """Tensor trapezoid node weights from per-axis cell widths: on each
+    axis h_{i-1}/2 + h_i/2, a width past either end counting 0.  Halving
+    is exact, so this is (h_{i-1} + h_i)/2 to the bit."""
+    axes = []
+    for h in widths:
+        half = np.concatenate(([0.0], h / 2, [0.0]))
+        axes.append(half[:-1] + half[1:])
+    return reduce(np.multiply.outer, axes)
+
+
 def _signed_sum(terms, plus, minus):
     """The terms indexed by ``plus`` added in order, then those indexed
     by ``minus`` subtracted in order.  In this order D and D^T are bit
@@ -276,12 +287,7 @@ class Grid1D(_CellGrid):
         self.area = manifold.area(nodes) if manifold is not None else np.ones_like(nodes)
         if np.any(self.area <= 0):
             raise InvalidInputError("area weight must be positive on the grid")
-        # trapezoid node weights: A_i * (h_{i-1} + h_i)/2
-        w = np.empty_like(nodes)
-        w[0] = h[0] / 2
-        w[-1] = h[-1] / 2
-        w[1:-1] = (h[:-1] + h[1:]) / 2
-        self.weights = self.area * w
+        self.weights = self.area * _trapezoid([h])
         self.cells = h.shape
         self.cell_scale = (h,)
         self.cell_measure = h * (self.area[:-1] + self.area[1:]) / 2.0
@@ -358,12 +364,8 @@ class Grid2D(_CellGrid):
         self.X, self.Y = np.meshgrid(self.x, self.y, indexing="ij")
         self.coords = {"x": self.X, "y": self.Y}
         self.radius = np.hypot(self.X, self.Y)
-        # tensor trapezoid node weights
-        wx = np.full(nx, self.hx)
-        wx[0] = wx[-1] = self.hx / 2
-        wy = np.full(ny, self.hy)
-        wy[0] = wy[-1] = self.hy / 2
-        self.weights = np.outer(wx, wy)
+        self.weights = _trapezoid([np.full(nx - 1, self.hx),
+                                   np.full(ny - 1, self.hy)])
         self.cells = (nx - 1, ny - 1)
         self.cell_scale = (2 * self.hx, 2 * self.hy)
         self.cell_measure = self.hx * self.hy
@@ -459,13 +461,11 @@ def wp_distance(f1: DiscreteField, f2: DiscreteField, p: float) -> float:
     return lp_norm(diff, p) + wp_seminorm(diff, p)
 
 
-def dump_csv(f: DiscreteField, path) -> None:
-    """CSV dump: node coordinates, value, |grad|, measure weight."""
+def dump_csv(f: DiscreteField):
+    """A field's CSV table (header, rows): per node its coordinates,
+    value, |grad| and measure weight, nodes in raveled order."""
     g = f.grid
     gm = g.grad_norm(g.fd_gradient(f.values))
     cols = [*g.coords.values(), f.values, gm, g.weights]
-    rows = np.column_stack([c.ravel() for c in cols]).tolist()
-    line = ",".join(["%.12g"] * len(cols)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join([*g.coords, "value", "grad_mag", "weight"]) + "\n")
-        fh.write("".join(line % tuple(r) for r in rows))
+    return (",".join([*g.coords, "value", "grad_mag", "weight"]),
+            np.column_stack([c.ravel() for c in cols]).tolist())

@@ -1,17 +1,25 @@
 """Numerical checks of the pointwise identities and integral estimates.
 
-The pointwise checks (Kato ratio, strong form, Bochner identity) are each
-one formula written in the grid's nodal calculus: the nodal jet
-(``fd_gradient``, ``fd_hessian``) and ``grad_norm``, ``hess_sq``,
-``laplacian`` and ``ricci``, which on a 1D grid are those of a radial
-field on the attached model manifold and on a 2D grid those of a flat
-field.  A radial field with a closed-form descriptor supplies its jet
-exactly.  The Bochner check's L_eps is the energy Hessian itself
-(``energy.linearized_action``, the operator the Newton solve linearizes
-with); its residual decays at order 1 in 1D and order 2 in 2D once two
-nodes are trimmed at each end of every axis.  Every collar is a number
-of nodes cut off each end of every axis, so no pointwise check asks
-which kind of grid it has.
+The pointwise checks (Kato ratio, strong form, Bochner identities) are
+each one formula in the grid's nodal calculus (``fd_gradient``,
+``fd_hessian``, ``grad_norm``, ``hess_sq``, ``laplacian``, ``ricci``: of
+a radial field on the attached model manifold in 1D, of a flat field in
+2D), so none asks which kind of grid it has.  ``_jet`` reads the jet off
+a closed-form descriptor that has it, else differences it; ``_kept``
+keeps the nodes outside a collar cut off each end of every axis where
+|grad u| > 1e-8 of its maximum there.  The Bochner check's L_eps is the
+energy Hessian itself (``energy.linearized_action``).
+
+A check's numbers become a ``VerifierReport`` in one of three ways:
+- ratio (``kato_ratio``): the per-node ratio against 1 + kappa - 1e-3;
+- identity (``_identity``): the residual |lhs - rhs| at the kept nodes
+  against tol * scale, scale = max |lhs| + max |rhs| + 1 there; tol is
+  1e-8 (rounding level) for the closed-form ``bochner_s_residual`` and
+  1e-2 (truncation level) for the differenced strong form and Bochner
+  residuals;
+- inequality (``_margins``): the margins rhs - lhs against threshold 0.
+``excluded`` counts every node a nodal check did not read, collar
+included.
 """
 
 from __future__ import annotations
@@ -67,19 +75,68 @@ class VerifierReport:
 
 
 # ---------------------------------------------------------------------------
-# nodal calculus helpers
+# reductions: how a check's numbers become a report
 # ---------------------------------------------------------------------------
 
 
-def _closed_form(field: DiscreteField, order: int) -> list:
-    """u', ..., u^(order) at the nodes from a radial field's descriptor."""
-    a, t = field.analytic, field.grid.nodes
-    return [np.asarray(d(t), float) for d in (a.du, a.d2u, a.d3u)[:order]]
+# identity tolerances, of scale: differenced residuals stay below 1.3e-3
+# at a gallery or test field's own p; gallery fields reach 1.3e-2 at p±0.1
+_EXACT_TOL = 1e-8
+_DIFFERENCED_TOL = 1e-2
 
 
 def _dot(a, b):
     """Nodewise inner product of two gradients given as component lists."""
     return sum(x * y for x, y in zip(a, b))
+
+
+def _jet(u: DiscreteField, order: int):
+    """(derivatives, exact): u's first ``order`` nodal derivatives as
+    component lists ([u'] or [u_x, u_y], [u''] or [u_xx, u_xy, u_yy],
+    [u''']), read off the closed-form descriptor when it has all of
+    them, else the first two differenced."""
+    a = u.analytic
+    closed = [] if a is None else [a.du, a.d2u, a.d3u][:order]
+    if closed and None not in closed:
+        return [[np.asarray(d(u.grid.nodes), float)] for d in closed], True
+    grad = u.grid.fd_gradient(u.values)
+    return [grad, u.grid.fd_hessian(grad)][:order], False
+
+
+def _kept(grid, grad_mag, collar: int) -> np.ndarray:
+    """The nodes outside a collar of ``collar`` nodes at each end of every
+    axis where |grad u| > 1e-8 max |grad u| over those nodes; all of
+    them where u is flat there."""
+    inner = tuple(slice(collar, n - collar) for n in grid.shape)
+    keep = np.zeros(grid.shape, dtype=bool)
+    top = np.max(grad_mag[inner], initial=0.0)
+    keep[inner] = grad_mag[inner] > 1e-8 * top if top > 0 else True
+    return keep
+
+
+def _identity(name, lhs, rhs, keep, tol, /, **details) -> VerifierReport:
+    """lhs = rhs at the kept nodes: the residual |lhs - rhs| against
+    tol * scale, scale = max |lhs| + max |rhs| + 1 over those nodes."""
+    lhs, rhs = lhs[keep], rhs[keep]
+    res = np.abs(lhs - rhs)
+    scale = float(np.max(np.abs(lhs)) + np.max(np.abs(rhs)) + 1.0)
+    return VerifierReport(
+        name=name, minimum=float(res.min()), maximum=float(res.max()),
+        mean=float(res.mean()), threshold=tol * scale,
+        passed=bool(np.max(res) <= tol * scale),
+        excluded=int(keep.size - keep.sum()),
+        details={**details, "scale": scale})
+
+
+def _margins(name, lhs, rhs, slack, /, **details) -> VerifierReport:
+    """lhs <= rhs, one inequality or many: the margins rhs - lhs against
+    threshold 0, passing when every lhs <= rhs + slack."""
+    lhs, rhs = np.asarray(lhs, float), np.asarray(rhs, float)
+    margin = rhs - lhs
+    return VerifierReport(
+        name=name, minimum=float(margin.min()), maximum=float(margin.max()),
+        mean=float(margin.mean()), threshold=0.0,
+        passed=bool(np.all(lhs <= rhs + slack)), details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -88,37 +145,24 @@ def _dot(a, b):
 
 
 def kato_ratio(u: DiscreteField, p: float, collar: int = 2) -> VerifierReport:
-    """Per-node |Hess u|^2 / |grad|grad u||^2 with degenerate nodes excluded.
-
-    The pass threshold is 1 + kappa(p, m, RefinedKS) - 1e-3; nodes where
-    |grad u| is at most 1e-8 of its maximum are degenerate, and nodes
-    where the denominator vanishes count as +inf (the bound holds
-    vacuously).
-    """
+    """Per-node |Hess u|^2 / |grad|grad u||^2 at the kept nodes against
+    1 + kappa(p, m, RefinedKS) - 1e-3; a closed-form jet needs no collar,
+    and a vanishing denominator counts as +inf (the bound holds
+    vacuously)."""
     g = u.grid
     thr = 1.0 + kappa(p, g.dim, "RefinedKS") - 1e-3
-    closed = u.analytic is not None and u.analytic.d2u is not None
-    if closed:
-        du, d2u = _closed_form(u, 2)
-        grad, hess = [du], [d2u]
-    else:
-        grad = g.fd_gradient(u.values)
-        hess = g.fd_hessian(grad)
+    if collar < 0:
+        raise InvalidInputError("collar must be a node count >= 0")
+    (grad, hess), exact = _jet(u, 2)
     grad_mag = g.grad_norm(grad)
-    num = g.hess_sq(grad, hess)
+    # the collar cuts off the one-sided end stencils of a differenced jet
+    keep = _kept(g, grad_mag, 0 if exact else collar)
+    if not grad_mag[keep].any():
+        raise NoDataError("every node is gradient-degenerate or in the collar")
+    num = g.hess_sq(grad, hess)[keep]
     # |grad f| for f = |grad u|: difference f itself, per the statement
     df = g.fd_gradient(grad_mag)
-    den = _dot(df, df)
-    sel = grad_mag > 1e-8 * float(np.max(grad_mag))
-    if collar > 0 and not closed:
-        # the collar cuts off the one-sided end stencils of a differenced jet
-        inner = np.zeros(sel.shape, dtype=bool)
-        inner[(slice(collar, -collar),) * sel.ndim] = True
-        sel &= inner
-    excluded = int(sel.size - sel.sum())
-    if not sel.any():
-        raise NoDataError("every node is gradient-degenerate or in the collar")
-    num, den = num[sel], den[sel]
+    den = _dot(df, df)[keep]
     ratio = np.full(num.shape, np.inf)
     nz = den > 0
     ratio[nz] = num[nz] / den[nz]
@@ -127,7 +171,8 @@ def kato_ratio(u: DiscreteField, p: float, collar: int = 2) -> VerifierReport:
     return VerifierReport(
         name="kato_ratio",
         minimum=float(ratio.min()), maximum=float(ratio.max()), mean=mean,
-        threshold=thr, passed=bool(np.all(ratio >= thr)), excluded=excluded,
+        threshold=thr, passed=bool(np.all(ratio >= thr)),
+        excluded=int(keep.size - keep.sum()),
         details={"m": g.dim, "p": p, "vacuous": int(np.sum(~nz))})
 
 
@@ -137,22 +182,17 @@ def kato_ratio(u: DiscreteField, p: float, collar: int = 2) -> VerifierReport:
 
 
 def strong_form_residual(u: DiscreteField, p: float) -> VerifierReport:
-    """Nodewise f^2 Delta u + (p-2)/2 <grad f^2, grad u>; zero for strongly
-    p-harmonic fields, decaying at 2nd order under refinement."""
+    """f^2 Delta u = -(p-2)/2 <grad f^2, grad u>, f = |grad u|: the strong
+    form of the p-Laplace equation, differenced.  Two nodes are dropped
+    at each end of every axis, where nested one-sided stencils are only
+    1st order; the residual then decays at 2nd order under refinement."""
     g = u.grid
     grad = g.fd_gradient(u.values)
     f2 = _dot(grad, grad)
-    df2 = g.fd_gradient(f2)
-    res = (f2 * g.laplacian(grad, g.fd_hessian(grad))
-           + _dot([0.5 * (p - 2.0) * d for d in df2], grad))
-    # drop two nodes at each end of every axis: nested one-sided
-    # stencils there are only 1st order
-    res = np.abs(res[(slice(2, -2),) * res.ndim]).ravel()
-    return VerifierReport(
-        name="strong_form_residual",
-        minimum=float(res.min()), maximum=float(res.max()),
-        mean=float(res.mean()), threshold=0.0, passed=True,
-        details={"p": p})
+    lhs = f2 * g.laplacian(grad, g.fd_hessian(grad))
+    rhs = -_dot([0.5 * (p - 2.0) * d for d in g.fd_gradient(f2)], grad)
+    return _identity("strong_form_residual", lhs, rhs,
+                     _kept(g, g.grad_norm(grad), 2), _DIFFERENCED_TOL, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -184,22 +224,9 @@ def bochner_residual(u: DiscreteField, p: float, eps: float) -> VerifierReport:
     rhs = (0.25 * (p - 2.0) * w ** ((p - 4.0) / 2.0) * _dot(dw, dw)
            + w ** ((p - 2.0) / 2.0)
            * (g.hess_sq(grad, g.fd_hessian(grad)) + g.ricci(grad)))
-    trim = (slice(2, -2),) * w.ndim
-    res = np.abs(lhs - rhs)[trim]
-    grad_mag = g.grad_norm(grad)[trim]
-    theta = 1e-8 * float(np.max(grad_mag)) if np.max(grad_mag) > 0 else 0.0
-    keep = grad_mag > theta
-    excluded = int(keep.size - keep.sum())
-    if not keep.any():
-        res_kept = res  # fully degenerate field: keep everything (all zeros)
-        excluded = 0
-    else:
-        res_kept = res[keep]
-    return VerifierReport(
-        name="bochner_residual",
-        minimum=float(res_kept.min()), maximum=float(res_kept.max()),
-        mean=float(res_kept.mean()), threshold=0.0, passed=True,
-        excluded=excluded, details={"p": p, "eps": eps})
+    return _identity("bochner_residual", lhs, rhs,
+                     _kept(g, g.grad_norm(grad), 2), _DIFFERENCED_TOL,
+                     p=p, eps=eps)
 
 
 def bochner_s_residual(u: DiscreteField, p: float, s: float,
@@ -213,25 +240,22 @@ def bochner_s_residual(u: DiscreteField, p: float, s: float,
                + (p-4)/2 f^{s-4} <grad u, grad f^2> Delta u)
 
     Requires an analytic descriptor with third derivatives: everything
-    is evaluated in closed form, so the residual must sit at rounding
-    level for strongly p-harmonic u."""
+    is evaluated in closed form at every node, so the residual must sit
+    at rounding level for strongly p-harmonic u."""
     if not eps > 0:
         raise SingularityError("eps must be positive")
     if not np.isfinite([s, eps]).all():
         raise InvalidInputError("s and eps must be finite")
-    a = u.analytic
-    if a is None or a.d2u is None or a.d3u is None:
+    jet, exact = _jet(u, 3)
+    if not exact:
         raise InvalidInputError(
             "needs an analytic descriptor with u', u'', u'''")
+    (du,), (d2u,), (d3u,) = jet
     grid = u.grid
     M = grid.manifold
     t = grid.nodes
-    du, d2u, d3u = _closed_form(u, 3)
-    if M is not None:
-        ell = M.log_area_d1(t)
-        ell1 = M.log_area_d2(t)
-    else:
-        ell = ell1 = np.zeros_like(t)
+    ell, ell1 = ((M.log_area_d1(t), M.log_area_d2(t)) if M is not None
+                 else (0.0, 0.0))
     w = du * du + eps
     dw = 2.0 * du * d2u
     d2w = 2.0 * (d2u * d2u + du * d3u)
@@ -250,26 +274,13 @@ def bochner_s_residual(u: DiscreteField, p: float, s: float,
            * (du * dw) ** 2
            + eps * (w ** (s / 2.0 - 1.0) * du * dlap
                     + 0.5 * (p - 4.0) * w ** (s / 2.0 - 2.0) * du * dw * lap))
-    res = np.abs(lhs - rhs)
-    scale = float(np.max(np.abs(lhs)) + np.max(np.abs(rhs)) + 1.0)
-    return VerifierReport(
-        name="bochner_s_residual",
-        minimum=float(res.min()), maximum=float(res.max()),
-        mean=float(res.mean()), threshold=1e-8 * scale,
-        passed=bool(np.max(res) <= 1e-8 * scale),
-        details={"p": p, "s": s, "eps": eps, "scale": scale})
+    return _identity("bochner_s_residual", lhs, rhs, np.ones(t.shape, bool),
+                     _EXACT_TOL, p=p, s=s, eps=eps)
 
 
 # ---------------------------------------------------------------------------
 # Caccioppoli estimates
 # ---------------------------------------------------------------------------
-
-
-def _node_gradients(f: DiscreteField):
-    """|grad u| at the nodes: exact for a radial field with a descriptor."""
-    if f.analytic is not None:
-        return np.abs(_closed_form(f, 1)[0])
-    return f.grid.grad_norm(f.grid.fd_gradient(f.values))
 
 
 def caccioppoli_check(w: DiscreteField, psi: DiscreteField,
@@ -287,16 +298,12 @@ def caccioppoli_check(w: DiscreteField, psi: DiscreteField,
         scale = float(np.max(np.abs(r))) + 1e-300
         if np.any(r > 1e-6 * scale + 1e-12):
             raise InvalidInputError("w is not p-subharmonic on this grid")
-    gw = _node_gradients(w)
-    gpsi = _node_gradients(psi)
-    lhs = integrate_field((np.abs(psi.values) * gw) ** p, w.grid) ** (1.0 / p)
-    rhs = integrate_field((gpsi * np.abs(w.values)) ** p, w.grid) ** (1.0 / p)
-    tol = 1e-9
-    ok = lhs <= p * rhs * (1.0 + tol) + tol
-    return VerifierReport(
-        name="caccioppoli", minimum=lhs, maximum=p * rhs, mean=lhs,
-        threshold=p * rhs, passed=bool(ok),
-        details={"lhs": lhs, "rhs": p * rhs, "p": p})
+    grid = w.grid
+    gw, gpsi = (grid.grad_norm(_jet(f, 1)[0][0]) for f in (w, psi))
+    lhs = integrate_field((np.abs(psi.values) * gw) ** p, grid) ** (1.0 / p)
+    rhs = p * integrate_field((gpsi * np.abs(w.values)) ** p, grid) ** (1.0 / p)
+    return _margins("caccioppoli", lhs, rhs, 1e-9 * (rhs + 1.0),
+                    lhs=lhs, rhs=rhs, p=p)
 
 
 def weighted_caccioppoli_constants(p: float, kappa_val: float, tau: float,
@@ -344,11 +351,8 @@ def weighted_caccioppoli_check(M: ModelManifold, p: float,
     lhs = C * integrate_field(np.where(inner, rho * np.abs(du) ** p, 0.0), grid)
     rhs = (100.0 * B / R**2) * integrate_field(
         np.where(shell, (du * du + eps) ** (p / 2.0), 0.0), grid)
-    margin = rhs - lhs
-    return VerifierReport(
-        name="weighted_caccioppoli", minimum=lhs, maximum=rhs, mean=margin,
-        threshold=rhs, passed=bool(lhs <= rhs * (1.0 + 1e-9)),
-        details={"B": B, "C": C, "lhs": lhs, "rhs": rhs, "margin": margin})
+    return _margins("weighted_caccioppoli", lhs, rhs, 1e-9 * rhs,
+                    B=B, C=C, lhs=lhs, rhs=rhs, margin=rhs - lhs)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +474,8 @@ def regularization_gap(X, Y, eps: float, p: float,
                        delta1: float) -> VerifierReport:
     """(|X|^2+eps)^{p/2} - (|Y|^2+eps)^{p/2} <= a (|X|^p - |Y|^p) + delta
     with the proof's explicit (a, delta) for the branch 2q < p <= 2q+2."""
-    if eps < 0 or delta1 <= 0:
+    # written so that NaN fails them
+    if not (eps >= 0 and delta1 > 0):
         raise InvalidInputError("need eps >= 0 and delta1 > 0")
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -478,7 +483,7 @@ def regularization_gap(X, Y, eps: float, p: float,
     ny = float(np.linalg.norm(Y))
     if nx < ny:
         raise InvalidInputError("requires |X| >= |Y|")
-    if p < 1:
+    if not p >= 1:
         raise InvalidInputError("p must be >= 1")
     if p <= 2:
         a, delta = 1.0, 0.0
@@ -490,11 +495,12 @@ def regularization_gap(X, Y, eps: float, p: float,
         delta = series * delta1**p
     lhs = (nx**2 + eps) ** (p / 2.0) - (ny**2 + eps) ** (p / 2.0)
     rhs = a * (nx**p - ny**p) + delta
-    ok = lhs <= rhs + 1e-12 * (1.0 + abs(rhs))
-    return VerifierReport(
-        name="regularization_gap", minimum=lhs, maximum=rhs, mean=rhs - lhs,
-        threshold=rhs, passed=bool(ok),
-        details={"a": a, "delta": delta, "lhs": lhs, "rhs": rhs})
+    return _margins("regularization_gap", lhs, rhs, _gap_slack(rhs),
+                    a=a, delta=delta, lhs=lhs, rhs=rhs)
+
+
+def _gap_slack(rhs):
+    return 1e-12 * (1.0 + np.abs(rhs))  # regularization_gap's rounding
 
 
 def regularization_suite(n: int = 10_000, seed: int = 0) -> VerifierReport:
@@ -504,7 +510,7 @@ def regularization_suite(n: int = 10_000, seed: int = 0) -> VerifierReport:
     if n < 1:
         raise InvalidInputError("regularization_suite needs n >= 1")
     rng = np.random.default_rng(seed)
-    margins, bad = [], 0
+    pairs, bad = [], 0
     for _ in range(n):
         p = rng.uniform(1.0, 6.0)
         X, Y = rng.normal(size=3), rng.normal(size=3)
@@ -512,12 +518,11 @@ def regularization_suite(n: int = 10_000, seed: int = 0) -> VerifierReport:
             X, Y = Y, X
         rep = regularization_gap(X, Y, rng.uniform(0, 1), p,
                                  rng.uniform(0.1, 2.0))
-        margins.append(rep.mean)  # rhs - lhs
+        pairs.append((rep.details["lhs"], rep.details["rhs"]))
         bad += not rep.passed
-    return VerifierReport(
-        name="regularization_gap", minimum=min(margins), maximum=max(margins),
-        mean=float(np.mean(margins)), threshold=0.0, passed=bad == 0,
-        details={"violations": bad})
+    lhs, rhs = np.array(pairs).T
+    return _margins("regularization_gap", lhs, rhs, _gap_slack(rhs),
+                    violations=bad)
 
 
 def weighted_poincare_check(M: ModelManifold,
@@ -543,17 +548,11 @@ def weighted_poincare_check(M: ModelManifold,
                 f"manifold fails admissibility: {adm['violations'][:3]}")
         rho = M.weight_rho(grid.nodes)
         lhs = integrate_field(rho * f.values**2, grid)
-        g = _node_gradients(f)
-        rhs = integrate_field(g * g, grid)
-        rows.append((lhs, rhs))
-    margins = [r - l for l, r in rows]
-    scale = max(abs(r) for _, r in rows) + 1.0
-    ok = all(l <= r + 1e-9 * scale for l, r in rows)
-    return VerifierReport(
-        name="weighted_poincare",
-        minimum=float(min(margins)), maximum=float(max(margins)),
-        mean=float(np.mean(margins)), threshold=0.0, passed=bool(ok),
-        details={"pairs": rows})
+        g = grid.grad_norm(_jet(f, 1)[0][0])
+        rows.append((lhs, integrate_field(g * g, grid)))
+    lhs, rhs = np.array(rows).T
+    return _margins("weighted_poincare", lhs, rhs,
+                    1e-9 * (np.max(np.abs(rhs)) + 1.0), pairs=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from plap import cli
+from plap import solver as sv
+from plap.energy import EnergySpec
+from plap.grid import Grid1D, dump_csv
 
 
 EXP2 = """\
@@ -234,9 +237,38 @@ def test_verify_regularization(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1].startswith("wrote ")
 
 
+@pytest.mark.parametrize("name", ["strong_form", "bochner"])
+def test_verify_identity_fails_at_a_wrong_p(tmp_path, name):
+    # gallery b is the p = 3 power field; at p = 5 both checks exited 0
+    out = tmp_path / "wrong"
+    rc = cli.run(["verify", name, "--gallery", "b", "--p", "5",
+                  "--out", str(out)])
+    assert rc == cli.EXIT_CHECK_FAILED
+    row = (out / ("verify_%s.csv" % name)).read_text().splitlines()[1]
+    assert row.endswith(",FAIL") and row.split(",")[3] != "0"
+    for tag in ("a", "b", "d"):
+        rc = cli.run(["verify", name, "--gallery", tag, "--out", str(tmp_path)])
+        assert rc == cli.EXIT_OK, tag
+
+
+def test_field_csv_is_the_table_in_twelve_digits(tmp_path, euclid3):
+    # solve's CSV goes through the one writer: dump_csv's table in FMT
+    rc = cli.run(["solve", "--manifold", euclid3, "--p", "3", "--nodes", "65",
+                  "--out", str(tmp_path)])
+    assert rc == cli.EXIT_OK
+    grid = Grid1D.uniform(1.0, 2.0, 65, manifold=cli.load_manifold(euclid3))
+    f, _ = sv.solve_dirichlet(EnergySpec(3.0, 1e-6), grid, (1.0, 0.0))
+    header, rows = dump_csv(f)
+    want = "".join(",".join("%.12g" % v for v in r) + "\n" for r in rows)
+    assert (tmp_path / "solution.csv").read_text() == header + "\n" + want
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "kato", "--gallery", "a"],
     ["verify", "monotonicity", "--samples", "10"],
+    ["solve", "--manifold", "{cfg}", "--p", "3", "--nodes", "65"],
+    ["barrier", "--manifold", "{cosh}", "--p", "2", "--tmin", "-8", "--tmax",
+     "8", "--nodes", "129"],
     ["decay", "--manifold", "{cfg}", "--p", "2", "--lambda-p", "0.25",
      "--R", "2", "4"],
 ])
@@ -244,7 +276,9 @@ def test_unwritable_out_prints_nothing(tmp_path, exp2, capsys, argv):
     # the CSV is written before anything is printed
     taken = tmp_path / "taken"
     taken.write_text("")
-    argv = [a.format(cfg=exp2) for a in argv]
+    cosh = tmp_path / "cosh3.cfg"
+    cosh.write_text(COSH3)
+    argv = [a.format(cfg=exp2, cosh=cosh) for a in argv]
     assert cli.run(argv + ["--out", str(taken)]) == cli.EXIT_INVALID
     assert capsys.readouterr().out == ""
 

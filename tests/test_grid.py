@@ -24,6 +24,32 @@ def test_grid1d_weights_flat():
     assert g.weights[0] == pytest.approx(0.05)
 
 
+@pytest.mark.parametrize("grid", [
+    Grid1D.uniform(0.0, 1.0, 11),
+    Grid1D.uniform(1.0, 2.0, 401, manifold=euclidean(3)),
+    Grid1D(np.cumsum(np.linspace(1.0, 1.5, 33)) * 1e-3),
+    Grid2D(0.0, 1.0, -1.0, 2.0, 9, 11),
+    Grid2D(-2.0, 2.0, -2.0, 2.0, 65, 65),
+])
+def test_trapezoid_weights_are_the_explicit_formulas(grid):
+    # one trapezoid rule builds both grids' weights from per-axis cell
+    # widths as h_{i-1}/2 + h_i/2: halving is exact, so it matches the
+    # end-and-interior formulas to the bit
+    if isinstance(grid, Grid1D):
+        h = grid.h
+        w = np.empty(grid.n)
+        w[0], w[-1] = h[0] / 2, h[-1] / 2
+        w[1:-1] = (h[:-1] + h[1:]) / 2
+        want = grid.area * w
+    else:
+        wx = np.full(grid.nx, grid.hx)
+        wx[0] = wx[-1] = grid.hx / 2
+        wy = np.full(grid.ny, grid.hy)
+        wy[0] = wy[-1] = grid.hy / 2
+        want = np.outer(wx, wy)
+    assert np.array_equal(grid.weights, want)
+
+
 def test_grid1d_weights_weighted():
     M = euclidean(3)
     g = Grid1D.uniform(1.0, 2.0, 401, manifold=M)
@@ -270,28 +296,24 @@ def test_analytic_descriptor_needs_a_1d_grid():
         DiscreteField(g, np.ones(g.shape), analytic=ana)
 
 
-def test_dump_csv_deterministic(tmp_path):
+def test_dump_csv_deterministic():
+    # the table only; the CLI writes it, in its own number format
     g = Grid1D.uniform(0, 1, 9)
     f = DiscreteField(g, np.sqrt(g.nodes + 0.1))
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    dump_csv(f, p1)
-    dump_csv(f, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    assert p1.read_text().splitlines()[0].startswith("t")
+    header, rows = dump_csv(f)
+    assert dump_csv(f) == (header, rows)
+    assert header == "t,value,grad_mag,weight"
+    assert len(rows) == 9 and all(len(r) == 4 for r in rows)
 
 
-def test_dump_csv_2d_matches_explicit_loop(tmp_path):
+def test_dump_csv_2d_matches_explicit_loop():
     g = Grid2D(0.0, 1.0, -1.0, 2.0, 9, 11)
     f = DiscreteField.from_function(g, lambda x, y: np.sin(3 * x) * np.cos(y))
-    out = tmp_path / "f.csv"
-    dump_csv(f, out)
+    header, rows = dump_csv(f)
     gm = g.grad_norm(g.fd_gradient(f.values))
-    want = ["x,y,value,grad_mag,weight\n"]
-    for i in range(g.nx):
-        for j in range(g.ny):
-            want.append(f"{g.x[i]:.12g},{g.y[j]:.12g},{f.values[i, j]:.12g},"
-                        f"{gm[i, j]:.12g},{g.weights[i, j]:.12g}\n")
-    assert out.read_bytes() == "".join(want).encode()
+    assert header == "x,y,value,grad_mag,weight"
+    assert rows == [[g.x[i], g.y[j], f.values[i, j], gm[i, j], g.weights[i, j]]
+                    for i in range(g.nx) for j in range(g.ny)]
 
 
 @pytest.mark.parametrize("grid, values", [

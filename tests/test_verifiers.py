@@ -73,6 +73,12 @@ def test_kato_ratio_first_derivative_descriptor_keeps_collar():
     assert rep.maximum == pytest.approx(7.0 / 3.0, abs=2e-3)
 
 
+def test_kato_ratio_rejects_negative_collar():
+    # a negative collar was taken as no collar
+    with pytest.raises(InvalidInputError, match="collar"):
+        vf.kato_ratio(vf.log_radial_field(m=2), 2.0, collar=-1)
+
+
 def test_kato_ratio_flat_line_names_dimension():
     # the flat line has dimension 1: no Kato constant, whatever p is
     g = Grid1D.uniform(1.0, 2.0, 33)
@@ -224,6 +230,9 @@ def test_bochner_s_rounding_level():
     rep = vf.bochner_s_residual(f, 3.0, 1.0, 1e-3)
     assert rep.passed
     assert rep.maximum <= rep.threshold
+    # closed form: every node is read, at rounding level of scale
+    assert rep.excluded == 0
+    assert rep.threshold == vf._EXACT_TOL * rep.details["scale"]
 
 
 def test_bochner_s_p2_collapse():
@@ -251,6 +260,56 @@ def test_bochner_s_matches_bochner_at_s_p_minus_2():
     rb = vf.bochner_residual(f, 3.0, eps)
     assert rs.maximum <= rs.threshold
     assert rb.maximum < 1e-3
+
+
+def _gallery(name):
+    return next(it for it in vf.example_gallery() if it["name"] == name)
+
+
+@pytest.mark.parametrize("name", ["log_annulus_m2", "power_p3_m4",
+                                  "arctan_warped"])
+def test_identity_checks_pass_at_the_fields_own_p(name):
+    it = _gallery(name)
+    for rep in (vf.strong_form_residual(it["field"], it["p"]),
+                vf.bochner_residual(it["field"], it["p"], 1e-3)):
+        assert rep.passed, rep
+        assert rep.threshold == vf._DIFFERENCED_TOL * rep.details["scale"]
+
+
+def test_identity_checks_fail_at_a_wrong_p():
+    # the p = 3 power field is not 5-harmonic; both checks passed with
+    # threshold 0 whatever the residual
+    f = _gallery("power_p3_m4")["field"]
+    for rep in (vf.strong_form_residual(f, 5.0),
+                vf.bochner_residual(f, 5.0, 1e-3)):
+        assert not rep.passed
+        assert rep.maximum > 10.0 * rep.threshold
+
+
+def test_nodal_checks_count_collar_and_degenerate_nodes():
+    # |grad u| vanishes at the middle node: no check reads it, nor the
+    # two nodes at each end of the axis
+    g = Grid1D.uniform(1.0, 2.0, 65, manifold=euclidean(3))
+    f = DiscreteField(g, ((np.arange(65) - 32.0) / 64.0) ** 2)
+    assert vf.kato_ratio(f, 3.0).excluded == 5
+    assert vf.strong_form_residual(f, 3.0).excluded == 5
+    assert vf.bochner_residual(f, 3.0, 1e-3).excluded == 5
+    g2 = Grid2D(1.0, 2.0, 1.0, 2.0, 33, 33)
+    f2 = DiscreteField.from_function(g2, lambda x, y: 0.5 * np.log(x * x + y * y))
+    n_read = 29 * 29
+    assert vf.strong_form_residual(f2, 2.0).excluded == 33 * 33 - n_read
+    assert vf.bochner_residual(f2, 2.0, 1e-2).excluded == 33 * 33 - n_read
+
+
+def test_identity_checks_read_a_flat_field_outside_the_collar():
+    # both sides vanish: a constant passes with zero residual, read at
+    # every node outside the collar
+    g = Grid2D(0, 1, 0, 1, 17, 17)
+    f = DiscreteField(g, np.ones((17, 17)))
+    for rep in (vf.strong_form_residual(f, 2.0),
+                vf.bochner_residual(f, 2.0, 1e-3)):
+        assert rep.passed and rep.maximum == 0.0
+        assert rep.excluded == 17 * 17 - 13 * 13
 
 
 def test_bochner_s_needs_analytic():
@@ -331,6 +390,27 @@ def test_weighted_caccioppoli_check_needs_coverage():
     with pytest.raises(InvalidInputError):
         vf.weighted_caccioppoli_check(M, 2.0, f, 1e-4, 1.0, 1.5, 0.01,
                                       0.01, R=4.0)
+
+
+def test_inequality_reports_are_margins():
+    # threshold 0, and minimum, mean and maximum are the margin rhs - lhs
+    M3 = euclidean(3)
+    grid = Grid1D.uniform(1.0, 10.0, 121, manifold=M3)
+    w = DiscreteField(grid, 1.0 / grid.nodes)
+    M = warped(4, Cosh())
+    gc = Grid1D.uniform(-8.0, 8.0, 257, manifold=M)
+    reps = [vf.caccioppoli_check(w, _cutoff(grid, 2.0, 9.0, 1.0), 2.0),
+            vf.weighted_caccioppoli_check(
+                M, 2.0, DiscreteField(gc, np.tanh(gc.nodes)), 1e-4,
+                kappa_val=1.0, tau=1.5, eps1=0.01, eps2=0.01, R=4.0),
+            vf.regularization_gap([3.0, 4.0], [1.0, 0.0], 0.1, 3.0, 0.5)]
+    for rep in reps:
+        margin = rep.details["rhs"] - rep.details["lhs"]
+        assert rep.threshold == 0.0
+        assert rep.minimum == rep.mean == rep.maximum == margin, rep.name
+    rep = vf.regularization_suite(n=200, seed=1)
+    assert rep.threshold == 0.0
+    assert rep.minimum <= rep.mean <= rep.maximum
 
 
 # -- vector inequalities -------------------------------------------------------
@@ -449,6 +529,15 @@ def test_regularization_gap_validation():
         vf.regularization_gap([1.0], [0.5], -0.1, 3.0, 0.5)
     with pytest.raises(InvalidInputError):
         vf.regularization_gap([1.0], [0.5], 0.1, 3.0, 0.0)
+
+
+@pytest.mark.parametrize("eps, p, delta1", [
+    (np.nan, 3.0, 0.5), (0.1, np.nan, 0.5), (0.1, 3.0, np.nan)],
+    ids=["eps", "p", "delta1"])
+def test_regularization_gap_rejects_nan(eps, p, delta1):
+    # NaN p raised a bare ValueError; NaN eps or delta1 gave a failed check
+    with pytest.raises(InvalidInputError):
+        vf.regularization_gap([1.0], [0.5], eps, p, delta1)
 
 
 def test_regularization_suite_matches_pairwise_loop():
