@@ -4,7 +4,8 @@ Runs the Kato-ratio, strong-form, and Bochner checks on fields whose
 expected values are known exactly: the planar log potential (ratio 2),
 the p=3 radial extremal in m=4 (ratio 7/3), and the generalized
 five-term identity, which must hold at rounding level when every
-derivative is supplied in closed form.
+derivative is supplied in closed form.  Ends with the random sweeps of
+the vector monotonicity and regularization inequalities.
 """
 
 import numpy as np
@@ -50,3 +51,6 @@ for p in (1.5, 3.0):
     print(f"  p = {p}: violations {r['violations']}, "
           f"empirical constant {r['C_emp']:.6f}, "
           f"half-constant recheck {'ok' if r['half_constant_recheck'] else 'FAIL'}")
+
+print("regularization inequality, random sweep:")
+show(vf.regularization_suite(10_000, 0))

@@ -470,6 +470,19 @@ def monotonicity_suite(p_values=(1.5, 2.0, 3.0, 4.0), n: int = 100_000,
     return results
 
 
+def _regularization(nx, ny, eps, p, delta1):
+    """(a, delta, lhs, rhs) of regularization_gap: floats, nx >= ny."""
+    if p <= 2:
+        a, delta = 1.0, 0.0
+    else:
+        q = math.ceil(p / 2.0) - 1
+        x = p * eps / delta1**2
+        a = 1.0 + sum(x**k / math.factorial(k) for k in range(1, q + 1))
+        delta = sum(x**k for k in range(1, q + 1)) * delta1**p
+    lhs = (nx**2 + eps) ** (p / 2.0) - (ny**2 + eps) ** (p / 2.0)
+    return a, delta, lhs, a * (nx**p - ny**p) + delta
+
+
 def regularization_gap(X, Y, eps: float, p: float,
                        delta1: float) -> VerifierReport:
     """(|X|^2+eps)^{p/2} - (|Y|^2+eps)^{p/2} <= a (|X|^p - |Y|^p) + delta
@@ -477,24 +490,16 @@ def regularization_gap(X, Y, eps: float, p: float,
     # written so that NaN fails them
     if not (eps >= 0 and delta1 > 0):
         raise InvalidInputError("need eps >= 0 and delta1 > 0")
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    nx = float(np.linalg.norm(X))
-    ny = float(np.linalg.norm(Y))
+    nx = float(np.linalg.norm(np.asarray(X, dtype=float)))
+    ny = float(np.linalg.norm(np.asarray(Y, dtype=float)))
+    if not all(map(math.isfinite, (eps, p, delta1, nx, ny))):
+        raise InvalidInputError(
+            "eps, p, delta1 and the norms of X and Y must be finite")
     if nx < ny:
         raise InvalidInputError("requires |X| >= |Y|")
     if not p >= 1:
         raise InvalidInputError("p must be >= 1")
-    if p <= 2:
-        a, delta = 1.0, 0.0
-    else:
-        q = int(np.ceil(p / 2.0)) - 1
-        x = p * eps / delta1**2
-        series = sum(x**k for k in range(1, q + 1))
-        a = 1.0 + sum(x**k / math.factorial(k) for k in range(1, q + 1))
-        delta = series * delta1**p
-    lhs = (nx**2 + eps) ** (p / 2.0) - (ny**2 + eps) ** (p / 2.0)
-    rhs = a * (nx**p - ny**p) + delta
+    a, delta, lhs, rhs = _regularization(nx, ny, eps, p, delta1)
     return _margins("regularization_gap", lhs, rhs, _gap_slack(rhs),
                     a=a, delta=delta, lhs=lhs, rhs=rhs)
 
@@ -504,25 +509,23 @@ def _gap_slack(rhs):
 
 
 def regularization_suite(n: int = 10_000, seed: int = 0) -> VerifierReport:
-    """regularization_gap on n pairs drawn in this order from one stream:
-    p ~ U(1, 6), X, Y ~ N(0, I_3) swapped so |X| >= |Y|, eps ~ U(0, 1),
-    delta1 ~ U(0.1, 2).  Bounds: least and greatest margin rhs - lhs."""
+    """regularization_gap's arithmetic on n pairs drawn in this order from
+    one stream: p ~ U(1, 6), X, Y ~ N(0, I_3) swapped so |X| >= |Y|,
+    eps ~ U(0, 1), delta1 ~ U(0.1, 2).  Bounds: least and greatest margin."""
     if n < 1:
         raise InvalidInputError("regularization_suite needs n >= 1")
     rng = np.random.default_rng(seed)
-    pairs, bad = [], 0
+    pairs = []
     for _ in range(n):
         p = rng.uniform(1.0, 6.0)
-        X, Y = rng.normal(size=3), rng.normal(size=3)
-        if np.linalg.norm(X) < np.linalg.norm(Y):
-            X, Y = Y, X
-        rep = regularization_gap(X, Y, rng.uniform(0, 1), p,
-                                 rng.uniform(0.1, 2.0))
-        pairs.append((rep.details["lhs"], rep.details["rhs"]))
-        bad += not rep.passed
+        ny, nx = sorted(float(np.linalg.norm(rng.normal(size=3)))
+                        for _ in "XY")
+        pairs.append(_regularization(nx, ny, rng.uniform(0, 1), p,
+                                     rng.uniform(0.1, 2.0))[2:])
     lhs, rhs = np.array(pairs).T
-    return _margins("regularization_gap", lhs, rhs, _gap_slack(rhs),
-                    violations=bad)
+    slack = _gap_slack(rhs)
+    return _margins("regularization_gap", lhs, rhs, slack,
+                    violations=int(np.sum(~(lhs <= rhs + slack))))
 
 
 def weighted_poincare_check(M: ModelManifold,

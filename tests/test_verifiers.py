@@ -531,33 +531,47 @@ def test_regularization_gap_validation():
         vf.regularization_gap([1.0], [0.5], 0.1, 3.0, 0.0)
 
 
-@pytest.mark.parametrize("eps, p, delta1", [
-    (np.nan, 3.0, 0.5), (0.1, np.nan, 0.5), (0.1, 3.0, np.nan)],
-    ids=["eps", "p", "delta1"])
-def test_regularization_gap_rejects_nan(eps, p, delta1):
-    # NaN p raised a bare ValueError; NaN eps or delta1 gave a failed check
+@pytest.mark.parametrize("X, Y, eps, p, delta1", [
+    ([1.0], [0.5], np.nan, 3.0, 0.5),
+    ([1.0], [0.5], 0.1, np.nan, 0.5),
+    ([1.0], [0.5], 0.1, 3.0, np.nan),
+    ([3.0, 4.0], [1.0, 0.0], np.inf, 3.0, 0.5),
+    ([3.0, 4.0], [1.0, 0.0], 0.1, np.inf, 0.5),
+    ([3.0, 4.0], [1.0, 0.0], 0.1, 3.0, np.inf),
+    ([np.nan, 1.0], [0.5], 0.1, 3.0, 0.5),
+    ([1.0], [np.nan], 0.1, 3.0, 0.5),
+    ([np.inf], [0.5], 0.1, 3.0, 0.5),
+    ([np.inf], [np.inf], 0.1, 3.0, 0.5)],
+    ids=["eps", "p", "delta1", "inf-eps", "inf-p", "inf-delta1",
+         "nan-X", "nan-Y", "inf-X", "inf-both"])
+def test_regularization_gap_rejects_nan(X, Y, eps, p, delta1):
+    # NaN p raised a bare ValueError and infinite p an OverflowError; a
+    # non-finite eps, delta1 or norm gave a NaN report, a failed check
     with pytest.raises(InvalidInputError):
-        vf.regularization_gap([1.0], [0.5], eps, p, delta1)
+        vf.regularization_gap(X, Y, eps, p, delta1)
 
 
 def test_regularization_suite_matches_pairwise_loop():
-    # the same stream drawn pair by pair: p, X, Y, the swap, eps, delta1
-    rng = np.random.default_rng(0)
-    margins, bad = [], 0
-    for _ in range(500):
-        p = rng.uniform(1.0, 6.0)
-        X = rng.normal(size=3)
-        Y = rng.normal(size=3)
-        if np.linalg.norm(X) < np.linalg.norm(Y):
-            X, Y = Y, X
-        eps, delta1 = rng.uniform(0, 1), rng.uniform(0.1, 2.0)
-        rep = vf.regularization_gap(X, Y, eps, p, delta1)
-        margins.append(rep.details["rhs"] - rep.details["lhs"])
-        bad += not rep.passed
-    rep = vf.regularization_suite(n=500, seed=0)
-    assert rep.name == "regularization_gap" and rep.threshold == 0.0
-    assert rep.details["violations"] == bad == 0 and rep.passed
-    assert rep.minimum == min(margins) and rep.maximum == max(margins)
+    # the same stream drawn pair by pair: p, X, Y, the swap, eps, delta1;
+    # the suite's margins must equal regularization_gap's bit for bit
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        margins, bad = [], 0
+        for _ in range(500):
+            p = rng.uniform(1.0, 6.0)
+            X = rng.normal(size=3)
+            Y = rng.normal(size=3)
+            if np.linalg.norm(X) < np.linalg.norm(Y):
+                X, Y = Y, X
+            eps, delta1 = rng.uniform(0, 1), rng.uniform(0.1, 2.0)
+            rep = vf.regularization_gap(X, Y, eps, p, delta1)
+            margins.append(rep.details["rhs"] - rep.details["lhs"])
+            bad += not rep.passed
+        rep = vf.regularization_suite(n=500, seed=seed)
+        assert rep.name == "regularization_gap" and rep.threshold == 0.0
+        assert rep.details["violations"] == bad == 0 and rep.passed
+        assert rep.minimum == min(margins) and rep.maximum == max(margins)
+        assert rep.mean == np.mean(margins), seed
     with pytest.raises(InvalidInputError):
         vf.regularization_suite(n=0)
 
