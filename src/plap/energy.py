@@ -13,12 +13,18 @@ forms the local cell blocks and scatters them into a fixed CSR pattern
 with one ``np.bincount``, for any number of gradient components.  ``linearized_action`` applies the
 same Hessian matrix-free, as D^T(meas B D psi), the way ``weak_residual``
 is written; ``hessian`` is the only assembled form.
+
+All of these are read off one private ``_Cells`` per field and (p, eps):
+it forms D u and |D u|^2 once, and each power of |D u|^2 + eps once.
+The public functions build one per call; a Newton iterate keeps its own,
+so that its residual, tolerance scale, Hessian and energy share one cell
+pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -44,40 +50,6 @@ class EnergySpec:
 # -- cell quantities ---------------------------------------------------------
 
 
-def _cell_gradient(field: DiscreteField):
-    """Per-cell gradient components of the field and |grad|^2."""
-    grad = field.grid.cell_gradient(field.values)
-    return grad, reduce(np.add, [g * g for g in grad])
-
-
-def _phi(g2, p, eps):
-    return (g2 + eps) ** (p / 2.0)
-
-
-def _phi_d(g2, p, eps):
-    """phi'(g) / g  =  p (g^2+eps)^{(p-2)/2}  as a function of g^2."""
-    return p * (g2 + eps) ** ((p - 2.0) / 2.0)
-
-
-def _phi_dd_aniso(g2, p, eps):
-    """p (p-2) (g^2+eps)^{(p-4)/2}: the rank-one part of the cell Hessian."""
-    return p * (p - 2.0) * (g2 + eps) ** ((p - 4.0) / 2.0)
-
-
-def cell_hessian(spec: EnergySpec, field: DiscreteField) -> list:
-    """Per-cell Hessian blocks B = a I + b g g^T of phi(|g|^2) in the cell
-    gradient g, as B[i][j]; a = phi'/g and b the rank-one coefficient."""
-    grad, g2 = _cell_gradient(field)
-    a = _phi_d(g2, spec.p, spec.eps)
-    b = _phi_dd_aniso(g2, spec.p, spec.eps)
-    B = [[None] * len(grad) for _ in grad]
-    for i, gi in enumerate(grad):
-        for j in range(i):
-            B[i][j] = B[j][i] = b * (gi * grad[j])
-        B[i][i] = a + b * (gi * gi)
-    return B
-
-
 def _check_differentiable(spec: EnergySpec, g2) -> None:
     if spec.eps > 0:
         return
@@ -88,22 +60,98 @@ def _check_differentiable(spec: EnergySpec, g2) -> None:
         )
 
 
+class _Cells:
+    """One field's cell quantities at one (p, eps), each formed once: D u
+    and |D u|^2 on construction, |D u|^2 + eps and phi'/g when first read.
+    Everything else in this module is read off it; a Newton iterate holds
+    one for as long as its field is current.  ``spec`` may be None where
+    only D u is read (``q_energy``)."""
+
+    def __init__(self, spec: EnergySpec, field: DiscreteField):
+        self.spec = spec
+        self.field = field
+        self.grad = field.grid.cell_gradient(field.values)
+        self.g2 = reduce(np.add, [g * g for g in self.grad])
+
+    @cached_property
+    def _shifted(self):
+        return self.g2 + self.spec.eps
+
+    @cached_property
+    def _phi_d(self):
+        """phi'(g) / g  =  p (g^2+eps)^{(p-2)/2}  as a function of g^2."""
+        p = self.spec.p
+        return p * self._shifted ** ((p - 2.0) / 2.0)
+
+    def energy(self) -> float:
+        meas = self.field.grid.cell_measure
+        phi = self._shifted ** (self.spec.p / 2.0)
+        return float(np.sum(phi.ravel() * np.ravel(meas)))
+
+    def q_energy(self, q: float) -> float:
+        return float(np.sum(self.g2 ** (q / 2.0) * self.field.grid.cell_measure))
+
+    def residual_scale(self) -> float:
+        grid = self.field.grid
+        return float(np.max(self._phi_d * np.sqrt(self.g2)
+                            * grid.cell_measure / grid.flux_spacing))
+
+    def weak_residual(self, fixed_mask) -> np.ndarray:
+        _check_differentiable(self.spec, self.g2)
+        a = self._phi_d
+        grid = self.field.grid
+        meas = grid.cell_measure
+        r = grid.cell_divergence([a * g * meas for g in self.grad])
+        r[fixed_mask] = 0.0
+        return r
+
+    def blocks(self) -> list:
+        """B = a I + b g g^T as B[i][j], b = p (p-2) (g^2+eps)^{(p-4)/2}
+        the rank-one coefficient."""
+        p, grad, a = self.spec.p, self.grad, self._phi_d
+        b = p * (p - 2.0) * self._shifted ** ((p - 4.0) / 2.0)
+        B = [[None] * len(grad) for _ in grad]
+        for i, gi in enumerate(grad):
+            for j in range(i):
+                B[i][j] = B[j][i] = b * (gi * grad[j])
+            B[i][i] = a + b * (gi * gi)
+        return B
+
+    def hessian(self):
+        import scipy.sparse as sp
+
+        grid = self.field.grid
+        meas = grid.cell_measure
+        w = np.array([[np.ravel(bij * meas) for bij in row]
+                      for row in self.blocks()])
+        cs = grid.cell_structure
+        wg = np.einsum("ijc,jac->iac", w, cs.coef)
+        local = np.einsum("iac,ibc->abc", cs.coef, wg)
+        data = np.bincount(cs.pos, weights=local.ravel(),
+                           minlength=cs.indices.size)
+        n = cs.indptr.size - 1
+        return sp.csr_matrix((data, cs.indices, cs.indptr), shape=(n, n))
+
+
+def cell_hessian(spec: EnergySpec, field: DiscreteField) -> list:
+    """Per-cell Hessian blocks B = a I + b g g^T of phi(|g|^2) in the cell
+    gradient g, as B[i][j]; a = phi'/g and b the rank-one coefficient."""
+    return _Cells(spec, field).blocks()
+
+
 # -- energies ----------------------------------------------------------------
 
 
 def energy(spec: EnergySpec, field: DiscreteField) -> float:
     """E_{p,eps}(u) = int (|grad u|^2 + eps)^{p/2} dv (cellwise)."""
-    _, g2 = _cell_gradient(field)
-    meas = field.grid.cell_measure
-    return float(np.sum(_phi(g2, spec.p, spec.eps).ravel() * np.ravel(meas)))
+    return _Cells(spec, field).energy()
 
 
 def q_energy(field: DiscreteField, q: float) -> float:
     """int |grad u|^q dv."""
     if q <= 0:
         raise InvalidInputError("q must be positive")
-    _, g2 = _cell_gradient(field)
-    return float(np.sum(g2 ** (q / 2.0) * field.grid.cell_measure))
+    return _Cells(None, field).q_energy(q)
 
 
 # -- first variation ---------------------------------------------------------
@@ -112,10 +160,7 @@ def q_energy(field: DiscreteField, q: float) -> float:
 def residual_scale(spec: EnergySpec, field: DiscreteField) -> float:
     """Magnitude of the elementary fluxes entering weak_residual; the
     natural scale for a relative stopping tolerance."""
-    _, g2 = _cell_gradient(field)
-    grid = field.grid
-    return float(np.max(_phi_d(g2, spec.p, spec.eps) * np.sqrt(g2)
-                        * grid.cell_measure / grid.flux_spacing))
+    return _Cells(spec, field).residual_scale()
 
 
 def weak_residual(spec: EnergySpec, field: DiscreteField,
@@ -126,13 +171,7 @@ def weak_residual(spec: EnergySpec, field: DiscreteField,
     """
     if fixed_mask is None:
         fixed_mask = field.grid.boundary_mask()
-    grad, g2 = _cell_gradient(field)
-    _check_differentiable(spec, g2)
-    a = _phi_d(g2, spec.p, spec.eps)
-    meas = field.grid.cell_measure
-    r = field.grid.cell_divergence([a * g * meas for g in grad])
-    r[fixed_mask] = 0.0
-    return r
+    return _Cells(spec, field).weak_residual(fixed_mask)
 
 
 # -- second variation --------------------------------------------------------
@@ -149,21 +188,9 @@ def hessian(spec: EnergySpec, field: DiscreteField):
     G^T (meas B) G, G its D coefficients, is scattered into the pattern
     of the grid's ``cell_structure``.
     """
-    import scipy.sparse as sp
-
     if spec.eps <= 0:
         raise SingularityError("linearization requires eps > 0")
-    grid = field.grid
-    meas = grid.cell_measure
-    w = np.array([[np.ravel(bij * meas) for bij in row]
-                  for row in cell_hessian(spec, field)])
-    cs = grid.cell_structure
-    wg = np.einsum("ijc,jac->iac", w, cs.coef)
-    local = np.einsum("iac,ibc->abc", cs.coef, wg)
-    data = np.bincount(cs.pos, weights=local.ravel(),
-                       minlength=cs.indices.size)
-    n = cs.indptr.size - 1
-    return sp.csr_matrix((data, cs.indices, cs.indptr), shape=(n, n))
+    return _Cells(spec, field).hessian()
 
 
 def linearized_action(spec: EnergySpec, field: DiscreteField,

@@ -11,7 +11,9 @@ H.data; SuperLU then factors it in that natural order in its symmetric
 mode, with diagonal pivots (X. S. Li, ACM TOMS 31, 2005).  A solve stops
 at the residual tolerance ("tol"), or, where rounding keeps the residual
 above it, after the step from a Newton decrement -r.d at the energy's
-rounding level ("floor").  The choice of that linear solve is the only
+rounding level ("floor").  Each iterate's cell quantities (``energy._Cells``)
+are formed once: a line-search trial's energy, then, once accepted, its
+residual, tolerance scale and Hessian read the same D u.  The choice of that linear solve is the only
 place the solver asks which kind of grid it has: the grid supplies the
 cold start (``fill``) and the shape of the fields.
 
@@ -141,15 +143,15 @@ def _normalize_boundary(grid, boundary):
 # ---------------------------------------------------------------------------
 
 
-def _newton_direction(spec, field, mask, rhs):
-    """Solve H_ff d_f = rhs_f for the energy Hessian H at field; d is zero
-    at the fixed nodes."""
-    grid = field.grid
+def _newton_direction(cells, mask, rhs):
+    """Solve H_ff d_f = rhs_f for the energy Hessian H at the field of
+    ``cells`` (an ``energy._Cells``); d is zero at the fixed nodes."""
+    grid = cells.field.grid
     if isinstance(grid, Grid1D):
         # H is tridiagonal, read off the stencil: k on the diagonal and
         # sign(a) sign(b) k between a cell's nodes; fixed nodes become
         # identity rows cut off from their neighbours
-        k = (en.cell_hessian(spec, field)[0][0] * grid.cell_measure
+        k = (cells.blocks()[0][0] * grid.cell_measure
              / grid.cell_scale[0]**2)
         sa, sb = grid.cell_signs[0]
         ab = np.zeros((3, grid.n))
@@ -166,7 +168,7 @@ def _newton_direction(spec, field, mask, rhs):
         # the free block is symmetric positive definite: factor it in the
         # grid's nested-dissection order, fixed for the mask, with
         # SuperLU's symmetric mode (no reordering, diagonal pivots)
-        H = en.hessian(spec, field)
+        H = cells.hessian()
         lu = splu(sp.csc_matrix((H.data[block.gather], block.indices,
                                  block.indptr),
                                 shape=(block.perm.size,) * 2),
@@ -235,15 +237,18 @@ def _newton(spec, grid, mask, vals, initial, cfg):
     eps = spec.eps
     u = np.array(initial, dtype=float)
     u[mask] = vals[mask]
-    f = DiscreteField(grid, u)
-    e_val = en.energy(spec, f)
+    # the cell quantities of the current iterate; an accepted trial's
+    # become the next iterate's, so each field's D u is formed once
+    cells = en._Cells(spec, DiscreteField(grid, u))
+    e_val = cells.energy()
     iters = 0
     floor = False
     while True:
-        r = en.weak_residual(spec, f, mask)
+        f = cells.field
+        r = cells.weak_residual(mask)
         # tolerance relative to the elementary flux magnitude: the
         # residual's rounding floor grows with the fluxes (roughly like 1/h)
-        tol = cfg.residual_tol * (1.0 + en.residual_scale(spec, f))
+        tol = cfg.residual_tol * (1.0 + cells.residual_scale())
         r_max = float(np.max(np.abs(r)))
         if not np.isfinite(e_val + r_max):
             # NaN fails every comparison below and would stop as "floor"
@@ -254,12 +259,12 @@ def _newton(spec, grid, mask, vals, initial, cfg):
             break
         if iters >= cfg.max_newton_iters:
             report.add_step(eps, iters, r_max, e_val,
-                            en.q_energy(f, spec.p), "max_iters")
+                            cells.q_energy(spec.p), "max_iters")
             raise NonConvergenceError(
                 f"Newton did not reach tol={tol:.3e} in "
                 f"{cfg.max_newton_iters} iterations (residual {r_max:.3e})",
                 best=f, report=report)
-        d = _newton_direction(spec, f, mask, -r)
+        d = _newton_direction(cells, mask, -r)
         # Newton decrement lam2 = -r.d estimates E - E_min; the step from
         # one at the energy's rounding level is the last that can help
         lam2 = -float(np.sum(r * d))
@@ -269,17 +274,17 @@ def _newton(spec, grid, mask, vals, initial, cfg):
         # the float resolution of the energy and pure Armijo stalls
         slack = 16.0 * np.finfo(float).eps * (1.0 + abs(e_val))
         while True:
-            trial = DiscreteField(grid, f.values + alpha * d)
-            e_trial = en.energy(spec, trial)
+            trial = en._Cells(spec, DiscreteField(grid, f.values + alpha * d))
+            e_trial = trial.energy()
             if e_trial <= e_val - ARMIJO_C * alpha * lam2 + slack:
                 break
             alpha *= BACKTRACK_FACTOR
             if alpha < 1e-14:
                 raise NonConvergenceError("line search collapsed", best=f,
                                           report=report)
-        f, e_val = trial, e_trial
+        cells, e_val = trial, e_trial
         iters += 1
-    report.add_step(eps, iters, r_max, e_val, en.q_energy(f, spec.p),
+    report.add_step(eps, iters, r_max, e_val, cells.q_energy(spec.p),
                     "tol" if r_max <= tol else "floor")
     return f, report
 

@@ -490,8 +490,10 @@ def regularization_gap(X, Y, eps: float, p: float,
     # written so that NaN fails them
     if not (eps >= 0 and delta1 > 0):
         raise InvalidInputError("need eps >= 0 and delta1 > 0")
-    nx = float(np.linalg.norm(np.asarray(X, dtype=float)))
-    ny = float(np.linalg.norm(np.asarray(Y, dtype=float)))
+    # an overflowing norm is inf, rejected below, and not a warning first
+    with np.errstate(over="ignore"):
+        nx = float(np.linalg.norm(np.asarray(X, dtype=float)))
+        ny = float(np.linalg.norm(np.asarray(Y, dtype=float)))
     if not all(map(math.isfinite, (eps, p, delta1, nx, ny))):
         raise InvalidInputError(
             "eps, p, delta1 and the norms of X and Y must be finite")
@@ -499,7 +501,12 @@ def regularization_gap(X, Y, eps: float, p: float,
         raise InvalidInputError("requires |X| >= |Y|")
     if not p >= 1:
         raise InvalidInputError("p must be >= 1")
-    a, delta, lhs, rhs = _regularization(nx, ny, eps, p, delta1)
+    try:
+        a, delta, lhs, rhs = _regularization(nx, ny, eps, p, delta1)
+    except ArithmeticError:
+        # float ** and int-to-float raise where a large p leaves the range
+        raise InvalidInputError(
+            "the inequality's terms leave the float range") from None
     return _margins("regularization_gap", lhs, rhs, _gap_slack(rhs),
                     a=a, delta=delta, lhs=lhs, rhs=rhs)
 

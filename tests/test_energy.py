@@ -307,3 +307,23 @@ def test_property_hessian_diagonal_matches_action(fr, p, eps, pinned):
         ref[idx] = en.linearized_action(spec, f, f.copy_with(e),
                                         fixed_mask=mask)[idx]
     assert np.max(np.abs(diag - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
+
+
+@PROPERTY
+@given(fields(), exponents, regularizations, st.booleans())
+def test_property_cells_are_the_public_quantities(fr, p, eps, pinned):
+    # one _Cells object per Newton iterate stands in for the public
+    # functions, read in the solver's order: the trial energy first
+    f, _ = fr
+    spec = EnergySpec(p, eps)
+    mask = _mask(f, pinned)
+    cells = en._Cells(spec, f)
+    assert cells.energy() == en.energy(spec, f)
+    assert np.array_equal(cells.weak_residual(mask),
+                          en.weak_residual(spec, f, fixed_mask=mask))
+    assert cells.residual_scale() == en.residual_scale(spec, f)
+    for row, ref_row in zip(cells.blocks(), en.cell_hessian(spec, f)):
+        for bij, ref in zip(row, ref_row):
+            assert np.array_equal(bij, ref)
+    assert np.array_equal(cells.hessian().data, en.hessian(spec, f).data)
+    assert cells.q_energy(p) == en.q_energy(f, p)

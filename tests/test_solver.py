@@ -147,7 +147,7 @@ def test_stop_reason_tol():
 def _relative_decrement(spec, f, mask):
     """lambda^2 / (1 + |E|) of the Newton step from f, lambda^2 = -r.d."""
     r = en.weak_residual(spec, f, mask)
-    d = sv._newton_direction(spec, f, mask, -r)
+    d = sv._newton_direction(en._Cells(spec, f), mask, -r)
     return -float(np.sum(r * d)) / (1.0 + abs(en.energy(spec, f)))
 
 
@@ -396,7 +396,7 @@ def newton_systems(draw):
 def test_property_newton_direction_solves_free_block(system, p, eps):
     field, mask, rhs = system
     spec = EnergySpec(p, eps)
-    d = sv._newton_direction(spec, field, mask, rhs)
+    d = sv._newton_direction(en._Cells(spec, field), mask, rhs)
     assert d.shape == mask.shape
     assert np.all(d[mask] == 0.0)
     free = ~mask.ravel()
@@ -442,3 +442,32 @@ def test_nested_dissection_fills_no_more_than_minimum_degree():
 def test_boundary_must_fit_the_grid(grid, boundary):
     with pytest.raises(InvalidInputError):
         sv.solve_dirichlet(EnergySpec(3.0, 1e-3), grid, boundary)
+
+
+@pytest.mark.parametrize("grid, p", [
+    (Grid1D.uniform(1.0, 2.0, 257, manifold=M3), 3.2),
+    (Grid2D(-1.0, 1.0, -1.0, 1.0, 17, 17), 1.7),
+])
+def test_newton_forms_each_fields_cell_gradient_once(monkeypatch, grid, p):
+    # D u is formed once per field the Newton loop builds (the start and
+    # each line-search trial), not again for its residual, tolerance,
+    # Hessian or closing q-energy
+    counts = {"fields": 0, "gradients": 0}
+    field_init = DiscreteField.__init__
+    cell_gradient = type(grid).cell_gradient
+
+    def counted_field(self, *args, **kwargs):
+        counts["fields"] += 1
+        field_init(self, *args, **kwargs)
+
+    def counted_gradient(self, values):
+        counts["gradients"] += 1
+        return cell_gradient(self, values)
+
+    monkeypatch.setattr(DiscreteField, "__init__", counted_field)
+    monkeypatch.setattr(type(grid), "cell_gradient", counted_gradient)
+    mask = grid.boundary_mask()
+    vals = np.cos(3.0 * grid.radius)
+    f, rep = sv.solve_dirichlet(EnergySpec(p, 1e-3), grid, (mask, vals))
+    assert len(rep.steps) == 1 and rep.steps[0]["iterations"] > 2
+    assert counts["gradients"] == counts["fields"] > rep.steps[0]["iterations"]

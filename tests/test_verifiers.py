@@ -541,12 +541,20 @@ def test_regularization_gap_validation():
     ([np.nan, 1.0], [0.5], 0.1, 3.0, 0.5),
     ([1.0], [np.nan], 0.1, 3.0, 0.5),
     ([np.inf], [0.5], 0.1, 3.0, 0.5),
-    ([np.inf], [np.inf], 0.1, 3.0, 0.5)],
+    ([np.inf], [np.inf], 0.1, 3.0, 0.5),
+    ([3.0, 4.0], [1.0, 0.0], 0.1, 2000.0, 0.5),
+    ([3.0, 4.0], [1.0, 0.0], 0.0, 500.0, 0.5),
+    ([3.0, 4.0], [1.0, 0.0], 0.1, 3.0, 1e-200),
+    ([1e200, 1e200], [1.0, 0.0], 0.1, 3.0, 0.5)],
     ids=["eps", "p", "delta1", "inf-eps", "inf-p", "inf-delta1",
-         "nan-X", "nan-Y", "inf-X", "inf-both"])
+         "nan-X", "nan-Y", "inf-X", "inf-both", "large-p", "large-p-eps0",
+         "tiny-delta1", "overflowing-norm"])
 def test_regularization_gap_rejects_nan(X, Y, eps, p, delta1):
     # NaN p raised a bare ValueError and infinite p an OverflowError; a
-    # non-finite eps, delta1 or norm gave a NaN report, a failed check
+    # non-finite eps, delta1 or norm gave a NaN report, a failed check.
+    # Finite input whose terms leave the float range raised a bare
+    # OverflowError or ZeroDivisionError, and an overflowing norm warned
+    # (an error under the test config) before it was rejected
     with pytest.raises(InvalidInputError):
         vf.regularization_gap(X, Y, eps, p, delta1)
 
