@@ -1,8 +1,9 @@
 """Batch command line front end.
 
 Exit codes: 0 success / all checks pass, 1 a check failed (reports still
-written), 2 invalid input, 3 solver non-convergence.  All numeric output
-uses 12 significant digits so golden files are meaningful.
+written), 2 invalid input (a grid too large to allocate included), 3
+solver non-convergence.  All numeric output uses 12 significant digits
+so golden files are meaningful.
 
 Options are checked and loaded as they are parsed: ``--p`` must exceed 1,
 ``--samples`` must be at least 1, and ``--manifold`` is read into a
@@ -398,7 +399,8 @@ def run(argv=None) -> int:
     except NonConvergenceError as exc:
         print("non-convergence: %s" % exc, file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (PlapError, OSError, ValueError) as exc:
+    except (PlapError, OSError, ValueError, MemoryError) as exc:
+        # MemoryError: a grid too large to allocate is invalid input
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
 

@@ -2,10 +2,11 @@
 
 Damped Newton on the convex discrete energy.  Each Newton direction is a
 direct solve with the energy Hessian on the free nodes, which is symmetric
-and, for eps > 0 with the grid boundary fixed, positive definite: one
-tridiagonal banded solve in 1D, in 2D a SuperLU factorization of the
-assembled ``energy.hessian``'s free block.  The grid orders that block
-once per mask by geometric nested dissection (``free_block``: A. George,
+and, for eps > 0 with the grid boundary fixed, positive definite: in 1D
+one call of LAPACK's tridiagonal ``dgtsv`` on diagonals read off the
+stencil, in 2D a SuperLU factorization of the assembled
+``energy.hessian``'s free block.  The grid orders that block once per
+mask by geometric nested dissection (``free_block``: A. George,
 SIAM J. Numer. Anal. 10, 1973) and gives the gather that cuts it out of
 H.data; SuperLU then factors it in that natural order in its symmetric
 mode, with diagonal pivots (X. S. Li, ACM TOMS 31, 2005).  A solve stops
@@ -41,10 +42,12 @@ from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 from scipy.sparse.linalg import splu
-# unused: only kept because perfbench/tracing.py wraps solver.spsolve and
-# solver.cg by name
+# unused: only kept because perfbench/tracing.py wraps solver.solve_banded,
+# solver.spsolve and solver.cg by name
+from scipy.linalg import solve_banded  # noqa: F401
 from scipy.sparse.linalg import cg, spsolve  # noqa: F401
 
 from . import energy as en
@@ -150,18 +153,27 @@ def _newton_direction(cells, mask, rhs):
     if isinstance(grid, Grid1D):
         # H is tridiagonal, read off the stencil: k on the diagonal and
         # sign(a) sign(b) k between a cell's nodes; fixed nodes become
-        # identity rows cut off from their neighbours
+        # identity rows cut off from their neighbours.  dgtsv, the LAPACK
+        # routine solve_banded((1, 1), ...) calls, solves it in place on
+        # diagonals built in the order of that band, with its finiteness
+        # and singularity checks: the same bits without its copies
         k = (cells.blocks()[0][0] * grid.cell_measure
              / grid.cell_scale[0]**2)
         sa, sb = grid.cell_signs[0]
-        ab = np.zeros((3, grid.n))
-        ab[1, :-1] += k
-        ab[1, 1:] += k
-        ab[1, mask] = 1.0
+        diag = np.zeros(grid.n)
+        diag[:-1] += k
+        diag[1:] += k
+        diag[mask] = 1.0
         off = np.where(mask[:-1] | mask[1:], 0.0, sa * sb * k)
-        ab[0, 1:] = off
-        ab[2, :-1] = off
-        return solve_banded((1, 1), ab, np.where(mask, 0.0, rhs))
+        b = np.where(mask, 0.0, rhs)
+        if not (np.isfinite(diag).all() and np.isfinite(off).all()
+                and np.isfinite(b).all()):
+            raise ValueError("array must not contain infs or NaNs")
+        _, _, _, d, info = dgtsv(off, diag, off.copy(), b, True, True, True,
+                                 True)
+        if info > 0:
+            raise LinAlgError("singular matrix")
+        return d
     block = grid.free_block(mask)
     d = np.zeros(rhs.size)
     if block.perm.size:

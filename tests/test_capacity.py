@@ -102,6 +102,15 @@ def test_capacity_numeric_2d_annulus_is_pinned():
                  5.122888710632457) <= 4
 
 
+def test_capacity_numeric_1d_annulus_is_pinned():
+    # the m=3 annulus 1 < t < 2 at 16385 nodes, p=3.2, plates on the end
+    # nodes: a change in the 1D Newton solve moves it by rounding only
+    grid = Grid1D.uniform(1.0, 2.0, 16385, manifold=M3)
+    cond = cap.Condenser(inner=(1.0, 1.0), outer=(2.0, 2.0))
+    assert _ulps(cap.capacity_numeric(grid, 3.2, cond).value,
+                 26.25020996044399) <= 4
+
+
 @pytest.mark.parametrize("M, p", [(warped(3, PolyEven(2.0)), 3.0),
                                   (warped(2, Cosh()), 2.4)])
 def test_capacity_numeric_grounds_the_1d_grid_ends(M, p):

@@ -85,6 +85,20 @@ def test_solve_nonfinite_end_exit_code(tmp_path, capsys, end):
     assert not (tmp_path / "solution.csv").exists()
 
 
+def test_unallocatable_grid_exit_code(tmp_path, capsys, monkeypatch):
+    # --nodes 100000000000 died in np.linspace with a MemoryError
+    # traceback and exit 1, the code of a failed check
+    def unallocatable(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(Grid1D, "uniform", unallocatable)
+    rc = cli.run(["solve", "--p", "3", "--nodes", "100000000000",
+                  "--out", str(tmp_path)])
+    assert rc == cli.EXIT_INVALID
+    assert capsys.readouterr().err == "error: Unable to allocate 745. GiB\n"
+    assert not (tmp_path / "solution.csv").exists()
+
+
 def test_unknown_subcommand():
     assert cli.run(["frobnicate"]) == cli.EXIT_INVALID
 

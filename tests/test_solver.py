@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import LinAlgError, solve_banded
 from scipy.sparse.linalg import splu
 
 import plap.energy as en
@@ -407,6 +410,49 @@ def test_property_newton_direction_solves_free_block(system, p, eps):
     scale = (np.max(np.abs(b), initial=0.0)
              + np.max(np.abs(H) @ np.abs(d.ravel()[free]), initial=0.0))
     assert np.all(np.abs(lhs - b) <= 1e-10 * scale)
+
+
+def _banded_direction(cells, mask, rhs):
+    """The 1D Newton direction through solve_banded, on the 3 x n band
+    built as the solver once built it."""
+    grid = cells.field.grid
+    k = cells.blocks()[0][0] * grid.cell_measure / grid.cell_scale[0]**2
+    sa, sb = grid.cell_signs[0]
+    ab = np.zeros((3, grid.n))
+    ab[1, :-1] += k
+    ab[1, 1:] += k
+    ab[1, mask] = 1.0
+    off = np.where(mask[:-1] | mask[1:], 0.0, sa * sb * k)
+    ab[0, 1:] = off
+    ab[2, :-1] = off
+    return solve_banded((1, 1), ab, np.where(mask, 0.0, rhs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(newton_systems().filter(lambda s: isinstance(s[0].grid, Grid1D)),
+       st.floats(1.0, 4.0, exclude_min=True), st.floats(1e-3, 1.0))
+def test_property_1d_newton_direction_is_the_banded_solve(system, p, eps):
+    # the tridiagonal solve is the one solve_banded makes: the same bits
+    field, mask, rhs = system
+    cells = en._Cells(EnergySpec(p, eps), field)
+    assert np.array_equal(sv._newton_direction(cells, mask, rhs),
+                          _banded_direction(cells, mask, rhs))
+
+
+def test_1d_newton_direction_checks_its_system():
+    grid = annulus(17)
+    mask = grid.boundary_mask()
+    cells = en._Cells(EnergySpec(3.0, 1e-3),
+                      DiscreteField(grid, np.cos(grid.radius)))
+    rhs = np.ones(grid.n)
+    rhs[5] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        sv._newton_direction(cells, mask, rhs)
+    # a zero Hessian on the free nodes is singular
+    flat = SimpleNamespace(field=cells.field,
+                           blocks=lambda: [[np.zeros(grid.n - 1)]])
+    with pytest.raises(LinAlgError, match="singular"):
+        sv._newton_direction(flat, mask, np.ones(grid.n))
 
 
 def test_nested_dissection_fills_no_more_than_minimum_degree():
