@@ -63,9 +63,12 @@ def capacity_numeric(domain, p: float, condenser: Condenser,
                      cfg: Optional[SolveConfig] = None) -> CapacityResult:
     """Minimize the p-energy over fields that are 1/0 on the condenser
     plates along ``cfg``'s eps path (by default the decade path down to
-    2^-19); returns E_p of the final iterate.  The grid's boundary joins
-    the outer plate and the inner plate wins where they meet: this is
-    Cap_p(K, Omega), Omega the grid's box, on either grid."""
+    2^-19); returns E_p of the final iterate.  Only that iterate is read,
+    so every eps before it is a loose step of the path, stopped at
+    ``SolveConfig.path_tol``; the last solves to ``residual_tol``.  The
+    grid's boundary joins the outer plate and the inner plate wins where
+    they meet: this is Cap_p(K, Omega), Omega the grid's box, on either
+    grid."""
     cfg = cfg or SolveConfig()
     if not isinstance(domain, (Grid1D, Grid2D)):
         raise InvalidInputError("domain must be a Grid1D or Grid2D")
@@ -80,7 +83,7 @@ def capacity_numeric(domain, p: float, condenser: Condenser,
     mask = in_inner | in_outer
     vals = np.zeros(mask.shape, dtype=float)
     vals[in_inner] = 1.0
-    fields, _ = eps_path(p, domain, (mask, vals), cfg)
+    fields, _ = eps_path(p, domain, (mask, vals), cfg, loose=True)
     final = fields[-1]
     return CapacityResult(value=en.q_energy(final, p), p=p, method="numeric",
                           extremal=final)

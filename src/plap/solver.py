@@ -12,7 +12,9 @@ H.data; SuperLU then factors it in that natural order in its symmetric
 mode, with diagonal pivots (X. S. Li, ACM TOMS 31, 2005).  A solve stops
 at the residual tolerance ("tol"), or, where rounding keeps the residual
 above it, after the step from a Newton decrement -r.d at the energy's
-rounding level ("floor").  Each iterate's cell quantities (``energy._Cells``)
+rounding level ("floor").  Both are relative, to the fluxes and to |E|,
+with no absolute part, so data scaled by l solved at eps l^2 gives the
+solution scaled by l.  Each iterate's cell quantities (``energy._Cells``)
 are formed once: a line-search trial's energy, then, once accepted, its
 residual, tolerance scale and Hessian read the same D u.  The choice of that linear solve is the only
 place the solver asks which kind of grid it has: the grid supplies the
@@ -23,8 +25,12 @@ solves (``eps_path``): the harmonic solution at the first eps, then one
 solve per eps from the previous one.  The default path is the decade
 path 1, 0.1, ..., 1e-5, then 2^-19 (``decade_schedule``); after the first
 steps each decade costs a few Newton iterations (path following for the
-p-Laplacian: S. Loisel, Numer. Math. 146, 2020).  A cold single-eps solve
-that stalls is retried once along the decade path down to its own eps.
+p-Laplacian: S. Loisel, Numer. Math. 146, 2020).  A step of the path only
+has to leave its iterate where the next eps's Newton converges fast, so
+where only the last field is read (``capacity_numeric``) every step but
+the last is loose: it stops at ``path_tol`` = 1e-3 relative ("path").  A
+cold single-eps solve that stalls is retried once along the full decade
+path down to its own eps.
 ``epsilon_continuation`` is the same path plus W^{1,p} distances and
 sandwich checks; the CLI ``continuation`` runs it on the halving schedule
 ``default_schedule``.
@@ -83,6 +89,9 @@ class SolveConfig:
     eps_schedule: Sequence[float] = dc_field(
         default_factory=lambda: decade_schedule(0.5 ** 19))
     residual_tol: ClassVar[float] = 1e-12
+    # the tolerance of an intermediate step of a loose eps path, relative
+    # to the residual scale like ``residual_tol``
+    path_tol: ClassVar[float] = 1e-3
     max_newton_iters: int = 50
 
     def __post_init__(self):
@@ -104,8 +113,10 @@ class SolveReport:
 
     def add_step(self, eps, iters, residual, e_eps, e_p, stop):
         """``stop`` says why the solve ended: "tol" (residual at most its
-        tolerance), "floor" (a step taken from a Newton decrement at
-        rounding level, residual above tol) or "max_iters"."""
+        tolerance), "path" (a loose step of an eps path: residual at most
+        ``path_tol`` times its scale), "floor" (a step taken from a Newton
+        decrement at rounding level, residual above its tolerance) or
+        "max_iters"."""
         self.steps.append(
             {"eps": eps, "iterations": iters, "residual": residual,
              "energy_eps": e_eps, "energy_p": e_p, "stop": stop}
@@ -197,14 +208,17 @@ def _newton_direction(cells, mask, rhs):
 
 def solve_dirichlet(spec: EnergySpec, grid, boundary,
                     cfg: Optional[SolveConfig] = None,
-                    initial: Optional[np.ndarray] = None):
+                    initial: Optional[np.ndarray] = None, *,
+                    loose: bool = False):
     """Minimize E_{p,eps} over fields with the given fixed values.
 
     Returns (DiscreteField, SolveReport).  eps is floored at 1e-14.  A
     cold solve (no ``initial``) that does not converge is retried once
     along ``eps_path`` on ``decade_schedule(eps)``; its report then lists
     the failed attempt and every step of the path.  If the retry fails
-    too, the cold attempt's error is raised.
+    too, the cold attempt's error is raised.  A ``loose`` solve stops at
+    ``path_tol`` instead of ``residual_tol`` and reports "path": it is
+    an intermediate step of a path, which only has to start the next.
     """
     cfg = cfg or SolveConfig()
     eps = max(spec.eps, EPS_FLOOR)
@@ -222,9 +236,10 @@ def solve_dirichlet(spec: EnergySpec, grid, boundary,
                         en.q_energy(f, spec.p), "tol")
         return f, report
     if initial is not None:
-        return _newton(spec, grid, mask, vals, initial, cfg)
+        return _newton(spec, grid, mask, vals, initial, cfg, loose)
     try:
-        return _newton(spec, grid, mask, vals, grid.fill(mask, vals), cfg)
+        return _newton(spec, grid, mask, vals, grid.fill(mask, vals), cfg,
+                       loose)
     except NonConvergenceError as exc:
         cold = exc
     # damped Newton from the interpolant can stall at small p and eps;
@@ -241,11 +256,14 @@ def solve_dirichlet(spec: EnergySpec, grid, boundary,
 # an overflow shows up as a non-finite energy or residual, which raises
 # NonConvergenceError, or as a trial energy the line search rejects
 @np.errstate(over="ignore", invalid="ignore")
-def _newton(spec, grid, mask, vals, initial, cfg):
+def _newton(spec, grid, mask, vals, initial, cfg, loose):
     """Damped Newton for E_{p,eps} from ``initial``, with the fixed nodes
-    set to their values.  A non-finite energy or residual raises
+    set to their values, to ``cfg.path_tol`` if ``loose``, else to
+    ``cfg.residual_tol``.  A non-finite energy or residual raises
     NonConvergenceError."""
     report = SolveReport()
+    rel_tol = cfg.path_tol if loose else cfg.residual_tol
+    met = "path" if loose else "tol"
     eps = spec.eps
     u = np.array(initial, dtype=float)
     u[mask] = vals[mask]
@@ -258,9 +276,13 @@ def _newton(spec, grid, mask, vals, initial, cfg):
     while True:
         f = cells.field
         r = cells.weak_residual(mask)
-        # tolerance relative to the elementary flux magnitude: the
-        # residual's rounding floor grows with the fluxes (roughly like 1/h)
-        tol = cfg.residual_tol * (1.0 + cells.residual_scale())
+        # tolerance relative to the elementary flux magnitude, with no
+        # absolute part: E_{p,l^2 eps}(l u) = l^p E_{p,eps}(u), so data
+        # scaled by l stops on the same iterate scaled by l.  The
+        # residual's rounding floor grows with the fluxes (roughly like
+        # 1/h).  A zero scale makes the tolerance 0: constant data never
+        # gets here, and the floor stop ends any other such solve
+        tol = rel_tol * cells.residual_scale()
         r_max = float(np.max(np.abs(r)))
         if not np.isfinite(e_val + r_max):
             # NaN fails every comparison below and would stop as "floor"
@@ -280,11 +302,11 @@ def _newton(spec, grid, mask, vals, initial, cfg):
         # Newton decrement lam2 = -r.d estimates E - E_min; the step from
         # one at the energy's rounding level is the last that can help
         lam2 = -float(np.sum(r * d))
-        floor = lam2 <= DECREMENT_FLOOR * (1.0 + abs(e_val))
+        floor = lam2 <= DECREMENT_FLOOR * abs(e_val)
         alpha = 1.0
         # rounding slack: near the optimum the true decrease drops below
         # the float resolution of the energy and pure Armijo stalls
-        slack = 16.0 * np.finfo(float).eps * (1.0 + abs(e_val))
+        slack = 16.0 * np.finfo(float).eps * abs(e_val)
         while True:
             trial = en._Cells(spec, DiscreteField(grid, f.values + alpha * d))
             e_trial = trial.energy()
@@ -297,16 +319,19 @@ def _newton(spec, grid, mask, vals, initial, cfg):
         cells, e_val = trial, e_trial
         iters += 1
     report.add_step(eps, iters, r_max, e_val, cells.q_energy(spec.p),
-                    "tol" if r_max <= tol else "floor")
+                    met if r_max <= tol else "floor")
     return f, report
 
 
-def eps_path(p: float, grid, boundary, cfg: Optional[SolveConfig] = None):
+def eps_path(p: float, grid, boundary, cfg: Optional[SolveConfig] = None,
+             *, loose: bool = False):
     """Solve along the eps schedule with warm starts.
 
     The harmonic solution at the first eps starts the path (for p != 2),
-    then each eps starts from the previous solution.  Returns
-    (list of DiscreteField, SolveReport with one step per eps).
+    then each eps starts from the previous solution.  With ``loose``,
+    every eps but the last is a loose solve ("path"), for callers that
+    read only the last field.  Returns (list of DiscreteField,
+    SolveReport with one step per eps).
     """
     cfg = cfg or SolveConfig()
     sched = np.asarray(cfg.eps_schedule, dtype=float)
@@ -321,9 +346,10 @@ def eps_path(p: float, grid, boundary, cfg: Optional[SolveConfig] = None):
         initial = f0.values
     report = SolveReport()
     fields = []
-    for eps in sched:
+    for i, eps in enumerate(sched):
         f, rep = solve_dirichlet(EnergySpec(p, eps), grid, boundary, cfg,
-                                 initial=initial)
+                                 initial=initial,
+                                 loose=loose and i < sched.size - 1)
         report.steps.extend(rep.steps)
         fields.append(f)
         initial = f.values

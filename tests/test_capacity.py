@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import plap.capacity as cap
+import plap.energy as en
 import plap.solver as sv
 from plap.energy import EnergySpec
 from plap.errors import (
@@ -93,6 +94,50 @@ def test_capacity_numeric_decade_path_matches_halving(grid, p):
     assert _ulps(num, ref) <= 4
 
 
+LOOSE_1D = Grid1D.uniform(1.0, 2.0, 1025, manifold=M3)
+LOOSE_2D = Grid2D(-2.0, 2.0, -2.0, 2.0, 33, 33)
+
+
+@pytest.mark.parametrize("grid", [LOOSE_1D, LOOSE_2D])
+@pytest.mark.parametrize("p", [1.55, 3.95, 20.0])
+def test_capacity_numeric_loose_path_matches_full_path(monkeypatch, grid, p):
+    # every eps of capacity_numeric's path but the last stops at path_tol;
+    # the capacity stays within a few ulp of the full decade path's
+    if isinstance(grid, Grid1D):
+        cond = cap.Condenser(inner=(1.0, 1.0), outer=(2.0, 2.0))
+    else:
+        cond = cap.Condenser(inner=(0.0, 0.5), outer=(1.5, np.inf))
+    calls = []
+
+    def recorded(*args, **kwargs):
+        out = sv.eps_path(*args, **kwargs)
+        calls.append((args, out[1]))
+        return out
+
+    monkeypatch.setattr(cap, "eps_path", recorded)
+    num = cap.capacity_numeric(grid, p, cond).value
+    [(args, report)] = calls
+    stops = [s["stop"] for s in report.steps]
+    assert stops[:-1] == ["path"] * (len(sv.SolveConfig().eps_schedule) - 1)
+    assert stops[-1] in ("tol", "floor")
+    fields, full = sv.eps_path(*args)
+    assert "path" not in [s["stop"] for s in full.steps]
+    assert _ulps(num, en.q_energy(fields[-1], p)) <= 4
+
+
+@pytest.mark.parametrize("p", [16.0, 20.0])
+def test_capacity_numeric_at_large_p_matches_closed_form(p):
+    # cosh, m=3, on [-3, 3]: the fluxes are far below 1, and a Newton stop
+    # with an absolute part in its tolerance ended every step from
+    # eps = 1e-2 on after 0 iterations, 12% high at p=16 and 22x at p=20
+    M = warped(3, Cosh())
+    g = Grid1D.uniform(-3.0, 3.0, 4097, manifold=M)
+    cond = cap.Condenser(inner=(-3.0, -3.0), outer=(3.0, 3.0))
+    num = cap.capacity_numeric(g, p, cond).value
+    assert num == pytest.approx(cap.capacity_analytic(M, p, -3.0, 3.0).value,
+                                rel=1e-5)
+
+
 def test_capacity_numeric_2d_annulus_is_pinned():
     # the 0.5/1.5 annulus at 65^2, p=3: a change of ordering in the 2D
     # Newton solve moves it by rounding only
@@ -147,8 +192,6 @@ def test_zero_potential_difference_has_zero_energy():
     # equal plate potentials: the minimizer is constant, p-energy 0
     g = Grid1D.uniform(1.0, 2.0, 65, manifold=M3)
     f, _ = sv.solve_dirichlet(EnergySpec(3.0, 1e-8), g, (1.0, 1.0))
-    import plap.energy as en
-
     assert en.q_energy(f, 3.0) == 0.0
 
 

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import LinAlgError, solve_banded
 from scipy.sparse.linalg import splu
 
@@ -20,6 +20,12 @@ M3 = euclidean(3)
 
 def annulus(n=129):
     return Grid1D.uniform(1.0, 2.0, n, manifold=M3)
+
+
+def _tol(spec, f):
+    """The solver's residual tolerance at f: residual_tol times the
+    residual scale, with no absolute part."""
+    return sv.SolveConfig.residual_tol * en.residual_scale(spec, f)
 
 
 def test_default_schedule():
@@ -132,7 +138,7 @@ def test_cold_start_stall_retries_along_decade_path(p, eps):
     assert cold["residual"] > 0.1
     assert [s["eps"] for s in path] == list(sv.decade_schedule(eps))
     assert path[-1]["stop"] in ("tol", "floor")
-    assert path[-1]["residual"] <= 1e-12 * (1.0 + en.residual_scale(spec, f))
+    assert path[-1]["residual"] <= _tol(spec, f)
     fields, _ = sv.eps_path(
         p, g, (1.0, 0.0), sv.SolveConfig(eps_schedule=sv.decade_schedule(eps)))
     assert np.array_equal(f.values, fields[-1].values)
@@ -144,7 +150,7 @@ def test_stop_reason_tol():
     f, rep = sv.solve_dirichlet(spec, annulus(257), (1.0, 0.0))
     step = rep.steps[-1]
     assert step["stop"] == "tol"
-    assert step["residual"] <= 1e-12 * (1.0 + en.residual_scale(spec, f))
+    assert step["residual"] <= _tol(spec, f)
 
 
 def _relative_decrement(spec, f, mask):
@@ -162,7 +168,7 @@ def test_stop_reason_floor():
     f, rep = sv.solve_dirichlet(spec, g, (1.0, 0.0))
     step = rep.steps[-1]
     assert step["stop"] == "floor"
-    assert step["residual"] > 1e-12 * (1.0 + en.residual_scale(spec, f))
+    assert step["residual"] > _tol(spec, f)
     assert _relative_decrement(spec, f, g.boundary_mask()) <= 1e-20
 
 
@@ -177,7 +183,7 @@ def test_property_stop_is_tol_or_decrement_floor(p, n, log_eps):
     except NonConvergenceError:
         return  # a cold start at small p and eps may not converge
     step = rep.steps[-1]
-    tol = 1e-12 * (1.0 + en.residual_scale(spec, f))
+    tol = _tol(spec, f)
     if step["stop"] == "tol":
         assert step["residual"] <= tol
     else:
@@ -185,6 +191,37 @@ def test_property_stop_is_tol_or_decrement_floor(p, n, log_eps):
         assert step["residual"] > tol
         assert _relative_decrement(spec, f, g.boundary_mask()) \
             <= sv.DECREMENT_FLOOR
+
+
+SCALE_GRIDS = [annulus(257), Grid2D(-1.0, 1.0, -1.0, 1.0, 17, 17)]
+
+
+@settings(max_examples=24, deadline=None)
+@given(st.sampled_from(SCALE_GRIDS), st.floats(1.5, 4.5), st.floats(-3.0, 3.0),
+       st.floats(-6.0, -2.0), st.booleans())
+# the 2D jump data at lambda = 1e-3 and p = 4 was 1.2e-4 off while the
+# stop had an absolute part
+@example(SCALE_GRIDS[1], 4.0, -3.0, -4.0, False)
+def test_property_path_is_scale_invariant(grid, p, log_lam, log_eps, loose):
+    """E_{p,lam^2 eps}(lam u) = lam^p E_{p,eps}(u): data scaled by lam,
+    solved at eps lam^2, gives lam u, for lam in [1e-3, 1e3].  The path
+    is the decade path scaled by lam^2, on which every Newton iterate
+    scales too.  eps lam^2 stays >= 1e-12 (eps >= 1e-6), because the
+    solver floors eps at the absolute EPS_FLOOR = 1e-14: below it the
+    scaled problem is solved at the floor, not at eps lam^2."""
+    lam, eps = 10.0 ** log_lam, 10.0 ** log_eps
+    mask = grid.boundary_mask()
+    # jump data: 1 on the boundary nodes left of the middle, 0 on the rest
+    x = next(iter(grid.coords.values()))
+    vals = np.where(x < x.mean(), 1.0, 0.0)
+    sched = sv.decade_schedule(eps)
+    fields, _ = sv.eps_path(p, grid, (mask, vals),
+                            sv.SolveConfig(eps_schedule=sched), loose=loose)
+    scaled, _ = sv.eps_path(p, grid, (mask, lam * vals),
+                            sv.SolveConfig(eps_schedule=lam**2 * sched),
+                            loose=loose)
+    u = fields[-1].values
+    assert np.max(np.abs(scaled[-1].values / lam - u)) <= 1e-12
 
 
 def test_2d_solve_p2():
