@@ -152,6 +152,22 @@ def _gauss_kronrod(f, lo, hi) -> np.ndarray:
     return total
 
 
+def _decays(f, end: float, r: float) -> bool:
+    """Whether f falls faster than 1/|t| toward the infinite ``end``, so
+    that its integral converges there, for a power tail.  The exponent is
+    read between the last two of the points r, 2r, ..., 2^_MAX_LEVEL r
+    (the far end of the tail ``_gauss_kronrod`` resolves, r as it sets
+    it) where it is known: a value that underflows to 0 falls, one that
+    overflows grows, and 0/0 or inf/inf gives no exponent.  With none
+    known, f counts as decaying."""
+    t = math.copysign(r, end) * 2.0 ** np.arange(_MAX_LEVEL + 1)
+    with np.errstate(all="ignore"):
+        fx = np.abs(np.asarray(f(t), dtype=float))
+        slope = np.log2(fx[1:] / fx[:-1])
+    known = slope[~np.isnan(slope)]
+    return not known.size or bool(known[-1] < -1.0)
+
+
 # ---------------------------------------------------------------------------
 # Warp functions
 # ---------------------------------------------------------------------------

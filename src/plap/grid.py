@@ -12,9 +12,10 @@ component the mean of the two edge differences in its direction, over
 ``cell_divergence`` is its exact transpose, ``cell_structure`` is the
 cell-to-node structure on which the energy Hessian is assembled, and
 ``flux_spacing`` is the smallest divisor; ``free_block(mask)`` orders
-a mask's free nodes by nested dissection and maps H.data onto their
-block.  ``cell_measure`` weighs the cells.  Changing the
-discretization means changing the stencil and ``cell_measure`` only.
+a mask's free nodes with the shorter axis varying fastest and maps
+H.data onto the upper band of their block.  ``cell_measure`` weighs the
+cells.  Changing the discretization means changing the stencil and
+``cell_measure`` only.
 
 The nodal calculus the verifiers are written in is shared too, read off
 ``spacing`` (per axis, as ``np.gradient`` takes it: the nodes in 1D,
@@ -68,21 +69,6 @@ class CellStructure(NamedTuple):
 
     coef: np.ndarray
     pos: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-
-
-class FreeBlock(NamedTuple):
-    """The free-node block of H, permuted into nested-dissection order.
-
-    ``perm`` lists the free nodes (raveled) in that order; the block
-    P H_ff P^T is the CSC matrix with data ``H.data[gather]``, row
-    ``indices`` and column pointers ``indptr``, for every H assembled on
-    the grid's ``cell_structure``.
-    """
-
-    perm: np.ndarray
-    gather: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
 
@@ -199,60 +185,37 @@ class _CellGrid:
         indices.flags.writeable = indptr.flags.writeable = False
         return CellStructure(coef, pos.ravel(), indices, indptr)
 
-    @cached_property
-    def _dissection(self) -> np.ndarray:
-        """Every node, raveled, in geometric nested-dissection order
-        (A. George, SIAM J. Numer. Anal. 10, 1973): a box of more than 4
-        nodes is cut at the middle line of its longer axis, and its nodes
-        are ordered as the lower part, the upper part, then the cut line.
-        Each node's path down the boxes is a base-3 key (0 lower, 1 upper,
-        2 on the cut, 0-padded after a cut or leaf), so a stable sort by
-        key orders the whole grid, each leaf and line in raveled order."""
-        at = np.indices(self.shape).reshape(len(self.shape), -1)
-        lo = np.zeros_like(at)
-        hi = np.broadcast_to(np.array(self.shape)[:, None], at.shape).copy()
-        axes = np.arange(len(self.shape))[:, None]
-        key = np.zeros(at.shape[1], dtype=np.int64)
-        live = np.ones(at.shape[1], dtype=bool)
-        while live.any():
-            ext = hi - lo
-            live &= np.prod(ext, axis=0) > 4
-            cut = live & (axes == np.argmax(ext, axis=0))
-            mid = (lo + hi) // 2
-            below, above = cut & (at < mid), cut & (at > mid)
-            hi = np.where(below, mid, hi)
-            lo = np.where(above, mid + 1, lo)
-            on = (cut & (at == mid)).any(axis=0)
-            key = 3 * key + above.any(axis=0) + 2 * on
-            live &= ~on
-        return np.argsort(key, kind="stable")
-
-    def free_block(self, mask) -> FreeBlock:
-        """The free nodes of ``mask`` in nested-dissection order, and the
-        gather that cuts their CSC block out of H.data.  One block is
-        cached, keyed by the mask's bytes, so a solve pays for it once and
-        a different mask, or one edited in place, gets its own."""
+    def free_block(self, mask) -> tuple:
+        """The free nodes of ``mask`` and the upper band of their block of
+        H, for every H assembled on the grid's ``cell_structure``:
+        (free, kd, gather, scatter).  ``free`` lists the free nodes
+        (raveled), the shorter grid axis varying fastest, so the block's
+        half-width ``kd`` is at most that axis's length plus 1.  In an
+        (N, kd+1) array B, N = free.size, ``B.flat[scatter] =
+        H.data[gather]`` writes the entries on and above the diagonal:
+        H_ff[a, b] for a <= b at B[b, kd + a - b].  So B.T is LAPACK's
+        upper band storage, in Fortran order.  One cut is cached, keyed
+        by the mask's bytes, so a solve pays for it once and a different
+        mask, or one edited in place, gets its own."""
         mask = np.asarray(mask, dtype=bool)
         key = mask.tobytes()
         cached = self.__dict__.get("_free_block")
         if cached is None or cached[0] != key:
-            cached = self._free_block = (key, self._cut_free_block(mask))
+            cs = self.cell_structure
+            axes = sorted(range(mask.ndim), key=lambda i: -mask.shape[i])
+            order = np.arange(mask.size).reshape(mask.shape).transpose(
+                axes).ravel()
+            free = order[~mask.ravel()[order]]
+            inv = np.full(mask.size, -1)
+            inv[free] = np.arange(free.size)
+            rows = inv[np.repeat(np.arange(mask.size), np.diff(cs.indptr))]
+            cols = inv[cs.indices]
+            gather = np.flatnonzero((rows >= 0) & (rows <= cols))
+            off = cols[gather] - rows[gather]
+            kd = int(off.max(initial=0))
+            cached = self._free_block = (
+                key, (free, kd, gather, cols[gather] * (kd + 1) + kd - off))
         return cached[1]
-
-    def _cut_free_block(self, mask) -> FreeBlock:
-        cs = self.cell_structure
-        order = self._dissection
-        perm = order[~mask.ravel()[order]]
-        inv = np.full(order.size, -1)
-        inv[perm] = np.arange(perm.size)
-        rows = inv[np.repeat(np.arange(order.size), np.diff(cs.indptr))]
-        cols = inv[cs.indices]
-        kept = np.flatnonzero((rows >= 0) & (cols >= 0))
-        # by column, then row: one sort of the combined key
-        gather = kept[np.argsort(cols[kept] * perm.size + rows[kept])]
-        indptr = np.searchsorted(cols[gather], np.arange(perm.size + 1))
-        return FreeBlock(perm, gather, rows[gather].astype(np.int32),
-                         indptr.astype(np.int32))
 
 
 class Grid1D(_CellGrid):

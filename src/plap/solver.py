@@ -4,12 +4,15 @@ Damped Newton on the convex discrete energy.  Each Newton direction is a
 direct solve with the energy Hessian on the free nodes, which is symmetric
 and, for eps > 0 with the grid boundary fixed, positive definite: in 1D
 one call of LAPACK's tridiagonal ``dgtsv`` on diagonals read off the
-stencil, in 2D a SuperLU factorization of the assembled
-``energy.hessian``'s free block.  The grid orders that block once per
-mask by geometric nested dissection (``free_block``: A. George,
-SIAM J. Numer. Anal. 10, 1973) and gives the gather that cuts it out of
-H.data; SuperLU then factors it in that natural order in its symmetric
-mode, with diagonal pivots (X. S. Li, ACM TOMS 31, 2005).  A solve stops
+stencil, in 2D one call of LAPACK's band Cholesky ``dpbsv`` on the free
+block of the assembled ``energy.hessian``.  The grid cuts that block once
+per mask (``free_block``): the free nodes with the shorter axis varying
+fastest, so the half-width is at most that axis's length plus 1, and
+the scatter of H.data into upper band storage.  On free blocks of a
+few thousand nodes a band method does less work than a sparse
+factorization in a fill-reducing order (A. George & J. W. Liu, Computer
+Solution of Large Sparse Positive Definite Systems, 1981); past about
+200^2 nodes its kd^2 N cost overtakes that.  A solve stops
 at the residual tolerance ("tol"), or, where rounding keeps the residual
 above it, after the step from a Newton decrement -r.d at the energy's
 rounding level ("floor").  Both are relative, to the fluxes and to |E|,
@@ -47,10 +50,8 @@ from dataclasses import dataclass, field as dc_field, replace
 from typing import ClassVar, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgtsv, dpbsv
 # unused: only kept because perfbench/tracing.py wraps solver.solve_banded,
 # solver.spsolve and solver.cg by name
 from scipy.linalg import solve_banded  # noqa: F401
@@ -185,19 +186,23 @@ def _newton_direction(cells, mask, rhs):
         if info > 0:
             raise LinAlgError("singular matrix")
         return d
-    block = grid.free_block(mask)
+    free, kd, gather, scatter = grid.free_block(mask)
     d = np.zeros(rhs.size)
-    if block.perm.size:
-        # the free block is symmetric positive definite: factor it in the
-        # grid's nested-dissection order, fixed for the mask, with
-        # SuperLU's symmetric mode (no reordering, diagonal pivots)
-        H = cells.hessian()
-        lu = splu(sp.csc_matrix((H.data[block.gather], block.indices,
-                                 block.indptr),
-                                shape=(block.perm.size,) * 2),
-                  permc_spec="NATURAL", diag_pivot_thresh=0,
-                  options={"SymmetricMode": True})
-        d[block.perm] = lu.solve(rhs.ravel()[block.perm])
+    if free.size:
+        # the free block is symmetric positive definite: LAPACK's band
+        # Cholesky factors and solves it in upper band storage, which is
+        # this C-ordered (N, kd+1) array read as its Fortran transpose
+        band = np.zeros((free.size, kd + 1))
+        band.flat[scatter] = cells.hessian().data[gather]
+        b = rhs.ravel()[free]
+        if not (np.isfinite(band).all() and np.isfinite(b).all()):
+            raise ValueError("array must not contain infs or NaNs")
+        _, x, info = dpbsv(band.T, b, overwrite_ab=True, overwrite_b=True)
+        if info > 0:
+            raise LinAlgError(
+                f"leading minor {info} of the free block is not positive "
+                "definite")
+        d[free] = x
     return d.reshape(rhs.shape)
 
 

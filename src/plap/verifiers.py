@@ -39,7 +39,14 @@ from .errors import (
     SingularityError,
     UnsupportedVariantError,
 )
-from .geometry import ModelManifold, PolyEven, _gauss_kronrod, euclidean, warped
+from .geometry import (
+    ModelManifold,
+    PolyEven,
+    _decays,
+    _gauss_kronrod,
+    euclidean,
+    warped,
+)
 from .grid import Analytic1D, DiscreteField, Grid1D, Grid2D, integrate_field
 
 
@@ -573,12 +580,19 @@ def weighted_poincare_check(M: ModelManifold,
 def analytic_q_energy(M: ModelManifold, du, q: float,
                       a: float = -np.inf, b: float = np.inf) -> float:
     """int_a^b |u'(t)|^q A(t) dt by the geometry's adaptive quadrature:
-    the continuum q-energy of a radial profile given in closed form."""
+    the continuum q-energy of a radial profile given in closed form;
+    +inf where the integrand does not fall faster than 1/|t| toward an
+    infinite end, as ``ModelManifold._integral`` returns for a divergent
+    end."""
 
     def integrand(t):
         with np.errstate(over="ignore"):
             return np.abs(du(t)) ** q * M.area(t)
 
+    # the tail split of _gauss_kronrod: |t| = max(|finite end|, 1)
+    r = max([abs(x) for x in (a, b) if np.isfinite(x)] + [1.0])
+    if any(np.isinf(x) and not _decays(integrand, x, r) for x in (a, b)):
+        return np.inf
     return float(_gauss_kronrod(integrand, a, b)[0])
 
 

@@ -150,21 +150,24 @@ def interior_masks(draw):
 @given(interior_masks())
 def test_property_free_block_is_the_permuted_free_block(case):
     grid, mask, rng = case
-    block = grid.free_block(mask)
-    free = np.flatnonzero(~mask.ravel())
-    assert np.array_equal(np.sort(block.perm), free)
-    # any values on the grid's pattern: the gather cuts out P H_ff P^T
+    free, kd, gather, scatter = grid.free_block(mask)
+    assert np.array_equal(np.sort(free), np.flatnonzero(~mask.ravel()))
+    # any values on the grid's pattern: the scatter writes the upper band
+    # of H_ff in the cut's order, and nothing else
     cs = grid.cell_structure
     n = mask.size
     H = sp.csr_matrix((rng.normal(size=cs.indices.size), cs.indices,
                        cs.indptr), shape=(n, n))
-    got = sp.csc_matrix((H.data[block.gather], block.indices, block.indptr),
-                        shape=(block.perm.size,) * 2)
-    want = H[block.perm][:, block.perm].tocsc()
-    want.sort_indices()
-    assert np.array_equal(got.indptr, want.indptr)
-    assert np.array_equal(got.indices, want.indices)
-    assert np.array_equal(got.data, want.data)
+    band = np.zeros((free.size, kd + 1))
+    band.flat[scatter] = H.data[gather]
+    block = H[free][:, free].toarray()
+    a, b = np.triu_indices(free.size)
+    near = b - a <= kd
+    want = np.zeros_like(band)
+    want[b[near], kd + a[near] - b[near]] = block[a[near], b[near]]
+    assert np.array_equal(band, want)
+    # and the band holds all of the upper triangle
+    assert not block[a[~near], b[~near]].any()
 
 
 def test_free_block_follows_the_mask():
@@ -175,26 +178,29 @@ def test_free_block_follows_the_mask():
     other = mask.copy()
     other[5, 5] = True
     second = grid.free_block(other)
-    assert 5 * 12 + 5 not in second.perm
+    assert 5 * 12 + 5 not in second[0]
     # a mask edited in place is a new mask
     mask[3, 7] = True
     third = grid.free_block(mask)
-    assert 3 * 12 + 7 not in third.perm and 5 * 12 + 5 in third.perm
-    assert third.perm.size == first.perm.size - 1
+    assert 3 * 12 + 7 not in third[0] and 5 * 12 + 5 in third[0]
+    assert third[0].size == first[0].size - 1
 
 
-def test_free_block_cuts_the_middle_line_last():
-    grid = Grid2D(0.0, 1.0, 0.0, 1.0, 9, 9)
-    perm = grid.free_block(grid.boundary_mask()).perm
-    # the first cut of a square is its middle row, free nodes in order
-    assert np.array_equal(perm[-7:], 4 * 9 + np.arange(1, 8))
+@pytest.mark.parametrize("nx, ny", [(8, 20), (20, 8)])
+def test_free_block_band_follows_the_shorter_axis(nx, ny):
+    # 6 x 18 free nodes: the 6 of the short axis run fastest, so a cell's
+    # far corner is 6 + 1 places on, not 18 + 1
+    grid = Grid2D(0.0, 1.0, 0.0, 1.0, nx, ny)
+    free, kd, _, _ = grid.free_block(grid.boundary_mask())
+    assert kd == 7
+    step = 1 if ny == 8 else ny
+    assert np.array_equal(free[:6], ny + 1 + step * np.arange(6))
 
 
 def test_free_block_of_an_all_fixed_mask_is_empty():
     grid = Grid2D(0.0, 1.0, 0.0, 1.0, 8, 10)
-    block = grid.free_block(np.ones(grid.shape, dtype=bool))
-    assert block.perm.size == block.gather.size == block.indices.size == 0
-    assert np.array_equal(block.indptr, [0])
+    free, kd, gather, scatter = grid.free_block(np.ones(grid.shape, dtype=bool))
+    assert free.size == gather.size == scatter.size == kd == 0
 
 
 def test_deriv_1d_second_order():

@@ -2,10 +2,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import LinAlgError, solve_banded
-from scipy.sparse.linalg import splu
 
 import plap.energy as en
 import plap.solver as sv
@@ -492,26 +490,20 @@ def test_1d_newton_direction_checks_its_system():
         sv._newton_direction(flat, mask, np.ones(grid.n))
 
 
-def test_nested_dissection_fills_no_more_than_minimum_degree():
-    # the 0.5/1.5 annulus of the 2D capacities at 129^2: the fixed
-    # nested-dissection order beats SuperLU's own minimum degree on the
-    # same block (366,360 against 395,754 nonzeros in L + U)
-    grid = Grid2D(-2.0, 2.0, -2.0, 2.0, 129, 129)
-    rr = np.hypot(grid.X, grid.Y)
-    mask = (rr <= 0.5) | (rr >= 1.5) | grid.boundary_mask()
-    field = DiscreteField(grid, np.clip(1.5 - rr, 0.0, 1.0))
-    H = en.hessian(EnergySpec(3.0, 1e-3), field)
-    block = grid.free_block(mask)
-    free = ~mask.ravel()
-
-    def fill(A, order):
-        lu = splu(A, permc_spec=order, diag_pivot_thresh=0,
-                  options={"SymmetricMode": True})
-        return lu.L.nnz + lu.U.nnz
-
-    nd = fill(sp.csc_matrix((H.data[block.gather], block.indices,
-                             block.indptr)), "NATURAL")
-    assert nd <= fill(H[free][:, free].tocsc(), "MMD_AT_PLUS_A")
+def test_2d_newton_direction_checks_its_system():
+    grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 9, 11)
+    mask = grid.boundary_mask()
+    cells = en._Cells(EnergySpec(3.0, 1e-3),
+                      DiscreteField(grid, np.cos(grid.radius)))
+    rhs = np.ones(grid.shape)
+    rhs[4, 5] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        sv._newton_direction(cells, mask, rhs)
+    # zero cell blocks make the free block zero: not positive definite
+    flat = en._Cells(cells.spec, cells.field)
+    flat.blocks = lambda: [[np.zeros(grid.cells)] * 2] * 2
+    with pytest.raises(LinAlgError, match="not positive definite"):
+        sv._newton_direction(flat, mask, np.ones(grid.shape))
 
 
 @pytest.mark.parametrize("grid, boundary", [

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -632,6 +634,18 @@ def test_arctan_field_energy_is_pi():
     f, M = vf.arctan_model_field()
     val = vf.analytic_q_energy(M, f.analytic.du, 3.0)
     assert val == pytest.approx(np.pi, abs=1e-10)
+
+
+@pytest.mark.parametrize("q, want", [
+    # |u'|^q A ~ |t|^(4 - 2q): the energy is finite for q > 5/2 only
+    (2.3, np.inf), (2.45, np.inf), (2.5, np.inf),
+    (2.55, 21.353449332480142), (3.0, np.pi)])
+def test_arctan_field_energy_diverges_below_the_window(q, want):
+    # quad once returned -3.449 at q = 2.3 and -18.58 at 2.45, warning
+    f, M = vf.arctan_model_field()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert vf.analytic_q_energy(M, f.analytic.du, q) == want
 
 
 def test_example_gallery_contract():
