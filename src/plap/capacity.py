@@ -192,6 +192,8 @@ def tail_energy_profile(M: ModelManifold, p: float, R0: float,
     R_values = sorted(R_values)
     if len(R_values) < 2:
         raise InvalidInputError("need at least two R values")
+    if not np.all(np.isfinite(R_values)):
+        raise InvalidInputError("R values must be finite")
     if R_values[0] <= R0:
         raise DomainError("R values must exceed R0")
     # limit barrier: w = (Phi(inf)-Phi(t)) / D with D = Phi(inf)-Phi(R0),
@@ -222,6 +224,8 @@ def volume_growth_check(M: ModelManifold, p: float, lambda_p: float,
     R_values = sorted(R_values)
     if len(R_values) < 2:
         raise InvalidInputError("need at least two R values")
+    if not np.all(np.isfinite(R_values)):
+        raise InvalidInputError("R values must be finite")
     kind = M.classify_end(p, +1)
     rate = lambda_p ** (1.0 / p) / (p + 1.0)
     if kind == EndKind.HYPERBOLIC:

@@ -5,9 +5,9 @@ written), 2 invalid input (a grid too large to allocate included), 3
 solver non-convergence.  All numeric output uses 12 significant digits
 so golden files are meaningful.
 
-Options are checked and loaded as they are parsed: ``--p`` must exceed 1,
-``--samples`` must be at least 1, and ``--manifold`` is read into a
-ModelManifold, so a subcommand only runs on valid inputs.
+Options are checked and loaded as they are parsed: ``--p`` must be finite
+and exceed 1, ``--samples`` must be at least 1, and ``--manifold`` is read
+into a ModelManifold, so a subcommand only runs on valid inputs.
 
 ``verify <name>`` (kato, strong_form, bochner, bochner_s, monotonicity,
 regularization) writes its report rows to ``verify_<name>.csv`` and
@@ -120,22 +120,24 @@ def _finish(args, name, header, rows, lines=(), ok=True) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _checked(kind, ok, message):
+def _checked(kind, *checks):
     """An argparse type: kind(s), refused with InvalidInputError(message)
-    unless ok.  argparse passes a PlapError through unchanged, so stderr
-    reads "error: <message>" with no usage line."""
+    at the first (ok, message) check it fails.  argparse passes a PlapError
+    through unchanged, so stderr reads "error: <message>", no usage line."""
     def parse(s: str):
         value = kind(s)
-        if not ok(value):
-            raise InvalidInputError(message)
+        for ok, message in checks:
+            if not ok(value):
+                raise InvalidInputError(message)
         return value
     # a string kind(s) rejects is reported as "invalid float value: 's'"
     parse.__name__ = kind.__name__
     return parse
 
 
-_p_value = _checked(float, lambda p: p > 1, "p must exceed 1")
-_sample_count = _checked(int, lambda n: n >= 1, "samples must be at least 1")
+_p_value = _checked(float, (lambda p: p > 1, "p must exceed 1"),
+                    (np.isfinite, "p must be finite"))
+_sample_count = _checked(int, (lambda n: n >= 1, "samples must be at least 1"))
 
 
 # ---------------------------------------------------------------------------

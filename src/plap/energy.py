@@ -7,12 +7,11 @@ sum(meas * phi(|D u|^2)), a sum of per-cell convex terms: convexity holds
 exactly at the discrete level, the weak residual D^T(meas phi' D u) is
 literally the gradient of the discrete energy with respect to node
 values, and the Hessian is D^T (meas B) D with the per-cell blocks B of
-``cell_hessian``.  ``hessian`` assembles it on the grid's cached
-``cell_structure``, read off the same stencil as D: each Newton step
-forms the local cell blocks and scatters them into a fixed CSR pattern
-with one ``np.bincount``, for any number of gradient components.  ``linearized_action`` applies the
-same Hessian matrix-free, as D^T(meas B D psi), the way ``weak_residual``
-is written; ``hessian`` is the only assembled form.
+``cell_hessian``.  ``_Cells.local`` forms its local blocks G^T (meas B) G,
+G a cell's D coefficients in the grid's ``cell_structure``: ``hessian``
+sums them into CSR, the 2D Newton direction straight into its band.
+``linearized_action`` applies the same Hessian matrix-free, as
+D^T(meas B D psi), the way ``weak_residual`` is written.
 
 All of these are read off one private ``_Cells`` per field and (p, eps):
 it forms D u and |D u|^2 once, and each power of |D u|^2 + eps once.
@@ -45,6 +44,8 @@ class EnergySpec:
             raise InvalidInputError("p must exceed 1")
         if not self.eps >= 0:
             raise InvalidInputError("eps must be nonnegative")
+        if not np.isfinite([self.p, self.eps]).all():
+            raise InvalidInputError("p and eps must be finite")
 
 
 # -- cell quantities ---------------------------------------------------------
@@ -117,20 +118,24 @@ class _Cells:
             B[i][i] = a + b * (gi * gi)
         return B
 
+    def local(self) -> np.ndarray:
+        """K[a, b, c] = G^T (meas B) G, G the D coefficients of cell c."""
+        grid = self.field.grid
+        w = np.array([[np.ravel(bij * grid.cell_measure) for bij in row]
+                      for row in self.blocks()])
+        coef = grid.cell_structure.coef
+        wg = np.einsum("ijc,jac->iac", w, coef)
+        return np.einsum("iac,ibc->abc", coef, wg)
+
     def hessian(self):
         import scipy.sparse as sp
 
-        grid = self.field.grid
-        meas = grid.cell_measure
-        w = np.array([[np.ravel(bij * meas) for bij in row]
-                      for row in self.blocks()])
-        cs = grid.cell_structure
-        wg = np.einsum("ijc,jac->iac", w, cs.coef)
-        local = np.einsum("iac,ibc->abc", cs.coef, wg)
-        data = np.bincount(cs.pos, weights=local.ravel(),
-                           minlength=cs.indices.size)
-        n = cs.indptr.size - 1
-        return sp.csr_matrix((data, cs.indices, cs.indptr), shape=(n, n))
+        nodes = self.field.grid.cell_structure.nodes
+        rows, cols = np.broadcast_arrays(nodes[:, None], nodes[None, :])
+        n = self.field.values.size
+        # scipy sums the duplicates in the order K is raveled in
+        return sp.csr_matrix((self.local().ravel(),
+                              (rows.ravel(), cols.ravel())), shape=(n, n))
 
 
 def cell_hessian(spec: EnergySpec, field: DiscreteField) -> list:
@@ -184,9 +189,8 @@ def hessian(spec: EnergySpec, field: DiscreteField):
 
     This is the discretization of the linearized operator
     div(f_eps^{p-2} (id + (p-2) grad u x grad u / f_eps^2) grad psi)
-    in the same staggered fluxes as the energy itself.  Each cell's block
-    G^T (meas B) G, G its D coefficients, is scattered into the pattern
-    of the grid's ``cell_structure``.
+    in the same staggered fluxes as the energy itself, summed from each
+    cell's block G^T (meas B) G, G its D coefficients.
     """
     if spec.eps <= 0:
         raise SingularityError("linearization requires eps > 0")

@@ -9,13 +9,13 @@ divisor of component i.  In 1D the nodes are (0,), (1,) with signs
 component the mean of the two edge differences in its direction, over
 (2hx, 2hy).  The rest is read off the stencil once for both kinds:
 ``cell_gradient`` maps node values to per-cell gradient components,
-``cell_divergence`` is its exact transpose, ``cell_structure`` is the
-cell-to-node structure on which the energy Hessian is assembled, and
-``flux_spacing`` is the smallest divisor; ``free_block(mask)`` orders
-a mask's free nodes with the shorter axis varying fastest and maps
-H.data onto the upper band of their block.  ``cell_measure`` weighs the
-cells.  Changing the discretization means changing the stencil and
-``cell_measure`` only.
+``cell_divergence`` is its exact transpose, ``cell_structure`` holds
+each cell's nodes and D coefficients, from which the energy Hessian is
+summed, and ``flux_spacing`` is the smallest divisor; ``free_block(mask)``
+orders a mask's free nodes with the shorter axis varying fastest and
+maps each cell's local Hessian entries onto the upper band of their
+block.  ``cell_measure`` weighs the cells.  Changing the discretization
+means changing the stencil and ``cell_measure`` only.
 
 The nodal calculus the verifiers are written in is shared too, read off
 ``spacing`` (per axis, as ``np.gradient`` takes it: the nodes in 1D,
@@ -56,21 +56,15 @@ from .geometry import ModelManifold
 
 
 class CellStructure(NamedTuple):
-    """Cell-to-node structure of H = D^T W D, W block diagonal over cells.
-
+    """Cell-to-node structure of H = D^T W D, W block diagonal over cells:
     ``coef[i, a, c]`` is the D coefficient of gradient component i at the
-    a-th node of cell c (zero where the component skips that node);
-    ``indices`` and ``indptr`` are the CSR pattern of H, shared read-only
-    by every matrix assembled on it; ``pos`` gives, for each local entry
-    (a, b, c) raveled, its position in H.data.  So H.data is
-    ``np.bincount(pos, weights=K.ravel())`` for the local blocks
-    K[a, b, c] = sum_ij coef[i, a, c] W_ij[c] coef[j, b, c].
-    """
+    a-th node of cell c (zero where the component skips that node), and
+    ``nodes[a, c]`` that node, raveled.  H sums the local blocks
+    K[a, b, c] = sum_ij coef[i, a, c] W_ij[c] coef[j, b, c] at
+    (nodes[a, c], nodes[b, c])."""
 
     coef: np.ndarray
-    pos: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
+    nodes: np.ndarray
 
 
 def _trapezoid(widths) -> np.ndarray:
@@ -166,55 +160,47 @@ class _CellGrid:
     @cached_property
     def cell_structure(self) -> CellStructure:
         """The stencil's nodes and coefficients per cell, a cell's nodes
-        in raveled order; H's pattern is every pair of nodes that share a
-        cell."""
-        n = int(np.prod(self.shape))
-        index = np.arange(n).reshape(self.shape)
+        in raveled order."""
+        index = np.arange(int(np.prod(self.shape))).reshape(self.shape)
         nodes = np.array([index[sl].ravel() for sl in self._cell_slices])
+        # H is summed in (a, b, c) order, so this order of a cell's nodes
+        # fixes the order of each entry's terms, and so its bits
         order = np.argsort(nodes[:, 0])
-        nodes = nodes[order]
         coef = np.array([[np.broadcast_to(signs[a] / scale, self.cells).ravel()
                           for a in order]
                          for signs, scale in zip(self.cell_signs,
                                                  self.cell_scale)])
-        pattern, pos = np.unique(nodes[:, None] * n + nodes[None, :],
-                                 return_inverse=True)
-        indices = (pattern % n).astype(np.int32)
-        indptr = np.searchsorted(pattern, np.arange(n + 1) * n)
-        indptr = indptr.astype(np.int32)
-        indices.flags.writeable = indptr.flags.writeable = False
-        return CellStructure(coef, pos.ravel(), indices, indptr)
+        return CellStructure(coef, nodes[order])
 
     def free_block(self, mask) -> tuple:
-        """The free nodes of ``mask`` and the upper band of their block of
-        H, for every H assembled on the grid's ``cell_structure``:
-        (free, kd, gather, scatter).  ``free`` lists the free nodes
-        (raveled), the shorter grid axis varying fastest, so the block's
-        half-width ``kd`` is at most that axis's length plus 1.  In an
-        (N, kd+1) array B, N = free.size, ``B.flat[scatter] =
-        H.data[gather]`` writes the entries on and above the diagonal:
-        H_ff[a, b] for a <= b at B[b, kd + a - b].  So B.T is LAPACK's
-        upper band storage, in Fortran order.  One cut is cached, keyed
-        by the mask's bytes, so a solve pays for it once and a different
-        mask, or one edited in place, gets its own."""
+        """The free nodes of ``mask`` and where each local entry of H goes
+        in the upper band of their block: (free, kd, slot).  ``free``
+        lists the free nodes (raveled), the shorter grid axis varying
+        fastest, so the block's half-width ``kd`` is at most that axis's
+        length plus 1.  ``slot[a, b, c]`` puts the entry at (nodes[a, c],
+        nodes[b, c]) of ``cell_structure``, H_ff[i, j] in the cut's
+        order, at B[j, kd + i - j] of an (N, kd+1) array B, N = free.size,
+        where i <= j, and every other entry one past B's end.  So B.T, the
+        first N (kd+1) bins of K summed by ``slot`` (``np.bincount``), is
+        LAPACK's upper band storage, in Fortran order.  One cut is cached, keyed by the
+        mask's bytes, so a solve pays for it once and a different mask,
+        or one edited in place, gets its own."""
         mask = np.asarray(mask, dtype=bool)
         key = mask.tobytes()
         cached = self.__dict__.get("_free_block")
         if cached is None or cached[0] != key:
-            cs = self.cell_structure
             axes = sorted(range(mask.ndim), key=lambda i: -mask.shape[i])
             order = np.arange(mask.size).reshape(mask.shape).transpose(
                 axes).ravel()
             free = order[~mask.ravel()[order]]
             inv = np.full(mask.size, -1)
             inv[free] = np.arange(free.size)
-            rows = inv[np.repeat(np.arange(mask.size), np.diff(cs.indptr))]
-            cols = inv[cs.indices]
-            gather = np.flatnonzero((rows >= 0) & (rows <= cols))
-            off = cols[gather] - rows[gather]
-            kd = int(off.max(initial=0))
-            cached = self._free_block = (
-                key, (free, kd, gather, cols[gather] * (kd + 1) + kd - off))
+            place = inv[self.cell_structure.nodes]
+            rows, cols = place[:, None], place[None, :]
+            upper = (rows >= 0) & (rows <= cols)
+            kd = int(np.max(cols - rows, where=upper, initial=0))
+            slot = np.where(upper, cols * kd + kd + rows, free.size * (kd + 1))
+            cached = self._free_block = (key, (free, kd, slot))
         return cached[1]
 
 

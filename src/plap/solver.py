@@ -5,23 +5,23 @@ direct solve with the energy Hessian on the free nodes, which is symmetric
 and, for eps > 0 with the grid boundary fixed, positive definite: in 1D
 one call of LAPACK's tridiagonal ``dgtsv`` on diagonals read off the
 stencil, in 2D one call of LAPACK's band Cholesky ``dpbsv`` on the free
-block of the assembled ``energy.hessian``.  The grid cuts that block once
-per mask (``free_block``): the free nodes with the shorter axis varying
-fastest, so the half-width is at most that axis's length plus 1, and
-the scatter of H.data into upper band storage.  On free blocks of a
-few thousand nodes a band method does less work than a sparse
-factorization in a fill-reducing order (A. George & J. W. Liu, Computer
-Solution of Large Sparse Positive Definite Systems, 1981); past about
-200^2 nodes its kd^2 N cost overtakes that.  A solve stops
-at the residual tolerance ("tol"), or, where rounding keeps the residual
-above it, after the step from a Newton decrement -r.d at the energy's
-rounding level ("floor").  Both are relative, to the fluxes and to |E|,
-with no absolute part, so data scaled by l solved at eps l^2 gives the
-solution scaled by l.  Each iterate's cell quantities (``energy._Cells``)
-are formed once: a line-search trial's energy, then, once accepted, its
-residual, tolerance scale and Hessian read the same D u.  The choice of that linear solve is the only
-place the solver asks which kind of grid it has: the grid supplies the
-cold start (``fill``) and the shape of the fields.
+block, its band summed straight from the cell blocks: no sparse matrix
+is built.  The grid cuts that block once per mask (``free_block``): the
+free nodes with the shorter axis varying fastest, so the half-width is
+at most that axis's length plus 1, and each local entry's band slot.  On
+free blocks of a few thousand nodes a band method does less work than a
+sparse factorization in a fill-reducing order (A. George & J. W. Liu,
+Computer Solution of Large Sparse Positive Definite Systems, 1981); past
+about 200^2 nodes its kd^2 N cost overtakes that.  A solve stops at the
+residual tolerance ("tol"), or, where rounding keeps the residual above
+it, after the step from a Newton decrement -r.d at the energy's rounding
+level ("floor").  Both are relative, to the fluxes and to |E|, with no
+absolute part, so data scaled by l solved at eps l^2 gives the solution
+scaled by l.  Each iterate's cell quantities (``energy._Cells``) are
+formed once: a line-search trial's energy, then, once accepted, its
+residual, tolerance scale and band read the same D u.  The choice of
+that linear solve is the only place the solver asks which kind of grid
+it has: the grid supplies the cold start (``fill``) and field shapes.
 
 p-harmonic fields are reached as eps -> 0 along a path of warm-started
 solves (``eps_path``): the harmonic solution at the first eps, then one
@@ -97,10 +97,11 @@ class SolveConfig:
 
     def __post_init__(self):
         sched = np.asarray(self.eps_schedule, dtype=float)
-        # written so that NaN fails
-        if not (sched.size and np.all(sched > 0) and np.all(np.diff(sched) < 0)):
-            raise InvalidInputError(
-                "eps schedule must be non-empty, strictly decreasing, positive")
+        # written so that NaN fails, and inf before np.diff forms inf - inf
+        if not (sched.size and np.all(np.isfinite(sched)) and np.all(sched > 0)
+                and np.all(np.diff(sched) < 0)):
+            raise InvalidInputError("eps schedule must be non-empty, finite, "
+                                    "strictly decreasing, positive")
         if self.max_newton_iters < 1:
             raise InvalidInputError("max_newton_iters must be positive")
 
@@ -186,14 +187,14 @@ def _newton_direction(cells, mask, rhs):
         if info > 0:
             raise LinAlgError("singular matrix")
         return d
-    free, kd, gather, scatter = grid.free_block(mask)
+    free, kd, slot = grid.free_block(mask)
     d = np.zeros(rhs.size)
     if free.size:
         # the free block is symmetric positive definite: LAPACK's band
         # Cholesky factors and solves it in upper band storage, which is
-        # this C-ordered (N, kd+1) array read as its Fortran transpose
-        band = np.zeros((free.size, kd + 1))
-        band.flat[scatter] = cells.hessian().data[gather]
+        # this (N, kd+1) sum of the cell blocks read as its transpose
+        band = np.bincount(slot.ravel(), cells.local().ravel(),
+                           free.size * (kd + 1) + 1)[:-1].reshape(-1, kd + 1)
         b = rhs.ravel()[free]
         if not (np.isfinite(band).all() and np.isfinite(b).all()):
             raise ValueError("array must not contain infs or NaNs")

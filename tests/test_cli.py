@@ -531,6 +531,37 @@ def test_p_is_checked_as_parsed(tmp_path, euclid3, capsys, argv, p):
     assert not list(tmp_path.rglob("*.csv"))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, message", [
+    # an infinite p ran: solve and capacity exited 3, classify printed
+    # Parabolic, verify kato passed
+    (["solve", "--p", "inf"], "p must be finite"),
+    (["capacity", "--manifold", "{euclid3}", "--p", "inf", "--a", "1",
+      "--b", "2"], "p must be finite"),
+    (["classify", "--manifold", "{euclid3}", "--p", "inf"],
+     "p must be finite"),
+    (["verify", "kato", "--gallery", "d", "--p", "inf"], "p must be finite"),
+    # the cold retry's decade_schedule(inf) raised OverflowError
+    (["solve", "--p", "3", "--eps", "inf"], "p and eps must be finite"),
+    # a RuntimeWarning came first: inf - inf in the schedule's np.diff,
+    # 0 * inf in the bound's shape; decay said "need a < b"
+    (["continuation", "--p", "3", "--eps0", "inf"],
+     "eps schedule must be non-empty, finite, strictly decreasing, positive"),
+    (["volume", "--manifold", "{exp2}", "--p", "2", "--lambda-p", "0.25",
+      "--R", "2", "inf"], "R values must be finite"),
+    (["decay", "--manifold", "{exp2}", "--p", "2", "--lambda-p", "0.25",
+      "--R", "2", "inf"], "R values must be finite"),
+], ids=["solve-p", "capacity-p", "classify-p", "verify-p", "solve-eps",
+        "continuation-eps0", "volume-R", "decay-R"])
+def test_infinite_inputs_exit_code(tmp_path, euclid3, exp2, capsys, argv,
+                                   message):
+    argv = [a.format(euclid3=euclid3, exp2=exp2) for a in argv]
+    rc = cli.run(argv + ["--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_INVALID
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 @pytest.mark.parametrize("body, message", [
     ("variant = euclidean\nm = abc\n",
      "invalid literal for int() with base 10: 'abc'"),

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from plap.errors import InvalidInputError
@@ -150,17 +149,20 @@ def interior_masks(draw):
 @given(interior_masks())
 def test_property_free_block_is_the_permuted_free_block(case):
     grid, mask, rng = case
-    free, kd, gather, scatter = grid.free_block(mask)
+    free, kd, slot = grid.free_block(mask)
     assert np.array_equal(np.sort(free), np.flatnonzero(~mask.ravel()))
-    # any values on the grid's pattern: the scatter writes the upper band
-    # of H_ff in the cut's order, and nothing else
-    cs = grid.cell_structure
+    # any local blocks on the grid's cells: summed through slot, they
+    # make exactly the upper band of H_ff in the cut's order
+    nodes = grid.cell_structure.nodes
+    K = rng.normal(size=slot.shape)
     n = mask.size
-    H = sp.csr_matrix((rng.normal(size=cs.indices.size), cs.indices,
-                       cs.indptr), shape=(n, n))
-    band = np.zeros((free.size, kd + 1))
-    band.flat[scatter] = H.data[gather]
-    block = H[free][:, free].toarray()
+    rows, cols = np.broadcast_arrays(nodes[:, None], nodes[None, :])
+    H = np.zeros((n, n))
+    np.add.at(H, (rows.ravel(), cols.ravel()), K.ravel())
+    size = free.size * (kd + 1)
+    band = np.bincount(slot.ravel(), K.ravel(), size + 1)[:-1].reshape(
+        free.size, kd + 1)
+    block = H[np.ix_(free, free)]
     a, b = np.triu_indices(free.size)
     near = b - a <= kd
     want = np.zeros_like(band)
@@ -191,7 +193,7 @@ def test_free_block_band_follows_the_shorter_axis(nx, ny):
     # 6 x 18 free nodes: the 6 of the short axis run fastest, so a cell's
     # far corner is 6 + 1 places on, not 18 + 1
     grid = Grid2D(0.0, 1.0, 0.0, 1.0, nx, ny)
-    free, kd, _, _ = grid.free_block(grid.boundary_mask())
+    free, kd, _ = grid.free_block(grid.boundary_mask())
     assert kd == 7
     step = 1 if ny == 8 else ny
     assert np.array_equal(free[:6], ny + 1 + step * np.arange(6))
@@ -199,8 +201,10 @@ def test_free_block_band_follows_the_shorter_axis(nx, ny):
 
 def test_free_block_of_an_all_fixed_mask_is_empty():
     grid = Grid2D(0.0, 1.0, 0.0, 1.0, 8, 10)
-    free, kd, gather, scatter = grid.free_block(np.ones(grid.shape, dtype=bool))
-    assert free.size == gather.size == scatter.size == kd == 0
+    free, kd, slot = grid.free_block(np.ones(grid.shape, dtype=bool))
+    assert free.size == kd == 0
+    # every local entry goes to the one dropped bin
+    assert not slot.any()
 
 
 def test_deriv_1d_second_order():

@@ -506,6 +506,20 @@ def test_2d_newton_direction_checks_its_system():
         sv._newton_direction(flat, mask, np.ones(grid.shape))
 
 
+def test_2d_solve_builds_no_sparse_matrix(monkeypatch):
+    # the band is summed straight from the cell blocks: the assembled
+    # CSR Hessian is never formed
+    def no_hessian(self):
+        raise AssertionError("the 2D Newton direction built a CSR Hessian")
+
+    monkeypatch.setattr(en._Cells, "hessian", no_hessian)
+    grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 17, 17)
+    mask = grid.boundary_mask()
+    f, rep = sv.solve_dirichlet(EnergySpec(3.0, 1e-3), grid,
+                                (mask, np.cos(3.0 * grid.radius)))
+    assert rep.steps[-1]["stop"] == "tol" and rep.steps[-1]["iterations"] > 0
+
+
 @pytest.mark.parametrize("grid, boundary", [
     # a Grid2D has a ring of boundary nodes, not two ends
     (Grid2D(-1.0, 1.0, -1.0, 1.0, 9, 9), (1.0, 0.0)),
