@@ -194,6 +194,8 @@ def tail_energy_profile(M: ModelManifold, p: float, R0: float,
         raise InvalidInputError("need at least two R values")
     if not np.all(np.isfinite(R_values)):
         raise InvalidInputError("R values must be finite")
+    if len(set(R_values)) < len(R_values):
+        raise InvalidInputError("R values must be distinct")
     if R_values[0] <= R0:
         raise DomainError("R values must exceed R0")
     # limit barrier: w = (Phi(inf)-Phi(t)) / D with D = Phi(inf)-Phi(R0),
@@ -205,7 +207,10 @@ def tail_energy_profile(M: ModelManifold, p: float, R0: float,
     C3 = tails[0] / shape[0]
     bounds = C3 * shape
     ok_bound = bool(np.all(tails <= bounds * (1 + 1e-9)))
-    slopes = np.diff(np.log(tails)) / np.diff(np.asarray(R_values, float))
+    live = tails[:-1] > 0  # a pair already at 0 has no slope
+    with np.errstate(divide="ignore"):  # a tail that fell to 0 reads -inf
+        logs = np.log(tails[1:][live]) - np.log(tails[:-1][live])
+    slopes = logs / np.diff(np.asarray(R_values, float))[live]
     ok_slope = bool(np.all(slopes <= -rate + 1e-12))
     rows = [{"R": r, "tail": t, "bound": b, "pass": t <= b * (1 + 1e-9)}
             for r, t, b in zip(R_values, tails, bounds)]

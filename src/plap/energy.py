@@ -7,9 +7,10 @@ sum(meas * phi(|D u|^2)), a sum of per-cell convex terms: convexity holds
 exactly at the discrete level, the weak residual D^T(meas phi' D u) is
 literally the gradient of the discrete energy with respect to node
 values, and the Hessian is D^T (meas B) D with the per-cell blocks B of
-``cell_hessian``.  ``_Cells.local`` forms its local blocks G^T (meas B) G,
-G a cell's D coefficients in the grid's ``cell_structure``: ``hessian``
-sums them into CSR, the 2D Newton direction straight into its band.
+``_Cells.blocks``, and it is only ever stated cell by cell: the local
+blocks G^T (meas B) G of ``_Cells.local`` (G a cell's D coefficients in
+the grid's ``cell_structure``) are summed by the 2D Newton direction into
+its band and by ``hessian_diagonal`` into the diagonal.
 ``linearized_action`` applies the same Hessian matrix-free, as
 D^T(meas B D psi), the way ``weak_residual`` is written.
 
@@ -107,8 +108,8 @@ class _Cells:
         return r
 
     def blocks(self) -> list:
-        """B = a I + b g g^T as B[i][j], b = p (p-2) (g^2+eps)^{(p-4)/2}
-        the rank-one coefficient."""
+        """Hessian blocks B = a I + b g g^T of phi(|g|^2) in the cell
+        gradient g as B[i][j]: a = phi'/g, b = p (p-2) (g^2+eps)^{(p-4)/2}."""
         p, grad, a = self.spec.p, self.grad, self._phi_d
         b = p * (p - 2.0) * self._shifted ** ((p - 4.0) / 2.0)
         B = [[None] * len(grad) for _ in grad]
@@ -126,22 +127,6 @@ class _Cells:
         coef = grid.cell_structure.coef
         wg = np.einsum("ijc,jac->iac", w, coef)
         return np.einsum("iac,ibc->abc", coef, wg)
-
-    def hessian(self):
-        import scipy.sparse as sp
-
-        nodes = self.field.grid.cell_structure.nodes
-        rows, cols = np.broadcast_arrays(nodes[:, None], nodes[None, :])
-        n = self.field.values.size
-        # scipy sums the duplicates in the order K is raveled in
-        return sp.csr_matrix((self.local().ravel(),
-                              (rows.ravel(), cols.ravel())), shape=(n, n))
-
-
-def cell_hessian(spec: EnergySpec, field: DiscreteField) -> list:
-    """Per-cell Hessian blocks B = a I + b g g^T of phi(|g|^2) in the cell
-    gradient g, as B[i][j]; a = phi'/g and b the rank-one coefficient."""
-    return _Cells(spec, field).blocks()
 
 
 # -- energies ----------------------------------------------------------------
@@ -182,21 +167,6 @@ def weak_residual(spec: EnergySpec, field: DiscreteField,
 # -- second variation --------------------------------------------------------
 
 
-def hessian(spec: EnergySpec, field: DiscreteField):
-    """Hessian of the discrete energy at u as a sparse nodes x nodes CSR
-    matrix on values.ravel(): D^T (meas B) D with D the grid's
-    ``cell_gradient``.
-
-    This is the discretization of the linearized operator
-    div(f_eps^{p-2} (id + (p-2) grad u x grad u / f_eps^2) grad psi)
-    in the same staggered fluxes as the energy itself, summed from each
-    cell's block G^T (meas B) G, G its D coefficients.
-    """
-    if spec.eps <= 0:
-        raise SingularityError("linearization requires eps > 0")
-    return _Cells(spec, field).hessian()
-
-
 def linearized_action(spec: EnergySpec, field: DiscreteField,
                       psi: DiscreteField, fixed_mask=None) -> np.ndarray:
     """Hessian at u applied to psi, both restricted to the free nodes:
@@ -209,15 +179,20 @@ def linearized_action(spec: EnergySpec, field: DiscreteField,
     dpsi = grid.cell_gradient(np.where(fixed_mask, 0.0, psi.values))
     meas = grid.cell_measure
     out = grid.cell_divergence([meas * sum(b * d for b, d in zip(row, dpsi))
-                                for row in cell_hessian(spec, field)])
+                                for row in _Cells(spec, field).blocks()])
     out[fixed_mask] = 0.0
     return out
 
 
 def hessian_diagonal(spec: EnergySpec, field: DiscreteField,
                      fixed_mask=None) -> np.ndarray:
-    """Diagonal of the Hessian, 1 at fixed nodes."""
+    """Diagonal of the Hessian, 1 at fixed nodes: each cell's local
+    diagonal K[a, a, c] summed at its node nodes[a, c]."""
+    if spec.eps <= 0:
+        raise SingularityError("linearization requires eps > 0")
     if fixed_mask is None:
         fixed_mask = field.grid.boundary_mask()
-    return np.where(fixed_mask, 1.0,
-                    hessian(spec, field).diagonal().reshape(fixed_mask.shape))
+    K = _Cells(spec, field).local()
+    diag = np.bincount(field.grid.cell_structure.nodes.ravel(),
+                       np.einsum("aac->ac", K).ravel(), field.values.size)
+    return np.where(fixed_mask, 1.0, diag.reshape(fixed_mask.shape))

@@ -280,6 +280,20 @@ def test_tail_energy_profile_errors():
         cap.tail_energy_profile(M3, 2.0, 1.0, -1.0, [2.0, 4.0])
     with pytest.raises(InvalidInputError):
         cap.tail_energy_profile(M3, 2.0, 1.0, 0.0, [2.0])
+    # a repeated R made a 0/0 log-slope and a failed slope check
+    with pytest.raises(InvalidInputError, match="distinct"):
+        cap.tail_energy_profile(M3, 2.0, 1.0, 0.0, [2.0, 3.0, 3.0, 4.0])
+
+
+def test_tail_energy_profile_underflowed_tail():
+    # by R = 800 the tail on e^t has underflowed to 0: the step down to
+    # 0 reads slope -inf, the step from 0 to 0 has none, and log(0) warns
+    # nowhere (pytest turns a RuntimeWarning into an error)
+    M = warped(2, Exponential(1.0))
+    out = cap.tail_energy_profile(M, 2.0, 1.0, 0.25, [2.0, 800.0, 900.0])
+    assert [r["tail"] for r in out["rows"]][1:] == [0.0, 0.0]
+    assert out["slopes"] == [-np.inf]
+    assert out["slope_ok"] and out["ok"]
 
 
 def test_volume_growth_hyperbolic():

@@ -176,6 +176,26 @@ def test_decay_pass_and_fail(tmp_path, exp2):
     assert bad == cli.EXIT_CHECK_FAILED
 
 
+@pytest.mark.parametrize("radii, rc", [
+    # a repeated R is invalid input: it made a 0/0 slope and exit 1
+    (["2", "3", "3", "4"], cli.EXIT_INVALID),
+    # tails that underflow to 0 meet the slope bound: log(0) made a NaN
+    # slope and exit 1, or warned
+    (["2", "800", "900"], cli.EXIT_OK),
+    (["2", "800"], cli.EXIT_OK),
+])
+def test_decay_repeated_and_underflowed_radii(tmp_path, exp2, capsys, radii,
+                                              rc):
+    assert cli.run(["decay", "--manifold", exp2, "--p", "2",
+                    "--lambda-p", "0.25", "--R", *radii,
+                    "--out", str(tmp_path)]) == rc
+    out = capsys.readouterr()
+    if rc == cli.EXIT_INVALID:
+        assert "distinct" in out.err
+    else:
+        assert "slope_ok = True, bound_ok = True" in out.out
+
+
 def test_volume(tmp_path, exp2):
     rc = cli.run(["volume", "--manifold", exp2, "--p", "2",
                   "--lambda-p", "0.25", "--R", "2", "4", "6",

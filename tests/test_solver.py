@@ -431,14 +431,15 @@ def newton_systems(draw):
 @settings(max_examples=40, deadline=None)
 @given(newton_systems(), st.floats(1.0, 4.0, exclude_min=True),
        st.floats(1e-3, 1.0))
-def test_property_newton_direction_solves_free_block(system, p, eps):
+def test_property_newton_direction_solves_free_block(dense_hessian, system,
+                                                     p, eps):
     field, mask, rhs = system
     spec = EnergySpec(p, eps)
     d = sv._newton_direction(en._Cells(spec, field), mask, rhs)
     assert d.shape == mask.shape
     assert np.all(d[mask] == 0.0)
     free = ~mask.ravel()
-    H = en.hessian(spec, field).toarray()[np.ix_(free, free)]
+    H = dense_hessian(spec, field)[np.ix_(free, free)]
     lhs = H @ d.ravel()[free]
     b = rhs.ravel()[free]
     # a mask that fixes every node leaves an empty free block: nothing to solve
@@ -507,17 +508,21 @@ def test_2d_newton_direction_checks_its_system():
 
 
 def test_2d_solve_builds_no_sparse_matrix(monkeypatch):
-    # the band is summed straight from the cell blocks: the assembled
-    # CSR Hessian is never formed
-    def no_hessian(self):
-        raise AssertionError("the 2D Newton direction built a CSR Hessian")
+    # the band and the diagonal are summed straight from the cell blocks:
+    # no sparse matrix is ever formed
+    import scipy.sparse
 
-    monkeypatch.setattr(en._Cells, "hessian", no_hessian)
+    def no_sparse(*args, **kwargs):
+        raise AssertionError("a sparse matrix was built")
+
+    for name in ("csr_matrix", "coo_matrix"):
+        monkeypatch.setattr(scipy.sparse, name, no_sparse)
     grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 17, 17)
     mask = grid.boundary_mask()
-    f, rep = sv.solve_dirichlet(EnergySpec(3.0, 1e-3), grid,
-                                (mask, np.cos(3.0 * grid.radius)))
+    spec = EnergySpec(3.0, 1e-3)
+    f, rep = sv.solve_dirichlet(spec, grid, (mask, np.cos(3.0 * grid.radius)))
     assert rep.steps[-1]["stop"] == "tol" and rep.steps[-1]["iterations"] > 0
+    assert np.all(en.hessian_diagonal(spec, f, fixed_mask=mask)[~mask] > 0)
 
 
 @pytest.mark.parametrize("grid, boundary", [
