@@ -182,8 +182,9 @@ def tail_energy_profile(M: ModelManifold, p: float, R0: float,
     """Tail p-energy of the limit barrier past each R, against the
     decay bound C3 R^p exp(-lambda_p^{1/p} (R-1)/(p+1)).
 
-    C3 is fitted at the smallest R; additionally the measured log-tail
-    slope must not exceed -lambda_p^{1/p}/(p+1).
+    C3 is fitted at the smallest R, where the tail must be positive;
+    additionally the measured log-tail slope must not exceed
+    -lambda_p^{1/p}/(p+1).
     """
     if M.classify_end(p, +1) != EndKind.HYPERBOLIC:
         raise UnsupportedVariantError("tail profile needs a hyperbolic end")
@@ -202,6 +203,9 @@ def tail_energy_profile(M: ModelManifold, p: float, R0: float,
     # so the tail energy past R is (Phi(inf)-Phi(R)) / D^p
     D = M.phi_integral(p, R0, np.inf)
     tails = np.array([M.phi_integral(p, R, np.inf) / D**p for R in R_values])
+    if not tails[0] > 0:
+        raise InvalidInputError(
+            "the tail at the smallest R is not positive: no C3 can be fitted")
     rate = lambda_p ** (1.0 / p) / (p + 1.0)
     shape = np.array([R**p * np.exp(-rate * (R - 1.0)) for R in R_values])
     C3 = tails[0] / shape[0]
@@ -223,7 +227,8 @@ def volume_growth_check(M: ModelManifold, p: float, lambda_p: float,
                         R_values: Sequence[float]) -> dict:
     """Shell-volume growth (hyperbolic) or tail-volume decay (parabolic)
     against the exponential bounds, with the constant fitted at the
-    smallest R; each row's "measured" is the shell or the tail volume."""
+    smallest R, where the volume must be positive; each row's "measured"
+    is the shell or the tail volume."""
     if not 0 <= lambda_p < np.inf:
         raise InvalidInputError("lambda_p lower bound must be finite and >= 0")
     R_values = sorted(R_values)
@@ -248,6 +253,9 @@ def volume_growth_check(M: ModelManifold, p: float, lambda_p: float,
         shape = np.array([R**p * np.exp(-rate * (R - 1.0)) for R in R_values])
         C = measured[0] / shape[0]
         passed = measured <= C * shape * (1 + 1e-9)
+    if not measured[0] > 0:
+        raise InvalidInputError("the volume at the smallest R is not "
+                                "positive: no C can be fitted")
     # an infinite volume meets no bound, not even the infinite one it
     # makes of C
     passed &= np.isfinite(measured)

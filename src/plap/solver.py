@@ -38,10 +38,11 @@ path down to its own eps.
 sandwich checks; the CLI ``continuation`` runs it on the halving schedule
 ``default_schedule``.
 
-The closed-form radial extremals and two-end barriers need
-Phi(t) = int A^{-1/(p-1)}; every cell of the grid, and every point the
-analytic descriptor is asked for, is integrated in one batched
-quadrature call (``ModelManifold.phi_integral`` with array ends).
+The closed-form radial extremals and two-end barriers are levels
+u = c + s Phi of Phi(t) = int A^{-1/(p-1)}, both built by
+``_radial_field``; every cell of the grid, and every point the analytic
+descriptor is asked for, is integrated in one batched quadrature call
+(``ModelManifold.phi_integral`` with array ends).
 """
 
 from __future__ import annotations
@@ -233,14 +234,6 @@ def solve_dirichlet(spec: EnergySpec, grid, boundary,
     spec = EnergySpec(spec.p, eps)
     mask, vals = _normalize_boundary(grid, boundary)
 
-    fixed = vals[mask]
-    if np.ptp(fixed) == 0.0:
-        u = np.full_like(vals, fixed.flat[0])
-        f = DiscreteField(grid, u)
-        report = SolveReport()
-        report.add_step(eps, 0, 0.0, en.energy(spec, f),
-                        en.q_energy(f, spec.p), "tol")
-        return f, report
     if initial is not None:
         return _newton(spec, grid, mask, vals, initial, cfg, loose)
     try:
@@ -286,8 +279,9 @@ def _newton(spec, grid, mask, vals, initial, cfg, loose):
         # absolute part: E_{p,l^2 eps}(l u) = l^p E_{p,eps}(u), so data
         # scaled by l stops on the same iterate scaled by l.  The
         # residual's rounding floor grows with the fluxes (roughly like
-        # 1/h).  A zero scale makes the tolerance 0: constant data never
-        # gets here, and the floor stop ends any other such solve
+        # 1/h).  A zero scale makes the tolerance 0: constant data meets
+        # it on the constant (its cold start, or one step away), and the
+        # floor stop ends any other such solve
         tol = rel_tol * cells.residual_scale()
         r_max = float(np.max(np.abs(r)))
         if not np.isfinite(e_val + r_max):
@@ -415,12 +409,16 @@ def _phi_on_nodes(M: ModelManifold, p: float, nodes: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate(([0.0], cells)))
 
 
-def _radial_profile(M: ModelManifold, p: float, nodes: np.ndarray,
-                    phi: np.ndarray, level):
-    """u(t) = level(Phi(t)) for any t, from Phi's node values ``phi``:
-    Phi at the last node at or below t (the first node, for t below the
-    grid) plus the integral from that node to t, negative below the
-    grid.  At the nodes u is level(phi) exactly."""
+def _radial_field(M: ModelManifold, p: float, grid: Grid1D,
+                  phi: np.ndarray, scale: float, level) -> DiscreteField:
+    """The field u = level(Phi) on ``grid``, from Phi's node values
+    ``phi``, with its analytic descriptor: u(t) for any t reads Phi at
+    the last node at or below t (the first node, for t below the grid)
+    plus the integral from that node to t, negative below the grid;
+    u' = scale A^(-1/(p-1)) and u''.  At the nodes u is level(phi)
+    exactly."""
+    nodes = grid.nodes
+    expo = -1.0 / (p - 1.0)
 
     def u(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -434,13 +432,6 @@ def _radial_profile(M: ModelManifold, p: float, nodes: np.ndarray,
         out = level(ph)
         return out if out.size > 1 else float(out[0])
 
-    return u
-
-
-def _radial_derivatives(M: ModelManifold, p: float, scale: float):
-    """(du, d2u) of u = const + scale Phi: du = scale A^(-1/(p-1))."""
-    expo = -1.0 / (p - 1.0)
-
     def du(t):
         return scale * np.asarray(M.area(t)) ** expo
 
@@ -448,7 +439,8 @@ def _radial_derivatives(M: ModelManifold, p: float, scale: float):
         A = np.asarray(M.area(t))
         return scale * expo * A ** (expo - 1.0) * np.asarray(M.area_d1(t))
 
-    return du, d2u
+    return DiscreteField(grid, level(phi),
+                         analytic=Analytic1D(u=u, du=du, d2u=d2u))
 
 
 def radial_p_harmonic(M: ModelManifold, p: float, a: float, b: float,
@@ -463,11 +455,7 @@ def radial_p_harmonic(M: ModelManifold, p: float, a: float, b: float,
     grid = Grid1D.uniform(a, b, n, manifold=M)
     phi = _phi_on_nodes(M, p, grid.nodes)
     scale = (u_b - u_a) / phi[-1]
-    vals = u_a + scale * phi
-    du, d2u = _radial_derivatives(M, p, scale)
-    # u = u_a below a
-    u = _radial_profile(M, p, grid.nodes, phi, lambda ph: u_a + scale * ph)
-    return DiscreteField(grid, vals, analytic=Analytic1D(u=u, du=du, d2u=d2u))
+    return _radial_field(M, p, grid, phi, scale, lambda ph: u_a + scale * ph)
 
 
 def two_end_barrier(M: ModelManifold, p: float, t_min: float, t_max: float,
@@ -486,10 +474,9 @@ def two_end_barrier(M: ModelManifold, p: float, t_min: float, t_max: float,
     phi_left = M.phi_integral(p, -np.inf, t_min)
     phi = phi_left + _phi_on_nodes(M, p, grid.nodes)
     phi_total = phi[-1] + M.phi_integral(p, t_max, np.inf)
-    vals = phi / phi_total
-    du, d2u = _radial_derivatives(M, p, 1.0 / phi_total)
-    u = _radial_profile(M, p, grid.nodes, phi, lambda ph: ph / phi_total)
-    f = DiscreteField(grid, vals, analytic=Analytic1D(u=u, du=du, d2u=d2u))
+    f = _radial_field(M, p, grid, phi, 1.0 / phi_total,
+                      lambda ph: ph / phi_total)
+    vals = f.values
     meta = {
         "sup": float(vals.max()),
         "inf": float(vals.min()),

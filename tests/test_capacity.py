@@ -296,6 +296,25 @@ def test_tail_energy_profile_underflowed_tail():
     assert out["slope_ok"] and out["ok"]
 
 
+def test_tail_energy_profile_vanished_tail_is_invalid():
+    # on e^t the tail at R = 800 has underflowed to 0: C3 = 0 made every
+    # row 0 <= 0 and passed
+    M = warped(2, Exponential(1.0))
+    with pytest.raises(InvalidInputError, match="not positive"):
+        cap.tail_energy_profile(M, 2.0, 1.0, 0.25, [800.0, 900.0])
+
+
+def test_volume_growth_vanished_tail_is_invalid():
+    # on e^-t the tail volume past R = 800 has underflowed to 0: C = 0
+    # made every row 0 <= 0 and passed; from R = 2 the check holds
+    M = warped(2, Exponential(-1.0))
+    with pytest.raises(InvalidInputError, match="not positive"):
+        cap.volume_growth_check(M, 2.0, 0.25, [800.0, 900.0])
+    out = cap.volume_growth_check(M, 2.0, 0.25, [2.0, 4.0, 6.0])
+    assert out["kind"] == EndKind.PARABOLIC
+    assert out["ok"]
+
+
 def test_volume_growth_hyperbolic():
     M = warped(2, Exponential(1.0))
     out = cap.volume_growth_check(M, 2.0, 0.25, [2, 4, 6, 8, 10])

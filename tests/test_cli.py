@@ -213,6 +213,31 @@ def test_volume_infinite_tail_fails(tmp_path, euclid3, capsys):
     assert rows[1:] == ["1,inf,inf,False", "2,inf,inf,False", "4,inf,inf,False"]
 
 
+@pytest.mark.parametrize("name, beta, radii, rc", [
+    # a tail that underflowed to 0 at the smallest R fitted a constant of
+    # 0, and every row passed 0 <= 0 (exit 0): e^t's energy tail, e^-t's
+    # volume tail
+    ("decay", "1", ["800", "900"], cli.EXIT_INVALID),
+    ("volume", "-1", ["800", "900"], cli.EXIT_INVALID),
+    ("volume", "-1", ["2", "4", "6"], cli.EXIT_OK),
+])
+def test_vanished_tail_at_smallest_radius(tmp_path, capsys, name, beta,
+                                          radii, rc):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(EXP2.replace("beta = 1", "beta = " + beta))
+    out = tmp_path / "out"
+    assert cli.run([name, "--manifold", str(cfg), "--p", "2",
+                    "--lambda-p", "0.25", "--R", *radii,
+                    "--out", str(out)]) == rc
+    if rc == cli.EXIT_INVALID:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "smallest R is not positive" in err
+        assert not list(tmp_path.rglob("*.csv"))
+    else:
+        assert (out / (name + ".csv")).exists()
+
+
 def test_solve_cold_start_stall_recovers(tmp_path, exp2, capsys):
     # exited 3 with residual 0.37 before the retry along the decade path
     rc = cli.run(["solve", "--manifold", exp2, "--p", "1.5097", "--eps",

@@ -7,6 +7,7 @@ from scipy.linalg import LinAlgError, solve_banded
 
 import plap.energy as en
 import plap.solver as sv
+import plap.verifiers as vf
 from plap.energy import EnergySpec
 from plap.errors import InvalidInputError, NoBarrierError, NonConvergenceError
 from plap.geometry import Cosh, Exponential, PolyEven, euclidean, warped
@@ -70,11 +71,28 @@ def test_p2_matches_harmonic_solution():
     assert rep.steps[-1]["residual"] <= 1e-8
 
 
-def test_constant_boundary_shortcut():
+def test_constant_boundary_data():
+    # Newton answers constant data itself: the 1D cold start is the
+    # constant, so it stops at once
     g = annulus()
     f, rep = sv.solve_dirichlet(EnergySpec(3.0, 1e-6), g, (0.7, 0.7))
     assert np.all(f.values == 0.7)
     assert rep.steps[-1]["iterations"] == 0
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("eps", [1e-3, 1e-9])
+def test_constant_boundary_data_2d(p, eps):
+    # the 2D cold start is the mean of the fixed values, which misses 0.1
+    # here; the Newton step from it lands on 0.1 exactly
+    g = Grid2D(0.0, 1.0, 0.0, 1.0, 17, 23)
+    mask = g.boundary_mask()
+    vals = np.where(mask, 0.1, 0.0)
+    assert np.mean(vals[mask]) != 0.1
+    f, rep = sv.solve_dirichlet(EnergySpec(p, eps), g, (mask, vals))
+    assert np.all(f.values == 0.1)
+    assert rep.steps[-1]["iterations"] == 1
+    assert rep.steps[-1]["stop"] == "tol"
 
 
 def test_maximum_principle_and_monotonicity():
@@ -322,6 +340,26 @@ def test_radial_p_harmonic_descriptor_off_the_grid():
     t = np.array([0.5, 0.9, 2.5, 3.0])
     np.testing.assert_allclose(f.analytic.u(t), 1.0 - np.log2(t),
                                rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("p, m, n", [(3.2, 4, 513), (2.4, 3, 257),
+                                     (1.55, 3, 257), (4.0, 2, 129)])
+def test_radial_p_harmonic_power_jet(p, m, n):
+    # on euclidean(m) the extremal from 1 at t = 1 to 2^a at t = 2 is
+    # u = t^a, a = (p - m)/(p - 1); its Kato ratio |Hess u|^2/|grad|grad u||^2
+    # is 1 + (p-1)^2/(m-1) at every node, read off the closed-form jet
+    a = (p - m) / (p - 1.0)
+    f = sv.radial_p_harmonic(euclidean(m), p, 1.0, 2.0, 1.0, 2.0**a, n=n)
+    t = f.grid.nodes
+    np.testing.assert_allclose(f.analytic.du(t), a * t**(a - 1.0),
+                               rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(f.analytic.d2u(t), a * (a - 1.0) * t**(a - 2.0),
+                               rtol=1e-12, atol=0.0)
+    rep = vf.kato_ratio(f, p)
+    assert rep.excluded == 0
+    # |grad|grad u|| is differenced: 2nd order, 2.6e-4 relative at worst
+    target = 1.0 + (p - 1.0)**2 / (m - 1.0)
+    np.testing.assert_allclose([rep.minimum, rep.maximum], target, rtol=1e-3)
 
 
 def test_radial_p_harmonic_constant_case():
