@@ -177,17 +177,10 @@ def end_barrier_sweep(M: ModelManifold, p: float, R0: float,
 # ---------------------------------------------------------------------------
 
 
-def tail_energy_profile(M: ModelManifold, p: float, R0: float,
-                        lambda_p: float, R_values: Sequence[float]) -> dict:
-    """Tail p-energy of the limit barrier past each R, against the
-    decay bound C3 R^p exp(-lambda_p^{1/p} (R-1)/(p+1)).
-
-    C3 is fitted at the smallest R, where the tail must be positive;
-    additionally the measured log-tail slope must not exceed
-    -lambda_p^{1/p}/(p+1).
-    """
-    if M.classify_end(p, +1) != EndKind.HYPERBOLIC:
-        raise UnsupportedVariantError("tail profile needs a hyperbolic end")
+def _radii_and_rate(p, lambda_p, R_values):
+    """The sorted R values and the rate lambda_p^{1/p}/(p+1) of both end
+    bounds, after their input rules: lambda_p finite and >= 0, and at
+    least two R values, finite and positive."""
     if not 0 <= lambda_p < np.inf:
         raise InvalidInputError("lambda_p lower bound must be finite and >= 0")
     R_values = sorted(R_values)
@@ -195,6 +188,36 @@ def tail_energy_profile(M: ModelManifold, p: float, R0: float,
         raise InvalidInputError("need at least two R values")
     if not np.all(np.isfinite(R_values)):
         raise InvalidInputError("R values must be finite")
+    if not R_values[0] > 0:
+        raise InvalidInputError("R values must be positive")
+    return R_values, lambda_p ** (1.0 / p) / (p + 1.0)
+
+
+def _fitted_bound(R_values, values, shape, key, what, const, lower=False):
+    """({"rows", const: C}, all rows pass), C = value/shape at the smallest
+    R, where the ``what`` must be positive; a row passes when its value is
+    finite and within C*shape (above it if ``lower``) to 1e-9 relative."""
+    if not values[0] > 0:
+        raise InvalidInputError(f"the {what} at the smallest R is not "
+                                f"positive: no {const} can be fitted")
+    C = values[0] / shape[0]
+    bounds = C * shape
+    passed = (values >= bounds * (1 - 1e-9) if lower
+              else values <= bounds * (1 + 1e-9)) & np.isfinite(values)
+    rows = [{"R": r, key: v, "bound": b, "pass": ok}
+            for r, v, b, ok in zip(R_values, values, bounds, passed)]
+    return {"rows": rows, const: float(C)}, bool(passed.all())
+
+
+def tail_energy_profile(M: ModelManifold, p: float, R0: float,
+                        lambda_p: float, R_values: Sequence[float]) -> dict:
+    """Tail p-energy of the limit barrier past each R, against the decay
+    bound C3 R^p exp(-lambda_p^{1/p} (R-1)/(p+1)), C3 fitted at the
+    smallest R, where the tail must be positive; the measured log-tail
+    slope must not exceed -lambda_p^{1/p}/(p+1) either."""
+    if M.classify_end(p, +1) != EndKind.HYPERBOLIC:
+        raise UnsupportedVariantError("tail profile needs a hyperbolic end")
+    R_values, rate = _radii_and_rate(p, lambda_p, R_values)
     if len(set(R_values)) < len(R_values):
         raise InvalidInputError("R values must be distinct")
     if R_values[0] <= R0:
@@ -203,24 +226,16 @@ def tail_energy_profile(M: ModelManifold, p: float, R0: float,
     # so the tail energy past R is (Phi(inf)-Phi(R)) / D^p
     D = M.phi_integral(p, R0, np.inf)
     tails = np.array([M.phi_integral(p, R, np.inf) / D**p for R in R_values])
-    if not tails[0] > 0:
-        raise InvalidInputError(
-            "the tail at the smallest R is not positive: no C3 can be fitted")
-    rate = lambda_p ** (1.0 / p) / (p + 1.0)
     shape = np.array([R**p * np.exp(-rate * (R - 1.0)) for R in R_values])
-    C3 = tails[0] / shape[0]
-    bounds = C3 * shape
-    ok_bound = bool(np.all(tails <= bounds * (1 + 1e-9)))
+    fit, ok_bound = _fitted_bound(R_values, tails, shape, "tail", "tail", "C3")
     live = tails[:-1] > 0  # a pair already at 0 has no slope
     with np.errstate(divide="ignore"):  # a tail that fell to 0 reads -inf
         logs = np.log(tails[1:][live]) - np.log(tails[:-1][live])
     slopes = logs / np.diff(np.asarray(R_values, float))[live]
     ok_slope = bool(np.all(slopes <= -rate + 1e-12))
-    rows = [{"R": r, "tail": t, "bound": b, "pass": t <= b * (1 + 1e-9)}
-            for r, t, b in zip(R_values, tails, bounds)]
-    return {"rows": rows, "C3": float(C3), "rate": rate,
-            "slopes": slopes.tolist(), "bound_ok": ok_bound,
-            "slope_ok": ok_slope, "ok": ok_bound and ok_slope}
+    return {**fit, "rate": rate, "slopes": slopes.tolist(),
+            "bound_ok": ok_bound, "slope_ok": ok_slope,
+            "ok": ok_bound and ok_slope}
 
 
 def volume_growth_check(M: ModelManifold, p: float, lambda_p: float,
@@ -229,40 +244,22 @@ def volume_growth_check(M: ModelManifold, p: float, lambda_p: float,
     against the exponential bounds, with the constant fitted at the
     smallest R, where the volume must be positive; each row's "measured"
     is the shell or the tail volume."""
-    if not 0 <= lambda_p < np.inf:
-        raise InvalidInputError("lambda_p lower bound must be finite and >= 0")
-    R_values = sorted(R_values)
-    if len(R_values) < 2:
-        raise InvalidInputError("need at least two R values")
-    if not np.all(np.isfinite(R_values)):
-        raise InvalidInputError("R values must be finite")
+    R_values, rate = _radii_and_rate(p, lambda_p, R_values)
     kind = M.classify_end(p, +1)
-    rate = lambda_p ** (1.0 / p) / (p + 1.0)
     if kind == EndKind.HYPERBOLIC:
         measured = np.array([M.volume_between(R, R + 1.0) for R in R_values])
         shape = np.array([R ** (-p * (p - 1.0))
                           * np.exp((p - 1.0) * rate * (R - 1.0))
                           for R in R_values])
-        C = measured[0] / shape[0]
-        passed = measured >= C * shape * (1 - 1e-9)
     else:
         if lambda_p <= 0:
             raise InvalidInputError(
                 "parabolic volume bound needs lambda_p > 0")
         measured = np.array([M.volume_between(R, M.domain[1]) for R in R_values])
         shape = np.array([R**p * np.exp(-rate * (R - 1.0)) for R in R_values])
-        C = measured[0] / shape[0]
-        passed = measured <= C * shape * (1 + 1e-9)
-    if not measured[0] > 0:
-        raise InvalidInputError("the volume at the smallest R is not "
-                                "positive: no C can be fitted")
-    # an infinite volume meets no bound, not even the infinite one it
-    # makes of C
-    passed &= np.isfinite(measured)
-    rows = [{"R": r, "measured": v, "bound": C * sh, "pass": ok}
-            for r, v, sh, ok in zip(R_values, measured, shape, passed)]
-    return {"kind": kind, "rows": rows, "C": float(C), "rate": rate,
-            "ok": bool(passed.all())}
+    fit, ok = _fitted_bound(R_values, measured, shape, "measured", "volume",
+                            "C", lower=kind == EndKind.HYPERBOLIC)
+    return {"kind": kind, **fit, "rate": rate, "ok": ok}
 
 
 def p_poincare_bound(lambda2: float, p: float) -> float:

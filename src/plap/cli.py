@@ -65,7 +65,9 @@ def load_manifold(path: str) -> ModelManifold:
                 k, v = line.split("=", 1)
                 kv[k.strip()] = v.strip()
         kind = kv.get("warp.kind", "").lower()
-        variant = kv.get("variant", "euclidean")
+        variant = kv.get("variant", "euclidean").lower()
+        if variant not in ("euclidean", "warped"):
+            raise InvalidInputError(f"unknown variant {variant!r}")
         m = int(kv.get("m", "3"))
         domain = None
         if "domain" in kv:
@@ -231,14 +233,17 @@ def _gallery_item(tag: str) -> dict:
 
 
 def _target(args, default_tag):
-    """(field, p) for a field verifier: the ``--gallery`` field, else
-    ``default_tag``'s, at ``--p`` or the field's own p.  Without either
-    tag (``kato``) it is the radial field that ``--p``/``--m`` name."""
-    tag = args.gallery or default_tag
+    """(field, p) for a field verifier: the ``--gallery`` field, at
+    ``--p`` or its own p; else the radial field ``--p``/``--m`` name (the
+    power field, the log field at p = m); without ``--m``, the field of
+    ``default_tag`` (``kato`` has none).  ``--m`` needs ``--p``."""
+    if args.m is not None and args.p is None:
+        raise InvalidInputError("--m needs --p")
+    tag = args.gallery or (default_tag if args.m is None else None)
     if tag is not None:
         item = _gallery_item(tag)
         return item["field"], (item["p"] if args.p is None else args.p)
-    if args.p is None or args.m is None:
+    if args.m is None:
         raise InvalidInputError("verify kato needs --gallery or --p/--m")
     f = vf.power_radial_field(p=args.p, m=args.m) \
         if args.p != args.m else vf.log_radial_field(m=args.m)

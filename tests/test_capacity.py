@@ -315,6 +315,17 @@ def test_volume_growth_vanished_tail_is_invalid():
     assert out["ok"]
 
 
+@pytest.mark.parametrize("call", [
+    lambda M, R: cap.tail_energy_profile(M, 2.0, -1.0, 0.25, R),
+    lambda M, R: cap.volume_growth_check(M, 2.0, 0.25, R),
+], ids=["tail", "volume"])
+@pytest.mark.parametrize("radii", [[0.0, 2.0], [-5.0, 2.0]])
+def test_nonpositive_radius_is_invalid(call, radii):
+    # R^p has no meaning at R <= 0: complex bounds, 0 ** -2, or C3 = inf
+    with pytest.raises(InvalidInputError, match="R values must be positive"):
+        call(warped(2, Exponential(1.0)), radii)
+
+
 def test_volume_growth_hyperbolic():
     M = warped(2, Exponential(1.0))
     out = cap.volume_growth_check(M, 2.0, 0.25, [2, 4, 6, 8, 10])

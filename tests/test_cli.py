@@ -8,6 +8,7 @@ import pytest
 
 from plap import cli
 from plap import solver as sv
+from plap import verifiers as vf
 from plap.energy import EnergySpec
 from plap.grid import Grid1D, dump_csv
 
@@ -238,6 +239,26 @@ def test_vanished_tail_at_smallest_radius(tmp_path, capsys, name, beta,
         assert (out / (name + ".csv")).exists()
 
 
+@pytest.mark.parametrize("name, beta, p, r0, radii", [
+    # R^p of a negative R made complex bounds (exit 0, or a ComplexWarning
+    # under -W error), R = 0 a ZeroDivisionError or a fitted C3 of inf
+    ("volume", "-1", "2.2", None, ["-5", "2"]),
+    ("volume", "1", "2", None, ["0", "2"]),
+    ("decay", "1", "2", "-1", ["0", "2"]),
+    ("decay", "1", "2.2", "-10", ["-5", "2"]),
+])
+def test_nonpositive_radius_is_invalid(tmp_path, capsys, name, beta, p, r0,
+                                       radii):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(EXP2.replace("beta = 1", "beta = " + beta))
+    r0 = [] if r0 is None else ["--r0", r0]
+    assert cli.run([name, "--manifold", str(cfg), "--p", p, *r0,
+                    "--lambda-p", "0.25", "--R", *radii,
+                    "--out", str(tmp_path / "out")]) == cli.EXIT_INVALID
+    assert capsys.readouterr().err == "error: R values must be positive\n"
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_solve_cold_start_stall_recovers(tmp_path, exp2, capsys):
     # exited 3 with residual 0.37 before the retry along the decade path
     rc = cli.run(["solve", "--manifold", exp2, "--p", "1.5097", "--eps",
@@ -260,6 +281,46 @@ def test_verify_kato(tmp_path, capsys):
 def test_verify_needs_target():
     assert cli.run(["verify", "kato"]) == cli.EXIT_INVALID
     assert cli.run(["verify", "frob"]) == cli.EXIT_INVALID
+
+
+def _verify_row(tmp_path, argv):
+    """The (min, max) row that ``verify`` wrote for argv, which must pass."""
+    out = tmp_path / "_".join(argv)
+    assert cli.run(["verify", *argv, "--out", str(out)]) == cli.EXIT_OK
+    row = (out / ("verify_%s.csv" % argv[0])).read_text().splitlines()[1]
+    return [float(v) for v in row.split(",")[1:3]]
+
+
+@pytest.mark.parametrize("p, m", [(3.2, 4), (3, 3)])
+def test_verify_kato_radial_field(tmp_path, p, m):
+    # the benchmark's launch; at p = m the field is log t
+    exact = 1 + (p - 1) ** 2 / (m - 1)
+    for v in _verify_row(tmp_path, ["kato", "--p", str(p), "--m", str(m)]):
+        assert abs(v - exact) <= 1e-3 * exact
+
+
+@pytest.mark.parametrize("p, m", [(3, 5), (3, 3)])
+@pytest.mark.parametrize("name, check", [
+    ("strong_form", lambda f, p: vf.strong_form_residual(f, p)),
+    ("bochner", lambda f, p: vf.bochner_residual(f, p, 1e-3)),
+    ("bochner_s", lambda f, p: vf.bochner_s_residual(f, p, p - 2.0, 1e-3)),
+], ids=["strong_form", "bochner", "bochner_s"])
+def test_verify_identity_on_the_radial_field(tmp_path, name, check, p, m):
+    # --m was ignored: these checks read gallery b (m = 4) at --p
+    f = vf.power_radial_field(p=p, m=m) if p != m else vf.log_radial_field(m=m)
+    rep = check(f, p)
+    got = _verify_row(tmp_path, [name, "--p", str(p), "--m", str(m)])
+    assert got == [float(cli.FMT % rep.minimum), float(cli.FMT % rep.maximum)]
+    assert got != _verify_row(tmp_path, [name, "--p", str(p)])
+
+
+@pytest.mark.parametrize("name", ["kato", "strong_form", "bochner",
+                                  "bochner_s"])
+def test_verify_m_needs_p(tmp_path, capsys, name):
+    rc = cli.run(["verify", name, "--m", "4", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_INVALID
+    assert capsys.readouterr().err == "error: --m needs --p\n"
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 @pytest.mark.parametrize("p", ["1", "0.5"])
@@ -440,6 +501,55 @@ def test_config_without_warp_parameter(tmp_path, capsys):
     assert rc == cli.EXIT_INVALID
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "warp.alpha" in err
+
+
+@pytest.mark.parametrize("body, rc, out", [
+    # any variant but euclidean built a warped product, and "Euclidean"
+    # read as unknown warp.kind ''
+    ("variant = hyperbolic\nm = 3\nwarp.kind = cosh\n", cli.EXIT_INVALID,
+     "error: unknown variant 'hyperbolic'\n"),
+    ("variant = Euclidean\nm = 3\n", cli.EXIT_OK, "Hyperbolic\n"),
+], ids=["hyperbolic", "Euclidean"])
+def test_config_variant(tmp_path, capsys, body, rc, out):
+    cfg = tmp_path / "variant.cfg"
+    cfg.write_text(body)
+    assert cli.run(["classify", "--manifold", str(cfg), "--p", "2"]) == rc
+    got = capsys.readouterr()
+    assert (got.out if rc == cli.EXIT_OK else got.err) == out
+
+
+POWER = "variant = warped\nm = 3\nwarp.kind = power\nwarp.alpha = {}\n"
+
+
+def test_config_power_warp_barrier(tmp_path):
+    # sigma = 1 is the polyeven warp: the same barrier, byte for byte
+    bodies = {"power": POWER.format(2) + "warp.sigma = 1\n",
+              "polyeven": POWER.format(2).replace("power", "polyeven")}
+    csvs = []
+    for name, body in bodies.items():
+        cfg = tmp_path / (name + ".cfg")
+        cfg.write_text(body)
+        rc = cli.run(["barrier", "--manifold", str(cfg), "--p", "3",
+                      "--tmin", "-8", "--tmax", "8", "--nodes", "129",
+                      "--out", str(tmp_path / name)])
+        assert rc == cli.EXIT_OK
+        csvs.append((tmp_path / name / "barrier.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+def test_config_power_warp_domain(tmp_path, capsys):
+    # without sigma the warp is singular at t = 0, unless the domain
+    # excludes it: t on [1, inf) with m = 3 is Euclidean R^3 off a ball
+    cfg = tmp_path / "power.cfg"
+    cfg.write_text(POWER.format(2))
+    assert cli.run(["classify", "--manifold", str(cfg), "--p", "2"]) == \
+        cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sigma=0 is singular" in err
+    cfg.write_text(POWER.format(1) + "domain = 1 inf\n")
+    for p, kind in (("2", "Hyperbolic"), ("4", "Parabolic")):
+        assert cli.run(["classify", "--manifold", str(cfg), "--p", p]) == 0
+        assert capsys.readouterr().out == kind + "\n"
 
 
 @pytest.mark.parametrize("name", ["kato", "strong_form", "bochner", "bochner_s"])
