@@ -48,11 +48,19 @@ EXIT_INVALID = 2
 EXIT_NO_CONVERGENCE = 3
 
 
+# the warp.<param> keys each warp.kind reads
+_WARP_KEYS = {"power": ("warp.alpha", "warp.sigma"),
+              "exponential": ("warp.beta",), "cosh": (),
+              "polyeven": ("warp.alpha",)}
+
+
 def load_manifold(path: str) -> ModelManifold:
-    """key = value config: variant, m, warp.kind, warp.<param>, domain,
-    ricci_N_lower.  The ``--manifold`` type: argparse would reword a
-    ValueError (a malformed number, an undecodable file), so it is raised
-    as InvalidInputError with its text."""
+    """key = value config: variant, m, domain; a warped variant also
+    warp.kind, its warp.<param> keys and ricci_N_lower.  A key the chosen
+    variant and warp do not read is invalid.  The ``--manifold`` type:
+    argparse would reword a ValueError (a malformed number, an
+    undecodable file), so it is raised as InvalidInputError with its
+    text."""
     kv = {}
     try:
         with open(path) as fh:
@@ -68,6 +76,16 @@ def load_manifold(path: str) -> ModelManifold:
         variant = kv.get("variant", "euclidean").lower()
         if variant not in ("euclidean", "warped"):
             raise InvalidInputError(f"unknown variant {variant!r}")
+        read, reader = {"variant", "m", "domain"}, "variant = euclidean"
+        if variant == "warped":
+            if kind not in _WARP_KEYS:
+                raise InvalidInputError(f"unknown warp.kind {kind!r}")
+            read |= {"warp.kind", "ricci_N_lower", *_WARP_KEYS[kind]}
+            reader = f"warp.kind = {kind}"
+        for key in kv:
+            if key not in read:
+                raise InvalidInputError(f"config key {key!r} is not read "
+                                        f"by {reader}")
         m = int(kv.get("m", "3"))
         domain = None
         if "domain" in kv:
@@ -83,10 +101,8 @@ def load_manifold(path: str) -> ModelManifold:
             w = Exponential(beta=float(kv["warp.beta"]))
         elif kind == "cosh":
             w = Cosh()
-        elif kind == "polyeven":
-            w = PolyEven(alpha=float(kv["warp.alpha"]))
         else:
-            raise InvalidInputError(f"unknown warp.kind {kind!r}")
+            w = PolyEven(alpha=float(kv["warp.alpha"]))
         return warped(m, w, ricci_N_lower=float(kv.get("ricci_N_lower", "0")),
                       domain=domain)
     except KeyError as exc:
@@ -236,9 +252,12 @@ def _target(args, default_tag):
     """(field, p) for a field verifier: the ``--gallery`` field, at
     ``--p`` or its own p; else the radial field ``--p``/``--m`` name (the
     power field, the log field at p = m); without ``--m``, the field of
-    ``default_tag`` (``kato`` has none).  ``--m`` needs ``--p``."""
+    ``default_tag`` (``kato`` has none).  ``--m`` needs ``--p``, and
+    names another field than ``--gallery``."""
     if args.m is not None and args.p is None:
         raise InvalidInputError("--m needs --p")
+    if args.m is not None and args.gallery is not None:
+        raise InvalidInputError("--gallery and --m name different fields")
     tag = args.gallery or (default_tag if args.m is None else None)
     if tag is not None:
         item = _gallery_item(tag)

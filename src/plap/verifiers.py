@@ -24,7 +24,9 @@ included.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
@@ -414,6 +416,63 @@ def monotonicity_gap(X, Y, p: float) -> dict:
     return out
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _monotonicity_p(p: float, n: int, seed: int, blocks) -> dict:
+    """One p of ``monotonicity_suite``: the sweep on the sample of
+    ``seed``, then the half-constant recheck on the sample of seed + 1."""
+    dim = 3
+    rng = np.random.default_rng(seed)
+    X = rng.normal(scale=3.0, size=(n, dim))
+    Y = rng.normal(scale=3.0, size=(n, dim))
+    n_adv = n // 10
+    X[:n_adv] = rng.normal(scale=3.0, size=(n_adv, dim))
+    Y[:n_adv] = X[:n_adv] * (1.0 + rng.normal(scale=1e-6, size=(n_adv, 1)))
+    X[n_adv:2 * n_adv] = rng.normal(scale=3.0, size=(n_adv, dim))
+    Y[n_adv:2 * n_adv] = X[n_adv:2 * n_adv] * rng.uniform(
+        -1.5, 1.5, size=(n_adv, 1))
+    neg = zero_bad = 0
+    c_emp = np.inf
+    for rows in blocks:
+        xb, yb = X[rows].T.copy(), Y[rows].T.copy()
+        for Z in (xb, yb):
+            # clip to |Z| <= 10
+            nz = _norm(Z)
+            np.divide(Z, nz / 10.0, out=Z, where=nz > 10.0)
+        nx, ny = _norm(xb), _norm(yb)
+        lhs, psi = _gap(xb, yb, nx, ny, p)
+        # per-pair rounding floor: lhs is assembled by subtraction, so
+        # values below eps_mach * (|X|+|Y|)^p are indistinguishable from 0
+        floor = 1e-12 * ((nx + ny) ** p + 1.0)
+        neg += int(np.sum(lhs < -floor))
+        eq = np.all(xb == yb, axis=0)
+        resolved = psi > floor
+        zero_bad += int(np.sum((lhs <= 0) & ~eq & resolved))
+        ratio = lhs[resolved] / psi[resolved]
+        c_emp = min(c_emp, float(np.min(ratio[np.isfinite(ratio)],
+                                        initial=np.inf)))
+    # other p values are in flight: free this sample before drawing the next
+    del X, Y
+    rng2 = np.random.default_rng(seed + 1)
+    X2 = rng2.normal(scale=3.0, size=(n, dim))
+    Y2 = rng2.normal(scale=3.0, size=(n, dim))
+    recheck = True
+    for rows in blocks:
+        xb, yb = X2[rows].T.copy(), Y2[rows].T.copy()
+        lhs, psi = _gap(xb, yb, _norm(xb), _norm(yb), p)
+        recheck &= bool(np.all(lhs >= 0.5 * c_emp * psi
+                               - 1e-13 * (1.0 + np.abs(lhs))))
+    return {"violations": neg, "zero_off_diagonal": zero_bad,
+            "C_emp": c_emp, "half_constant_recheck": recheck,
+            "ok": neg == 0 and zero_bad == 0 and recheck}
+
+
 def monotonicity_suite(p_values=(1.5, 2.0, 3.0, 4.0), n: int = 100_000,
                        seed: int = 0) -> dict:
     """Random-pair sweep over vectors in R^3: lhs >= 0, zero only at
@@ -421,58 +480,31 @@ def monotonicity_suite(p_values=(1.5, 2.0, 3.0, 4.0), n: int = 100_000,
     half strength on a fresh sample.  Adversarial near-equal and
     near-collinear pairs included.
 
-    The sample is fixed by ``seed`` (each p draws from its own stream)
-    and is drawn whole; it is then evaluated in blocks of ``_BLOCK``
-    rows, transposed to component-major arrays.  Violations are counted
-    and C_emp is a running minimum over the blocks, so the results do
-    not depend on the block size."""
+    The sample is fixed by ``seed`` (the p at index ip draws from its own
+    streams, seed + 1000 ip and one more for the recheck) and is drawn
+    whole; it is then evaluated in blocks of ``_BLOCK`` rows, transposed
+    to component-major arrays.  Violations are counted and C_emp is a
+    running minimum over the blocks, so the results do not depend on the
+    block size.
+
+    Each p is one task on a thread pool of min(len(p_values), usable
+    CPUs) workers, run in a copy of the caller's context (numpy's
+    ``errstate`` included).  A task shares nothing with another, so the
+    results do not depend on the worker count; they are collected in
+    ``p_values`` order (a repeated p keeps its later result), and the
+    first p in that order whose task raised raises here."""
     if n < 1:
         raise InvalidInputError("monotonicity_suite needs n >= 1")
-    dim = 3
+    # imported here: a launch that never sweeps does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
     blocks = [slice(i, i + _BLOCK) for i in range(0, n, _BLOCK)]
-    results = {}
-    for ip, p in enumerate(p_values):
-        rng = np.random.default_rng(seed + 1000 * ip)
-        X = rng.normal(scale=3.0, size=(n, dim))
-        Y = rng.normal(scale=3.0, size=(n, dim))
-        n_adv = n // 10
-        X[:n_adv] = rng.normal(scale=3.0, size=(n_adv, dim))
-        Y[:n_adv] = X[:n_adv] * (1.0 + rng.normal(scale=1e-6, size=(n_adv, 1)))
-        X[n_adv:2 * n_adv] = rng.normal(scale=3.0, size=(n_adv, dim))
-        Y[n_adv:2 * n_adv] = X[n_adv:2 * n_adv] * rng.uniform(
-            -1.5, 1.5, size=(n_adv, 1))
-        neg = zero_bad = 0
-        c_emp = np.inf
-        for rows in blocks:
-            xb, yb = X[rows].T.copy(), Y[rows].T.copy()
-            for Z in (xb, yb):
-                # clip to |Z| <= 10
-                nz = _norm(Z)
-                np.divide(Z, nz / 10.0, out=Z, where=nz > 10.0)
-            nx, ny = _norm(xb), _norm(yb)
-            lhs, psi = _gap(xb, yb, nx, ny, p)
-            # per-pair rounding floor: lhs is assembled by subtraction, so
-            # values below eps_mach * (|X|+|Y|)^p are indistinguishable from 0
-            floor = 1e-12 * ((nx + ny) ** p + 1.0)
-            neg += int(np.sum(lhs < -floor))
-            eq = np.all(xb == yb, axis=0)
-            resolved = psi > floor
-            zero_bad += int(np.sum((lhs <= 0) & ~eq & resolved))
-            ratio = lhs[resolved] / psi[resolved]
-            c_emp = min(c_emp, float(np.min(ratio[np.isfinite(ratio)],
-                                            initial=np.inf)))
-        rng2 = np.random.default_rng(seed + 1000 * ip + 1)
-        X2 = rng2.normal(scale=3.0, size=(n, dim))
-        Y2 = rng2.normal(scale=3.0, size=(n, dim))
-        recheck = True
-        for rows in blocks:
-            xb, yb = X2[rows].T.copy(), Y2[rows].T.copy()
-            lhs, psi = _gap(xb, yb, _norm(xb), _norm(yb), p)
-            recheck &= bool(np.all(lhs >= 0.5 * c_emp * psi
-                                   - 1e-13 * (1.0 + np.abs(lhs))))
-        results[p] = {"violations": neg, "zero_off_diagonal": zero_bad,
-                      "C_emp": c_emp, "half_constant_recheck": recheck,
-                      "ok": neg == 0 and zero_bad == 0 and recheck}
+    workers = max(1, min(len(p_values), _usable_cpus()))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        tasks = [pool.submit(contextvars.copy_context().run, _monotonicity_p,
+                             p, n, seed + 1000 * ip, blocks)
+                 for ip, p in enumerate(p_values)]
+        results = {p: task.result() for p, task in zip(p_values, tasks)}
     results["ok"] = all(results[p]["ok"] for p in p_values)
     return results
 

@@ -518,6 +518,24 @@ def test_config_variant(tmp_path, capsys, body, rc, out):
     assert (got.out if rc == cli.EXIT_OK else got.err) == out
 
 
+@pytest.mark.parametrize("body, key, reader", [
+    # each loaded as something else, exit 0
+    ("variant = euclidean\nmm = 4\n", "mm", "variant = euclidean"),
+    ("variant = euclidean\nm = 3\nwarp.kind = nonsense\n", "warp.kind",
+     "variant = euclidean"),
+    ("variant = euclidean\nm = 3\nricci_N_lower = 1\n", "ricci_N_lower",
+     "variant = euclidean"),
+    (COSH3 + "warp.beta = 2\n", "warp.beta", "warp.kind = cosh"),
+], ids=["misspelt", "euclidean-warp", "euclidean-ricci", "cosh-beta"])
+def test_config_key_not_read(tmp_path, capsys, body, key, reader):
+    cfg = tmp_path / "unread.cfg"
+    cfg.write_text(body)
+    rc = cli.run(["classify", "--manifold", str(cfg), "--p", "2"])
+    assert rc == cli.EXIT_INVALID
+    assert capsys.readouterr().err == \
+        "error: config key %r is not read by %s\n" % (key, reader)
+
+
 POWER = "variant = warped\nm = 3\nwarp.kind = power\nwarp.alpha = {}\n"
 
 
@@ -560,6 +578,17 @@ def test_verify_checks_given_p(tmp_path, capsys, name, p):
                   "--out", str(tmp_path)])
     assert rc == cli.EXIT_INVALID
     assert "p must exceed 1" in capsys.readouterr().err
+    assert not (tmp_path / ("verify_%s.csv" % name)).exists()
+
+
+@pytest.mark.parametrize("name", ["kato", "strong_form", "bochner", "bochner_s"])
+def test_verify_gallery_with_m(tmp_path, capsys, name):
+    # --m was dropped: --gallery b --p 3 --m 5 checked gallery b
+    rc = cli.run(["verify", name, "--gallery", "b", "--p", "3", "--m", "5",
+                  "--out", str(tmp_path)])
+    assert rc == cli.EXIT_INVALID
+    assert capsys.readouterr().err == \
+        "error: --gallery and --m name different fields\n"
     assert not (tmp_path / ("verify_%s.csv" % name)).exists()
 
 

@@ -504,6 +504,37 @@ def test_monotonicity_suite_deterministic():
     assert a[2.5]["C_emp"] == b[2.5]["C_emp"]
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_monotonicity_suite_is_one_task_per_p(monkeypatch, seed):
+    # the p at index ip is the single-p suite at seed + 1000 ip, and the
+    # worker count moves no bit
+    ps = (1.5, 2.0, 3.0, 4.0)
+    out = vf.monotonicity_suite(p_values=ps, n=30_001, seed=seed)
+    for ip, p in enumerate(ps):
+        alone = vf.monotonicity_suite(p_values=(p,), n=30_001,
+                                      seed=seed + 1000 * ip)
+        assert out[p] == alone[p]
+    monkeypatch.setattr(vf, "_usable_cpus", lambda: 1)
+    assert vf.monotonicity_suite(p_values=ps, n=30_001, seed=seed) == out
+
+
+def test_monotonicity_suite_keeps_caller_errstate():
+    # each p runs in a copy of the caller's context: a pool thread of its
+    # own starts from numpy's default errstate and only warns
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            vf.monotonicity_suite(p_values=(400.0,), n=1000)
+
+
+def test_monotonicity_suite_p_values_order():
+    assert vf.monotonicity_suite(p_values=(), n=10) == {"ok": True}
+    # keys in p_values order; a repeated p keeps its later index's result
+    out = vf.monotonicity_suite(p_values=(3.0, 2.0, 3.0), n=2000, seed=5)
+    assert list(out) == [3.0, 2.0, "ok"]
+    later = vf.monotonicity_suite(p_values=(3.0,), n=2000, seed=5 + 2000)
+    assert out[3.0] == later[3.0]
+
+
 def test_regularization_gap_p2_exact():
     rep = vf.regularization_gap([3.0, 4.0], [1.0, 0.0], 0.1, 2.0, 0.5)
     assert rep.details["a"] == 1.0 and rep.details["delta"] == 0.0
