@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import MISSING
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .geometry import (
     PolyEven,
     Power,
     euclidean,
-    warped,
+    warp_parameters,
 )
 from .grid import Grid1D, dump_csv
 
@@ -48,16 +49,17 @@ EXIT_INVALID = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-# the warp.<param> keys each warp.kind reads
-_WARP_KEYS = {"power": ("warp.alpha", "warp.sigma"),
-              "exponential": ("warp.beta",), "cosh": (),
-              "polyeven": ("warp.alpha",)}
+# the warp.kind values; each reads its class's parameters as warp.<param>
+_WARPS = {"power": Power, "exponential": Exponential, "cosh": Cosh,
+          "polyeven": PolyEven}
 
 
 def load_manifold(path: str) -> ModelManifold:
     """key = value config: variant, m, domain; a warped variant also
-    warp.kind, its warp.<param> keys and ricci_N_lower.  A key the chosen
-    variant and warp do not read is invalid.  The ``--manifold`` type:
+    warp.kind, ricci_N_lower and warp.<param> for each of the kind's
+    ``warp_parameters`` (required if it has no default), the warp built
+    on the domain too.  A key the chosen variant and warp do not read is
+    invalid, and so is a non-finite number.  The ``--manifold`` type:
     argparse would reword a ValueError (a malformed number, an
     undecodable file), so it is raised as InvalidInputError with its
     text."""
@@ -78,33 +80,28 @@ def load_manifold(path: str) -> ModelManifold:
             raise InvalidInputError(f"unknown variant {variant!r}")
         read, reader = {"variant", "m", "domain"}, "variant = euclidean"
         if variant == "warped":
-            if kind not in _WARP_KEYS:
+            if kind not in _WARPS:
                 raise InvalidInputError(f"unknown warp.kind {kind!r}")
-            read |= {"warp.kind", "ricci_N_lower", *_WARP_KEYS[kind]}
+            params = {"warp." + f.name: f
+                      for f in warp_parameters(_WARPS[kind])}
+            read |= {"warp.kind", "ricci_N_lower", *params}
             reader = f"warp.kind = {kind}"
         for key in kv:
             if key not in read:
                 raise InvalidInputError(f"config key {key!r} is not read "
                                         f"by {reader}")
         m = int(kv.get("m", "3"))
-        domain = None
+        given = {}  # the manifold's fields the config gives
         if "domain" in kv:
             lo, hi = kv["domain"].split()
-            domain = (float(lo), float(hi))
-        if variant == "euclidean":
-            return euclidean(m, domain=domain or (0.0, np.inf))
-        if kind == "power":
-            w = Power(alpha=float(kv["warp.alpha"]),
-                      sigma=float(kv.get("warp.sigma", "0")),
-                      domain=domain or (-np.inf, np.inf))
-        elif kind == "exponential":
-            w = Exponential(beta=float(kv["warp.beta"]))
-        elif kind == "cosh":
-            w = Cosh()
-        else:
-            w = PolyEven(alpha=float(kv["warp.alpha"]))
-        return warped(m, w, ricci_N_lower=float(kv.get("ricci_N_lower", "0")),
-                      domain=domain)
+            given["domain"] = (float(lo), float(hi))
+        if variant == "warped":
+            values = {f.name: float(kv[key]) for key, f in params.items()
+                      if key in kv or f.default is MISSING}
+            given["warp"] = _WARPS[kind](**values, **given)
+            if "ricci_N_lower" in kv:
+                given["ricci_N_lower"] = float(kv["ricci_N_lower"])
+        return ModelManifold(variant, m, **given)
     except KeyError as exc:
         raise InvalidInputError(f"warp.kind = {kind} needs {exc}") from None
     except ValueError as exc:

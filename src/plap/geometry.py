@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Sequence
 
 import numpy as np
@@ -199,6 +200,12 @@ class WarpFunction:
 
     def check_point(self, t):
         _check_inside(t, self.domain, "warp")
+
+
+def warp_parameters(kind: type) -> tuple:
+    """The dataclass fields a warp class's constructor takes, but domain."""
+    return tuple(f for f in (fields(kind) if is_dataclass(kind) else ())
+                 if f.init and f.name != "domain")
 
 
 @dataclass(frozen=True)
@@ -382,13 +389,19 @@ class EndKind:
 
 @dataclass(frozen=True)
 class ModelManifold:
-    """Radial model geometry.  variant is "euclidean" (eta = t) or "warped"."""
+    """Radial model geometry.  variant is "euclidean" (eta = t) or "warped".
+
+    vol_N is derived, not given: omega_{m-1} on Euclidean space, 1 on a
+    warped product.  ricci_N_lower, the bound Ric_N >= ricci_N_lower of
+    the fibre, and every parameter of the warp (``warp_parameters``) must
+    be finite, NaN failing (InvalidInputError).  The domain defaults to
+    the warp's."""
 
     variant: str
     m: int
     warp: WarpFunction | None = None
     ricci_N_lower: float = 0.0
-    vol_N: float = 1.0
+    vol_N: float = field(default=1.0, init=False)
     domain: tuple[float, float] = None  # type: ignore[assignment]
 
     def __post_init__(self):
@@ -401,8 +414,12 @@ class ModelManifold:
             object.__setattr__(self, "vol_N", sphere_area(self.m))
         elif self.warp is None:
             raise InvalidInputError("warped product needs a warp function")
-        elif self.vol_N != 1.0:
-            raise InvalidInputError("fiber volume is normalized to vol_N = 1")
+        for key, v in [("ricci_N_lower", self.ricci_N_lower)] + [
+                ("warp." + f.name, getattr(self.warp, f.name))
+                for f in warp_parameters(type(self.warp))]:
+            # written so that NaN fails
+            if isinstance(v, numbers.Real) and not -INF < v < INF:
+                raise InvalidInputError(f"{key} = {v} must be finite")
         w_lo, w_hi = self.warp.domain
         dom = self.domain if self.domain is not None else self.warp.domain
         lo, hi = map(float, dom)
@@ -577,7 +594,7 @@ class ModelManifold:
         return float(out[0]) if np.ndim(a) == np.ndim(b) == 0 else out
 
 
-def euclidean(m: int, domain=(0.0, INF)) -> ModelManifold:
+def euclidean(m: int, domain=None) -> ModelManifold:
     return ModelManifold("euclidean", m, domain=domain)
 
 

@@ -489,7 +489,7 @@ def monotonicity_suite(p_values=(1.5, 2.0, 3.0, 4.0), n: int = 100_000,
 
     Each p is one task on a thread pool of min(len(p_values), usable
     CPUs) workers, run in a copy of the caller's context (numpy's
-    ``errstate`` included).  A task shares nothing with another, so the
+    ``errstate`` included: a context variable from numpy 2.0 on).  A task shares nothing with another, so the
     results do not depend on the worker count; they are collected in
     ``p_values`` order (a repeated p keeps its later result), and the
     first p in that order whose task raised raises here."""

@@ -10,6 +10,14 @@ from plap import cli
 from plap import solver as sv
 from plap import verifiers as vf
 from plap.energy import EnergySpec
+from plap.geometry import (
+    Cosh,
+    Exponential,
+    PolyEven,
+    Power,
+    euclidean,
+    warped,
+)
 from plap.grid import Grid1D, dump_csv
 
 
@@ -568,6 +576,63 @@ def test_config_power_warp_domain(tmp_path, capsys):
     for p, kind in (("2", "Hyperbolic"), ("4", "Parabolic")):
         assert cli.run(["classify", "--manifold", str(cfg), "--p", p]) == 0
         assert capsys.readouterr().out == kind + "\n"
+
+
+@pytest.mark.parametrize("body, manifold", [
+    (POWER.format(2) + "warp.sigma = 0.5\n",
+     lambda: warped(3, Power(2.0, 0.5))),
+    (POWER.format(1) + "domain = 1 inf\n",
+     lambda: warped(3, Power(1.0, domain=(1.0, np.inf)),
+                    domain=(1.0, np.inf))),
+    (POWER.format(2) + "warp.sigma = 1\ndomain = -1 2\n",
+     lambda: warped(3, Power(2.0, 1.0, domain=(-1.0, 2.0)),
+                    domain=(-1.0, 2.0))),
+    (EXP2, lambda: warped(2, Exponential(1.0))),
+    (EXP2 + "domain = -inf 0\nricci_N_lower = 0.5\n",
+     lambda: warped(2, Exponential(1.0, domain=(-np.inf, 0.0)),
+                    ricci_N_lower=0.5, domain=(-np.inf, 0.0))),
+    (COSH3, lambda: warped(3, Cosh())),
+    (COSH3 + "domain = 0 inf\n",
+     lambda: warped(3, Cosh(domain=(0.0, np.inf)), domain=(0.0, np.inf))),
+    (POWER.format(2).replace("power", "polyeven"),
+     lambda: warped(3, PolyEven(2.0))),
+    (POWER.format(2).replace("power", "polyeven") + "domain = -3 3\n",
+     lambda: warped(3, PolyEven(2.0, domain=(-3.0, 3.0)),
+                    domain=(-3.0, 3.0))),
+    (EUCLID3, lambda: euclidean(3)),
+    (EUCLID3 + "domain = 1 inf\n",
+     lambda: euclidean(3, domain=(1.0, np.inf))),
+], ids=["power-sigma", "power-domain", "power-sigma-domain", "exponential",
+        "exponential-domain", "cosh", "cosh-domain", "polyeven",
+        "polyeven-domain", "euclidean", "euclidean-domain"])
+def test_config_is_the_direct_construction(tmp_path, body, manifold):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(body)
+    assert cli.load_manifold(str(cfg)) == manifold()
+
+
+@pytest.mark.parametrize("argv, body, message", [
+    # Parabolic, exit 0
+    (["classify", "--p", "2"], EXP2.replace("= 1", "= nan"),
+     "warp.beta = nan must be finite"),
+    # a ZeroDivisionError traceback, exit 1
+    (["capacity", "--p", "3", "--a", "1", "--b", "2"],
+     EXP2.replace("= 1", "= inf"), "warp.beta = inf must be finite"),
+    # a RuntimeWarning under -W error, exit 1
+    (["barrier", "--p", "3"],
+     POWER.format("inf").replace("power", "polyeven"),
+     "warp.alpha = inf must be finite"),
+    (["capacity", "--p", "3", "--a", "1", "--b", "2"],
+     COSH3 + "ricci_N_lower = -inf\n", "ricci_N_lower = -inf must be finite"),
+], ids=["beta-nan", "beta-inf", "alpha-inf", "ricci-inf"])
+def test_config_non_finite_number(tmp_path, capsys, argv, body, message):
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(body)
+    out = tmp_path / "out"
+    rc = cli.run([*argv, "--manifold", str(cfg), "--out", str(out)])
+    assert rc == cli.EXIT_INVALID
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 @pytest.mark.parametrize("name", ["kato", "strong_form", "bochner", "bochner_s"])

@@ -17,11 +17,15 @@ from plap.geometry import (
     Cosh,
     EndKind,
     Exponential,
+    Linear,
+    ModelManifold,
     PolyEven,
     Power,
     Tabulated,
+    WarpFunction,
     euclidean,
     sphere_area,
+    warp_parameters,
     warped,
 )
 
@@ -273,12 +277,61 @@ def test_manifold_invariants():
         euclidean(1)
     with pytest.raises(InvalidInputError):
         warped(1, Exponential(1.0))
-    with pytest.raises(InvalidInputError):
-        from plap.geometry import ModelManifold
-
+    with pytest.raises(TypeError):  # vol_N is derived, not a parameter
         ModelManifold("warped", 3, warp=Exponential(1.0), vol_N=2.0)
     with pytest.raises(InvalidInputError):
         euclidean(3, domain=(-1.0, np.inf))
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_fibre_volume_is_derived(m):
+    assert euclidean(m).vol_N == sphere_area(m)
+    assert euclidean(m, domain=(1.0, 2.0)).vol_N == sphere_area(m)
+    assert warped(m, Cosh()).vol_N == 1.0
+    assert warped(m, Power(2.0, 0.5), ricci_N_lower=1.0).vol_N == 1.0
+
+
+def test_warp_parameters():
+    # what a config's warp.<param> keys are read from
+    names = {kind: tuple(f.name for f in warp_parameters(kind))
+             for kind in (Power, Exponential, Cosh, PolyEven, Tabulated,
+                          Linear, WarpFunction)}
+    assert names == {Power: ("alpha", "sigma"), Exponential: ("beta",),
+                     Cosh: (), PolyEven: ("alpha",), Tabulated: ("samples",),
+                     Linear: (), WarpFunction: ()}
+
+
+_NON_FINITE = {
+    "warp.alpha": [lambda v: warped(3, Power(alpha=v, sigma=1.0)),
+                   lambda v: warped(3, PolyEven(alpha=v))],
+    "warp.beta": [lambda v: warped(3, Exponential(beta=v))],
+    "ricci_N_lower": [
+        lambda v: warped(3, Cosh(), ricci_N_lower=v),
+        lambda v: warped(4, Power(alpha=2.0, domain=(0.1, np.inf)),
+                         ricci_N_lower=v),
+        lambda v: ModelManifold("euclidean", 3, ricci_N_lower=v)],
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf,
+                                   np.float32("nan")],
+                         ids=["nan", "inf", "-inf", "float32-nan"])
+@pytest.mark.parametrize("key", list(_NON_FINITE))
+def test_non_finite_parameters_are_invalid(key, value):
+    # a NaN beta classified as Parabolic and an infinite one divided by
+    # zero; a NaN Ric_N bound passed the admissibility check
+    for build in _NON_FINITE[key]:
+        with pytest.raises(InvalidInputError,
+                           match=r"^%s = %s must be finite$" % (key, value)):
+            build(value)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_sigma_is_invalid(value):
+    # (sigma < 0 is refused by Power itself)
+    with pytest.raises(InvalidInputError,
+                       match=r"^warp.sigma = %s must be finite$" % value):
+        warped(3, Power(alpha=2.0, sigma=value))
 
 
 def test_domain_enforced():
