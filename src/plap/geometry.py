@@ -309,6 +309,8 @@ class Tabulated(WarpFunction):
             raise InvalidInputError("Tabulated warp needs at least 4 samples")
         t = np.array([p[0] for p in pts], dtype=float)
         v = np.array([p[1] for p in pts], dtype=float)
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise InvalidInputError("Tabulated samples must be finite")
         if np.any(np.diff(t) <= 0):
             raise InvalidInputError("Tabulated samples must be strictly increasing in t")
         if np.any(v <= 0):
@@ -423,7 +425,11 @@ class ModelManifold:
         w_lo, w_hi = self.warp.domain
         dom = self.domain if self.domain is not None else self.warp.domain
         lo, hi = map(float, dom)
-        # written so that a NaN end fails too
+        # written so that a NaN end fails too.  An empty or reversed domain
+        # gets its own message: a warp built on it shares it, and the
+        # inside-the-warp message would name the same interval twice
+        if not lo < hi:
+            raise InvalidInputError(f"domain ({lo}, {hi}) must have lo < hi")
         if not w_lo <= lo < hi <= w_hi:
             raise InvalidInputError(
                 f"domain ({lo}, {hi}) must be an interval inside the warp's "

@@ -28,8 +28,7 @@ dimension the identities are stated in.
 
 Fields, dumps, solves and condensers are written once for both kinds:
 ``shape`` is the shape of a grid's value arrays, ``coords`` maps
-coordinate names to node arrays ({"t": nodes} or {"x": X, "y": Y}),
-``fill(mask, vals)`` is the solver's cold start at the free nodes, and
+coordinate names to node arrays ({"t": nodes} or {"x": X, "y": Y}), and
 ``radius`` is the coordinate a condenser's plates are read in (the
 signed t in 1D, |x| in 2D).
 
@@ -252,12 +251,6 @@ class Grid1D(_CellGrid):
             raise InvalidInputError("grid ends must be finite")
         return cls(np.linspace(a, b, n), manifold=manifold)
 
-    def fill(self, mask, vals) -> np.ndarray:
-        """Cold start: the fixed values interpolated linearly in t."""
-        u = np.array(vals, dtype=float)
-        u[~mask] = np.interp(self.nodes[~mask], self.nodes[mask], vals[mask])
-        return u
-
     @property
     def dim(self) -> int:
         """m of the attached manifold; 1 on the flat line."""
@@ -318,12 +311,6 @@ class Grid2D(_CellGrid):
         self.cells = (nx - 1, ny - 1)
         self.cell_scale = (2 * self.hx, 2 * self.hy)
         self.cell_measure = self.hx * self.hy
-
-    def fill(self, mask, vals) -> np.ndarray:
-        """Cold start: the mean of the fixed values at every free node."""
-        u = np.array(vals, dtype=float)
-        u[~mask] = float(np.mean(vals[mask]))
-        return u
 
     dim = 2
 

@@ -20,20 +20,20 @@ absolute part, so data scaled by l solved at eps l^2 gives the solution
 scaled by l.  Each iterate's cell quantities (``energy._Cells``) are
 formed once: a line-search trial's energy, then, once accepted, its
 residual, tolerance scale and band read the same D u.  The choice of
-that linear solve is the only place the solver asks which kind of grid
-it has: the grid supplies the cold start (``fill``) and field shapes.
+that linear solve and of the cold start (``_cold_start``) are the only
+places the solver asks which kind of grid it has.  A solve given no start
+begins in 1D at the eps = 0 discrete minimizer, which is in closed form,
+and in 2D at the harmonic solve from the mean of the fixed values.
 
 p-harmonic fields are reached as eps -> 0 along a path of warm-started
-solves (``eps_path``): the harmonic solution at the first eps, then one
-solve per eps from the previous one.  The default path is the decade
+solves (``eps_path``): the cold start at the first eps, then one solve
+per eps from the previous one.  The default path is the decade
 path 1, 0.1, ..., 1e-5, then 2^-19 (``decade_schedule``); after the first
 steps each decade costs a few Newton iterations (path following for the
 p-Laplacian: S. Loisel, Numer. Math. 146, 2020).  A step of the path only
 has to leave its iterate where the next eps's Newton converges fast, so
 where only the last field is read (``capacity_numeric``) every step but
-the last is loose: it stops at ``path_tol`` = 1e-3 relative ("path").  A
-cold single-eps solve that stalls is retried once along the full decade
-path down to its own eps.
+the last is loose: it stops at ``path_tol`` = 1e-3 relative ("path").
 ``epsilon_continuation`` is the same path plus W^{1,p} distances and
 sandwich checks; the CLI ``continuation`` runs it on the halving schedule
 ``default_schedule``.
@@ -47,7 +47,7 @@ descriptor is asked for, is integrated in one batched quadrature call
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from typing import ClassVar, Optional, Sequence
 
 import numpy as np
@@ -220,12 +220,10 @@ def solve_dirichlet(spec: EnergySpec, grid, boundary,
     """Minimize E_{p,eps} over fields with the given fixed values.
 
     Returns (DiscreteField, SolveReport).  eps is floored at 1e-14.  A
-    cold solve (no ``initial``) that does not converge is retried once
-    along ``eps_path`` on ``decade_schedule(eps)``; its report then lists
-    the failed attempt and every step of the path.  If the retry fails
-    too, the cold attempt's error is raised.  A ``loose`` solve stops at
-    ``path_tol`` instead of ``residual_tol`` and reports "path": it is
-    an intermediate step of a path, which only has to start the next.
+    solve with no ``initial`` starts at ``_cold_start``.  A ``loose``
+    solve stops at ``path_tol`` instead of ``residual_tol`` and reports
+    "path": it is an intermediate step of a path, which only has to start
+    the next.
     """
     cfg = cfg or SolveConfig()
     eps = max(spec.eps, EPS_FLOOR)
@@ -233,23 +231,36 @@ def solve_dirichlet(spec: EnergySpec, grid, boundary,
         raise InvalidInputError("solve_dirichlet needs eps > 0")
     spec = EnergySpec(spec.p, eps)
     mask, vals = _normalize_boundary(grid, boundary)
+    if initial is None:
+        initial = _cold_start(spec.p, eps, grid, mask, vals, cfg)
+    return _newton(spec, grid, mask, vals, initial, cfg, loose)
 
-    if initial is not None:
-        return _newton(spec, grid, mask, vals, initial, cfg, loose)
-    try:
-        return _newton(spec, grid, mask, vals, grid.fill(mask, vals), cfg,
-                       loose)
-    except NonConvergenceError as exc:
-        cold = exc
-    # damped Newton from the interpolant can stall at small p and eps;
-    # warm starts along the decade path reach the same eps
-    try:
-        fields, path = eps_path(spec.p, grid, (mask, vals),
-                                replace(cfg, eps_schedule=decade_schedule(eps)))
-    except NonConvergenceError:
-        raise cold from None
-    cold.report.steps.extend(path.steps)
-    return fields[-1], cold.report
+
+def _cold_start(p, eps, grid, mask, vals, cfg):
+    """Where a solve at (p, eps) with no given start begins.
+
+    On a Grid1D: the eps = 0 discrete minimizer, in closed form.  Each
+    run of cells between two fixed nodes carries one flux, so u falls
+    across cell c by the run's drop times w_c / sum w, with
+    w_c = h_c abar_c^(-1/(p-1)) and abar_c = cell_measure / h the cell's
+    mean area.  w is formed relative to the run's smallest abar, so it
+    neither overflows nor underflows near p = 1.  With no manifold this
+    is linear interpolation.  On a Grid2D: the harmonic (p = 2) solve at
+    eps from the mean of the fixed values.
+    """
+    u = np.array(vals, dtype=float)
+    if isinstance(grid, Grid1D):
+        abar = grid.cell_measure / grid.h
+        fixed = np.flatnonzero(mask)
+        for i, j in zip(fixed[:-1], fixed[1:]):
+            if j - i > 1:
+                w = np.cumsum(grid.h[i:j] * (abar[i:j] / abar[i:j].min())
+                              ** (-1.0 / (p - 1.0)))
+                u[i + 1:j] = vals[i] + (vals[j] - vals[i]) * (w[:-1] / w[-1])
+        return u
+    u[~mask] = float(np.mean(vals[mask]))
+    return solve_dirichlet(EnergySpec(2.0, eps), grid, (mask, vals), cfg,
+                           initial=u)[0].values
 
 
 # an overflow shows up as a non-finite energy or residual, which raises
@@ -327,23 +338,16 @@ def eps_path(p: float, grid, boundary, cfg: Optional[SolveConfig] = None,
              *, loose: bool = False):
     """Solve along the eps schedule with warm starts.
 
-    The harmonic solution at the first eps starts the path (for p != 2),
-    then each eps starts from the previous solution.  With ``loose``,
-    every eps but the last is a loose solve ("path"), for callers that
-    read only the last field.  Returns (list of DiscreteField,
-    SolveReport with one step per eps).
+    ``_cold_start`` at the first eps starts the path, then each eps
+    starts from the previous solution.  With ``loose``, every eps but the
+    last is a loose solve ("path"), for callers that read only the last
+    field.  Returns (list of DiscreteField, SolveReport with one step per
+    eps).
     """
     cfg = cfg or SolveConfig()
     sched = np.asarray(cfg.eps_schedule, dtype=float)
-    boundary = _normalize_boundary(grid, boundary)
-    # every solve on the path gets a start, so none retries on a path of
-    # its own
-    initial = grid.fill(*boundary)
-    if p != 2:
-        # harmonic start: cheap, in the right boundary class
-        f0, _ = solve_dirichlet(EnergySpec(2.0, sched[0]), grid, boundary,
-                                cfg, initial=initial)
-        initial = f0.values
+    mask, vals = boundary = _normalize_boundary(grid, boundary)
+    initial = _cold_start(p, sched[0], grid, mask, vals, cfg)
     report = SolveReport()
     fields = []
     for i, eps in enumerate(sched):

@@ -429,9 +429,13 @@ def _monotonicity_p(p: float, n: int, seed: int, blocks) -> dict:
     ``seed``, then the half-constant recheck on the sample of seed + 1."""
     dim = 3
     rng = np.random.default_rng(seed)
-    X = rng.normal(scale=3.0, size=(n, dim))
-    Y = rng.normal(scale=3.0, size=(n, dim))
     n_adv = n // 10
+    # two adversarial blocks of n_adv rows each, then normal pairs, drawn
+    # in place (the same bits as rng.normal(scale=3.0)) with no second copy
+    X, Y = np.empty((n, dim)), np.empty((n, dim))
+    for Z in (X, Y):
+        rng.standard_normal(out=Z[2 * n_adv:])
+        Z[2 * n_adv:] *= 3.0
     X[:n_adv] = rng.normal(scale=3.0, size=(n_adv, dim))
     Y[:n_adv] = X[:n_adv] * (1.0 + rng.normal(scale=1e-6, size=(n_adv, 1)))
     X[n_adv:2 * n_adv] = rng.normal(scale=3.0, size=(n_adv, dim))

@@ -125,16 +125,23 @@ def test_capacity_numeric_loose_path_matches_full_path(monkeypatch, grid, p):
     assert _ulps(num, en.q_energy(fields[-1], p)) <= 4
 
 
-@pytest.mark.parametrize("p", [16.0, 20.0])
-def test_capacity_numeric_at_large_p_matches_closed_form(p):
+@pytest.mark.parametrize("M, a, b, p", [
+    (warped(3, Cosh()), -3.0, 3.0, 16.0),
+    (warped(3, Cosh()), -3.0, 3.0, 20.0),
+    (warped(4, Exponential(2.0)), 0.0, 4.0, 40.0),
+    (warped(4, Exponential(2.0)), 0.0, 4.0, 60.0),
+    (euclidean(5), 1.0, 3.0, 60.0),
+], ids=["16.0", "20.0", "exp4-40.0", "exp4-60.0", "euclid5-60.0"])
+def test_capacity_numeric_at_large_p_matches_closed_form(M, a, b, p):
     # cosh, m=3, on [-3, 3]: the fluxes are far below 1, and a Newton stop
     # with an absolute part in its tolerance ended every step from
-    # eps = 1e-2 on after 0 iterations, 12% high at p=16 and 22x at p=20
-    M = warped(3, Cosh())
-    g = Grid1D.uniform(-3.0, 3.0, 4097, manifold=M)
-    cond = cap.Condenser(inner=(-3.0, -3.0), outer=(3.0, 3.0))
+    # eps = 1e-2 on after 0 iterations, 12% high at p=16 and 22x at p=20.
+    # The exponential and Euclidean cases did not converge from the
+    # harmonic start; the eps = 0 minimizer of p starts them
+    g = Grid1D.uniform(a, b, 4097, manifold=M)
+    cond = cap.Condenser(inner=(a, a), outer=(b, b))
     num = cap.capacity_numeric(g, p, cond).value
-    assert num == pytest.approx(cap.capacity_analytic(M, p, -3.0, 3.0).value,
+    assert num == pytest.approx(cap.capacity_analytic(M, p, a, b).value,
                                 rel=1e-5)
 
 

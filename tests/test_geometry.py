@@ -183,6 +183,16 @@ def test_tabulated_rejects_bad_samples():
         Tabulated([(0, 1), (1, 2), (2, -1), (3, 2), (4, 3)])  # nonpositive
 
 
+@pytest.mark.parametrize("samples", [
+    [(0, 1), (1, 2), (2, 3), (np.nan, 4)],
+    [(0, 1), (1, 2), (2, 3), (3, np.inf)],
+])
+def test_tabulated_rejects_non_finite_samples(samples):
+    # scipy's CubicSpline raised its own ValueError
+    with pytest.raises(InvalidInputError, match="must be finite"):
+        Tabulated(samples)
+
+
 def test_tabulated_domain_inside_samples():
     ts = np.linspace(0.5, 20.0, 200)
     samples = list(zip(ts, np.cosh(ts)))
@@ -208,6 +218,16 @@ def test_tabulated_domain_inside_samples():
 def test_manifold_domain_inside_warp_domain(make):
     with pytest.raises(InvalidInputError):
         make()
+
+
+@pytest.mark.parametrize("domain", [(2.0, 1.0), (1.0, 1.0), (np.nan, 2.0)])
+def test_empty_or_reversed_domain_is_named_once(domain):
+    # the warp takes the domain too, so the inside-the-warp message named
+    # the same interval twice
+    lo, hi = map(float, domain)
+    with pytest.raises(InvalidInputError) as exc:
+        warped(3, Power(2.0, domain=domain))
+    assert str(exc.value) == f"domain ({lo}, {hi}) must have lo < hi"
 
 
 def test_integrals_reject_ends_outside_domain():

@@ -83,15 +83,16 @@ def test_constant_boundary_data():
 @pytest.mark.parametrize("p", [1.5, 3.0])
 @pytest.mark.parametrize("eps", [1e-3, 1e-9])
 def test_constant_boundary_data_2d(p, eps):
-    # the 2D cold start is the mean of the fixed values, which misses 0.1
-    # here; the Newton step from it lands on 0.1 exactly
+    # the 2D cold start's harmonic solve begins at the mean of the fixed
+    # values, which misses 0.1 here; its Newton step lands on 0.1 exactly,
+    # so the solve itself takes no step
     g = Grid2D(0.0, 1.0, 0.0, 1.0, 17, 23)
     mask = g.boundary_mask()
     vals = np.where(mask, 0.1, 0.0)
     assert np.mean(vals[mask]) != 0.1
     f, rep = sv.solve_dirichlet(EnergySpec(p, eps), g, (mask, vals))
     assert np.all(f.values == 0.1)
-    assert rep.steps[-1]["iterations"] == 1
+    assert rep.steps[-1]["iterations"] == 0
     assert rep.steps[-1]["stop"] == "tol"
 
 
@@ -116,15 +117,15 @@ def test_eps_zero_rejected():
 
 
 def test_nonconvergence_carries_best_iterate():
+    # from the eps = 0 minimizer, eps = 1e-2 takes 3 iterations (1e-8 and
+    # 1e-6 take 1)
     cfg = sv.SolveConfig(max_newton_iters=1)
     with pytest.raises(NonConvergenceError) as exc:
-        sv.solve_dirichlet(EnergySpec(4.0, 1e-8), annulus(), (1.0, 0.0), cfg)
+        sv.solve_dirichlet(EnergySpec(4.0, 1e-2), annulus(), (1.0, 0.0), cfg)
     err = exc.value
     assert err.best is not None
-    # the retry along the decade path fails too; the cold attempt's error,
-    # with its iterate at the requested eps, is the one raised
     assert err.report.steps == [err.report.steps[-1]]
-    assert err.report.steps[-1]["eps"] == 1e-8
+    assert err.report.steps[-1]["eps"] == 1e-2
     assert err.report.steps[-1]["iterations"] == 1
     assert err.report.steps[-1]["stop"] == "max_iters"
 
@@ -143,22 +144,55 @@ EXP_SURFACE = warped(2, Exponential(1.0))
 
 
 @pytest.mark.parametrize("p, eps", [(1.5097, 3.49e-7), (1.5, 1e-6)])
-def test_cold_start_stall_retries_along_decade_path(p, eps):
-    # damped Newton from the linear interpolant stalls here (residual 0.37
-    # and 0.88 after 50 iterations); the warm-started decade path does not
+def test_cold_start_converges_at_small_p_and_eps(p, eps):
+    # damped Newton from the linear interpolant stalled here (residual 0.37
+    # and 0.88 after 50 iterations); from the eps = 0 minimizer it
+    # converges in a few steps
     g = Grid1D.uniform(0.0, 4.0, 1025, manifold=EXP_SURFACE)
     spec = EnergySpec(p, eps)
     f, rep = sv.solve_dirichlet(spec, g, (1.0, 0.0))
-    cold, path = rep.steps[0], rep.steps[1:]
-    assert cold["eps"] == eps and cold["stop"] == "max_iters"
-    assert cold["residual"] > 0.1
-    assert [s["eps"] for s in path] == list(sv.decade_schedule(eps))
-    assert path[-1]["stop"] in ("tol", "floor")
-    assert path[-1]["residual"] <= _tol(spec, f)
-    fields, _ = sv.eps_path(
-        p, g, (1.0, 0.0), sv.SolveConfig(eps_schedule=sv.decade_schedule(eps)))
-    assert np.array_equal(f.values, fields[-1].values)
+    assert len(rep.steps) == 1 and rep.steps[0]["eps"] == eps
+    assert rep.steps[0]["stop"] == "tol"
+    assert rep.steps[0]["iterations"] <= 6
+    assert rep.steps[0]["residual"] <= _tol(spec, f)
     assert sv.maximum_principle_holds(f, (1.0, 0.0))
+
+
+@pytest.mark.parametrize("manifold", [None, M3, EXP_SURFACE])
+@pytest.mark.parametrize("p", [2.0, 3.0, 6.0])
+def test_1d_cold_start_is_the_eps_zero_minimizer(manifold, p):
+    # a plate six nodes wide, whose cells have no free node, a one-node
+    # plate, and a run from it to the right end with no drop: every run
+    # carries one flux, so the weak residual at eps = 0 is at rounding,
+    # below the solver's own tolerance
+    g = Grid1D.uniform(1.0, 3.0, 257, manifold=manifold)
+    mask = g.boundary_mask()
+    mask[[*range(100, 106), 200]] = True
+    vals = np.where(mask, 1.0, 0.0)
+    vals[0] = 0.25
+    u = sv._cold_start(p, 1e-3, g, mask, vals, sv.SolveConfig())
+    assert np.array_equal(u[mask], vals[mask])
+    assert np.all(u[200:] == 1.0)
+    f = DiscreteField(g, u)
+    spec = EnergySpec(p, 0.0)
+    r = en.weak_residual(spec, f, mask)
+    assert np.max(np.abs(r)) <= sv.SolveConfig.residual_tol * en.residual_scale(
+        spec, f)
+    if manifold is None:
+        interp = np.interp(g.nodes, g.nodes[mask], vals[mask])
+        assert np.allclose(u, interp, rtol=0.0, atol=1e-15)
+
+
+def test_2d_cold_solve_converges_at_small_p_and_eps():
+    # the 0.5/1.5 annulus at 65^2: Newton from the mean of the fixed values
+    # stopped at 50 iterations here; from the harmonic solve it converges
+    g = Grid2D(-2.0, 2.0, -2.0, 2.0, 65, 65)
+    inner = g.radius <= 0.5
+    mask = inner | (g.radius >= 1.5) | g.boundary_mask()
+    spec = EnergySpec(1.1, 1e-12)
+    f, rep = sv.solve_dirichlet(spec, g, (mask, np.where(inner, 1.0, 0.0)))
+    assert len(rep.steps) == 1 and rep.steps[0]["stop"] == "tol"
+    assert rep.steps[0]["residual"] <= _tol(spec, f)
 
 
 def test_stop_reason_tol():
@@ -600,6 +634,9 @@ def test_newton_forms_each_fields_cell_gradient_once(monkeypatch, grid, p):
     monkeypatch.setattr(type(grid), "cell_gradient", counted_gradient)
     mask = grid.boundary_mask()
     vals = np.cos(3.0 * grid.radius)
-    f, rep = sv.solve_dirichlet(EnergySpec(p, 1e-3), grid, (mask, vals))
+    # the 1D cold start is the eps = 0 minimizer, 3 Newton steps from the
+    # solution at eps = 0.1 and fewer from one at small eps
+    eps = 0.1 if isinstance(grid, Grid1D) else 1e-3
+    f, rep = sv.solve_dirichlet(EnergySpec(p, eps), grid, (mask, vals))
     assert len(rep.steps) == 1 and rep.steps[0]["iterations"] > 2
     assert counts["gradients"] == counts["fields"] > rep.steps[0]["iterations"]
