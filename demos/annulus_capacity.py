@@ -1,9 +1,10 @@
 """Capacity of a spherical annulus, three ways.
 
 Computes the 2-capacity of the condenser {t=1} / {t=2} in the radial
-model of R^3: the closed form gives 8*pi, the energy minimizer found by
-epsilon continuation must agree, and the extremal potential must match
-u = 2/t - 1.
+model of R^3: the closed form gives 8*pi, the p-energy of the discrete
+minimizer must agree, and the extremal potential must match u = 2/t - 1.
+On a 1D grid that minimizer is the eps -> 0 limit itself, in closed form:
+every cell between the plates carries one flux.
 """
 
 import numpy as np

@@ -8,15 +8,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import energy as en
+from .energy import EnergySpec
 from .errors import (
     DomainError,
     InternalInconsistencyError,
     InvalidInputError,
+    NonConvergenceError,
     UnsupportedVariantError,
 )
 from .geometry import EndKind, ModelManifold
 from .grid import DiscreteField, Grid1D, Grid2D
-from .solver import SolveConfig, eps_path, radial_p_harmonic
+from .solver import eps0_minimizer, eps_path, radial_p_harmonic
 
 
 @dataclass(frozen=True)
@@ -50,26 +52,39 @@ class CapacityResult:
             raise InvalidInputError("capacity must be nonnegative")
 
 
+def _power(x: float, y: float, what: str) -> float:
+    """x ** y for a float x >= 0; where it overflows, or x = 0 meets a
+    negative y, the inputs are out of range: invalid input."""
+    try:
+        return x ** y
+    except (OverflowError, ZeroDivisionError):
+        raise InvalidInputError(f"{what} is out of floating-point range "
+                                "at these inputs") from None
+
+
 def capacity_analytic(M: ModelManifold, p: float, a: float, b: float) -> CapacityResult:
     """Cap_p of the condenser ((-inf,a], [b,inf)) inside [a,b]:
     (int_a^b A^{-1/(p-1)})^{1-p}."""
     if not a < b:
         raise InvalidInputError("need a < b")
-    val = M.phi_integral(p, a, b) ** (1.0 - p)
+    val = _power(M.phi_integral(p, a, b), 1.0 - p, "Phi^(1-p)")
     return CapacityResult(value=val, p=p, method="analytic")
 
 
-def capacity_numeric(domain, p: float, condenser: Condenser,
-                     cfg: Optional[SolveConfig] = None) -> CapacityResult:
-    """Minimize the p-energy over fields that are 1/0 on the condenser
-    plates along ``cfg``'s eps path (by default the decade path down to
-    2^-19); returns E_p of the final iterate.  Only that iterate is read,
-    so every eps before it is a loose step of the path, stopped at
-    ``SolveConfig.path_tol``; the last solves to ``residual_tol``.  The
+def capacity_numeric(domain, p: float, condenser: Condenser) -> CapacityResult:
+    """Cap_p(K, Omega) of the condenser on the grid: E_p of the discrete
+    minimizer that is 1 on the inner plate and 0 on the outer one.  The
     grid's boundary joins the outer plate and the inner plate wins where
-    they meet: this is Cap_p(K, Omega), Omega the grid's box, on either
-    grid."""
-    cfg = cfg or SolveConfig()
+    they meet, so Omega is the grid's box, on either grid.
+
+    On a Grid1D the extremal is the eps = 0 minimizer itself, in closed
+    form (``solver.eps0_minimizer``; method "eps0").  On a Grid2D it is
+    the last field of the decade eps path down to 2^-19 (method
+    "numeric"): every eps before the last is a loose step of the path,
+    stopped at ``SolveConfig.path_tol``, and the last solves to
+    ``residual_tol``.  A p-energy that is not finite, as where |D u|^p
+    overflows, raises NonConvergenceError.
+    """
     if not isinstance(domain, (Grid1D, Grid2D)):
         raise InvalidInputError("domain must be a Grid1D or Grid2D")
     r = domain.radius
@@ -83,10 +98,19 @@ def capacity_numeric(domain, p: float, condenser: Condenser,
     mask = in_inner | in_outer
     vals = np.zeros(mask.shape, dtype=float)
     vals[in_inner] = 1.0
-    fields, _ = eps_path(p, domain, (mask, vals), cfg, loose=True)
-    final = fields[-1]
-    return CapacityResult(value=en.q_energy(final, p), p=p, method="numeric",
-                          extremal=final)
+    if isinstance(domain, Grid1D):
+        EnergySpec(p)  # p's input rules, as for a solve
+        final = DiscreteField(domain, eps0_minimizer(p, domain, mask, vals))
+        method = "eps0"
+    else:
+        final = eps_path(p, domain, (mask, vals), loose=True)[0][-1]
+        method = "numeric"
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = en.q_energy(final, p)
+    if not np.isfinite(value):
+        raise NonConvergenceError(f"p-energy {value:.3e} is not finite",
+                                  best=final)
+    return CapacityResult(value=value, p=p, method=method, extremal=final)
 
 
 def capacity_monotonicity_suite(M: ModelManifold, p: float,
@@ -195,12 +219,19 @@ def _radii_and_rate(p, lambda_p, R_values):
 
 def _fitted_bound(R_values, values, shape, key, what, const, lower=False):
     """({"rows", const: C}, all rows pass), C = value/shape at the smallest
-    R, where the ``what`` must be positive; a row passes when its value is
-    finite and within C*shape (above it if ``lower``) to 1e-9 relative."""
+    R, where the ``what`` must be positive and the shape a positive float
+    that leaves C a float (C is inf only for an infinite value); a row
+    passes when its value is finite and within C*shape (above it if
+    ``lower``) to 1e-9 relative."""
     if not values[0] > 0:
         raise InvalidInputError(f"the {what} at the smallest R is not "
                                 f"positive: no {const} can be fitted")
-    C = values[0] / shape[0]
+    with np.errstate(over="ignore", divide="ignore"):
+        C = values[0] / shape[0]
+    if not (0 < shape[0] < np.inf and (C < np.inf or values[0] == np.inf)):
+        raise InvalidInputError(
+            f"the bound's shape at the smallest R is {shape[0]:.3g}: no "
+            f"{const} can be fitted in floating point at this p")
     bounds = C * shape
     passed = (values >= bounds * (1 - 1e-9) if lower
               else values <= bounds * (1 + 1e-9)) & np.isfinite(values)
@@ -224,9 +255,10 @@ def tail_energy_profile(M: ModelManifold, p: float, R0: float,
         raise DomainError("R values must exceed R0")
     # limit barrier: w = (Phi(inf)-Phi(t)) / D with D = Phi(inf)-Phi(R0),
     # so the tail energy past R is (Phi(inf)-Phi(R)) / D^p
-    D = M.phi_integral(p, R0, np.inf)
-    tails = np.array([M.phi_integral(p, R, np.inf) / D**p for R in R_values])
-    shape = np.array([R**p * np.exp(-rate * (R - 1.0)) for R in R_values])
+    Dp = _power(M.phi_integral(p, R0, np.inf), p, "D^p")
+    tails = np.array([M.phi_integral(p, R, np.inf) / Dp for R in R_values])
+    shape = np.array([_power(R, p, "R^p") * np.exp(-rate * (R - 1.0))
+                      for R in R_values])
     fit, ok_bound = _fitted_bound(R_values, tails, shape, "tail", "tail", "C3")
     live = tails[:-1] > 0  # a pair already at 0 has no slope
     with np.errstate(divide="ignore"):  # a tail that fell to 0 reads -inf
@@ -248,15 +280,19 @@ def volume_growth_check(M: ModelManifold, p: float, lambda_p: float,
     kind = M.classify_end(p, +1)
     if kind == EndKind.HYPERBOLIC:
         measured = np.array([M.volume_between(R, R + 1.0) for R in R_values])
-        shape = np.array([R ** (-p * (p - 1.0))
-                          * np.exp((p - 1.0) * rate * (R - 1.0))
-                          for R in R_values])
+        # where e^((p-1) rate R) overflows, the bound is inf, or NaN
+        # against an R^(-p(p-1)) that underflowed, and its row fails
+        with np.errstate(over="ignore", invalid="ignore"):
+            shape = np.array([_power(R, -p * (p - 1.0), "R^(-p(p-1))")
+                              * np.exp((p - 1.0) * rate * (R - 1.0))
+                              for R in R_values])
     else:
         if lambda_p <= 0:
             raise InvalidInputError(
                 "parabolic volume bound needs lambda_p > 0")
         measured = np.array([M.volume_between(R, M.domain[1]) for R in R_values])
-        shape = np.array([R**p * np.exp(-rate * (R - 1.0)) for R in R_values])
+        shape = np.array([_power(R, p, "R^p") * np.exp(-rate * (R - 1.0))
+                          for R in R_values])
     fit, ok = _fitted_bound(R_values, measured, shape, "measured", "volume",
                             "C", lower=kind == EndKind.HYPERBOLIC)
     return {"kind": kind, **fit, "rate": rate, "ok": ok}

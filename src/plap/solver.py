@@ -27,13 +27,16 @@ and in 2D at the harmonic solve from the mean of the fixed values.
 
 p-harmonic fields are reached as eps -> 0 along a path of warm-started
 solves (``eps_path``): the cold start at the first eps, then one solve
-per eps from the previous one.  The default path is the decade
+per eps from the previous one.  In 1D the path is not needed for the
+limit itself: ``eps0_minimizer`` is the eps = 0 minimizer, which
+``capacity_numeric`` reads on a Grid1D.  The default path is the decade
 path 1, 0.1, ..., 1e-5, then 2^-19 (``decade_schedule``); after the first
 steps each decade costs a few Newton iterations (path following for the
 p-Laplacian: S. Loisel, Numer. Math. 146, 2020).  A step of the path only
 has to leave its iterate where the next eps's Newton converges fast, so
-where only the last field is read (``capacity_numeric``) every step but
-the last is loose: it stops at ``path_tol`` = 1e-3 relative ("path").
+where only the last field is read (``capacity_numeric`` on a Grid2D)
+every step but the last is loose: it stops at ``path_tol`` = 1e-3
+relative ("path").
 ``epsilon_continuation`` is the same path plus W^{1,p} distances and
 sandwich checks; the CLI ``continuation`` runs it on the halving schedule
 ``default_schedule``.
@@ -236,28 +239,47 @@ def solve_dirichlet(spec: EnergySpec, grid, boundary,
     return _newton(spec, grid, mask, vals, initial, cfg, loose)
 
 
-def _cold_start(p, eps, grid, mask, vals, cfg):
-    """Where a solve at (p, eps) with no given start begins.
+def eps0_minimizer(p: float, grid: Grid1D, mask, vals) -> np.ndarray:
+    """The eps = 0 discrete minimizer of the p-energy on a Grid1D with
+    the ``mask`` nodes fixed at ``vals``, in closed form.
 
-    On a Grid1D: the eps = 0 discrete minimizer, in closed form.  Each
-    run of cells between two fixed nodes carries one flux, so u falls
-    across cell c by the run's drop times w_c / sum w, with
+    Each run of cells between two fixed nodes carries one flux, so u
+    falls across cell c by the run's drop times w_c / sum w, with
     w_c = h_c abar_c^(-1/(p-1)) and abar_c = cell_measure / h the cell's
     mean area.  w is formed relative to the run's smallest abar, so it
-    neither overflows nor underflows near p = 1.  With no manifold this
-    is linear interpolation.  On a Grid2D: the harmonic (p = 2) solve at
-    eps from the mean of the fixed values.
+    neither overflows nor underflows near p = 1.  Each node is formed
+    from its nearer plate, by the sum of w from that plate, so that no
+    value cancels against the far plate's; sum w is the two sides' sums
+    plus the w of the cell between them, so that cell falls by its own
+    share too.  With no manifold this is linear interpolation.
     """
     u = np.array(vals, dtype=float)
+    abar = grid.cell_measure / grid.h
+    fixed = np.flatnonzero(mask)
+    for i, j in zip(fixed[:-1], fixed[1:]):
+        if j - i > 1:
+            w = (grid.h[i:j] * (abar[i:j] / abar[i:j].min())
+                 ** (-1.0 / (p - 1.0)))
+            # head[k], tail[k]: the sums of w left and right of node i + k
+            head = np.concatenate(([0.0], np.cumsum(w)))
+            tail = np.concatenate((np.cumsum(w[::-1])[::-1], [0.0]))
+            left = head <= tail
+            m = np.count_nonzero(left) - 1
+            total = head[m] + w[m] + tail[m + 1]
+            drop = vals[j] - vals[i]
+            run = np.where(left, vals[i] + drop * (head / total),
+                           vals[j] - drop * (tail / total))
+            u[i + 1:j] = run[1:-1]
+    return u
+
+
+def _cold_start(p, eps, grid, mask, vals, cfg):
+    """Where a solve at (p, eps) with no given start begins: on a Grid1D
+    the eps = 0 discrete minimizer (``eps0_minimizer``), on a Grid2D the
+    harmonic (p = 2) solve at eps from the mean of the fixed values."""
     if isinstance(grid, Grid1D):
-        abar = grid.cell_measure / grid.h
-        fixed = np.flatnonzero(mask)
-        for i, j in zip(fixed[:-1], fixed[1:]):
-            if j - i > 1:
-                w = np.cumsum(grid.h[i:j] * (abar[i:j] / abar[i:j].min())
-                              ** (-1.0 / (p - 1.0)))
-                u[i + 1:j] = vals[i] + (vals[j] - vals[i]) * (w[:-1] / w[-1])
-        return u
+        return eps0_minimizer(p, grid, mask, vals)
+    u = np.array(vals, dtype=float)
     u[~mask] = float(np.mean(vals[mask]))
     return solve_dirichlet(EnergySpec(2.0, eps), grid, (mask, vals), cfg,
                            initial=u)[0].values
@@ -338,16 +360,15 @@ def eps_path(p: float, grid, boundary, cfg: Optional[SolveConfig] = None,
              *, loose: bool = False):
     """Solve along the eps schedule with warm starts.
 
-    ``_cold_start`` at the first eps starts the path, then each eps
-    starts from the previous solution.  With ``loose``, every eps but the
-    last is a loose solve ("path"), for callers that read only the last
-    field.  Returns (list of DiscreteField, SolveReport with one step per
-    eps).
+    The first eps is solved from no start, so from ``_cold_start``, and
+    each later eps from the previous solution.  With ``loose``, every eps
+    but the last is a loose solve ("path"), for callers that read only
+    the last field.  Returns (list of DiscreteField, SolveReport with one
+    step per eps).
     """
     cfg = cfg or SolveConfig()
     sched = np.asarray(cfg.eps_schedule, dtype=float)
-    mask, vals = boundary = _normalize_boundary(grid, boundary)
-    initial = _cold_start(p, sched[0], grid, mask, vals, cfg)
+    initial = None
     report = SolveReport()
     fields = []
     for i, eps in enumerate(sched):

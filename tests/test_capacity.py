@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import IntegrationWarning
 
 import plap.capacity as cap
 import plap.energy as en
@@ -9,6 +11,7 @@ from plap.errors import (
     DomainError,
     InternalInconsistencyError,
     InvalidInputError,
+    NonConvergenceError,
     UnsupportedVariantError,
 )
 from plap.geometry import Cosh, EndKind, Exponential, PolyEven, euclidean, warped
@@ -73,40 +76,37 @@ def _ulps(x, y):
     return abs(x - y) / np.spacing(max(abs(x), abs(y)))
 
 
-@pytest.mark.parametrize("grid, p", [
-    (Grid1D.uniform(1.0, 2.0, 1025, manifold=M3), 1.55),
-    (Grid1D.uniform(1.0, 2.0, 1025, manifold=M3), 3.0),
-    (Grid1D.uniform(1.0, 2.0, 1025, manifold=M3), 3.95),
-    (Grid2D(-2.0, 2.0, -2.0, 2.0, 33, 33), 1.55),
-    (Grid2D(-2.0, 2.0, -2.0, 2.0, 33, 33), 3.95),
-])
+LOOSE_2D = Grid2D(-2.0, 2.0, -2.0, 2.0, 33, 33)
+ANNULUS_2D = cap.Condenser(inner=(0.0, 0.5), outer=(1.5, np.inf))
+
+
+def _plates(grid, cond):
+    """The (mask, values) of capacity_numeric's extremal on ``grid``."""
+    r = grid.radius
+    inner = (r >= cond.inner[0]) & (r <= cond.inner[1])
+    outer = (r >= cond.outer[0]) & (r <= cond.outer[1])
+    return inner | outer | grid.boundary_mask(), np.where(inner, 1.0, 0.0)
+
+
+# a 1D capacity has no eps path, so the cases are 2D only; their ids
+# go on from those of the 1D cases the test had before them
+@pytest.mark.parametrize("grid, p", [(LOOSE_2D, 1.55), (LOOSE_2D, 3.95)],
+                         ids=["grid3-1.55", "grid4-3.95"])
 def test_capacity_numeric_decade_path_matches_halving(grid, p):
     # the default decade path ends at the same eps as the twenty halvings
     # of the continuation, and on the same minimizer to a few ulp
-    if isinstance(grid, Grid1D):
-        cond = cap.Condenser(inner=(1.0, 1.0), outer=(2.0, 2.0))
-    else:
-        cond = cap.Condenser(inner=(0.0, 0.5), outer=(1.5, np.inf))
-    num = cap.capacity_numeric(grid, p, cond).value
-    ref = cap.capacity_numeric(
-        grid, p, cond,
-        sv.SolveConfig(eps_schedule=sv.default_schedule(1.0, 20))).value
-    assert _ulps(num, ref) <= 4
+    num = cap.capacity_numeric(grid, p, ANNULUS_2D).value
+    fields, _ = sv.eps_path(
+        p, grid, _plates(grid, ANNULUS_2D),
+        sv.SolveConfig(eps_schedule=sv.default_schedule(1.0, 20)))
+    assert _ulps(num, en.q_energy(fields[-1], p)) <= 4
 
 
-LOOSE_1D = Grid1D.uniform(1.0, 2.0, 1025, manifold=M3)
-LOOSE_2D = Grid2D(-2.0, 2.0, -2.0, 2.0, 33, 33)
-
-
-@pytest.mark.parametrize("grid", [LOOSE_1D, LOOSE_2D])
+@pytest.mark.parametrize("grid", [LOOSE_2D], ids=["grid1"])
 @pytest.mark.parametrize("p", [1.55, 3.95, 20.0])
 def test_capacity_numeric_loose_path_matches_full_path(monkeypatch, grid, p):
     # every eps of capacity_numeric's path but the last stops at path_tol;
     # the capacity stays within a few ulp of the full decade path's
-    if isinstance(grid, Grid1D):
-        cond = cap.Condenser(inner=(1.0, 1.0), outer=(2.0, 2.0))
-    else:
-        cond = cap.Condenser(inner=(0.0, 0.5), outer=(1.5, np.inf))
     calls = []
 
     def recorded(*args, **kwargs):
@@ -115,7 +115,7 @@ def test_capacity_numeric_loose_path_matches_full_path(monkeypatch, grid, p):
         return out
 
     monkeypatch.setattr(cap, "eps_path", recorded)
-    num = cap.capacity_numeric(grid, p, cond).value
+    num = cap.capacity_numeric(grid, p, ANNULUS_2D).value
     [(args, report)] = calls
     stops = [s["stop"] for s in report.steps]
     assert stops[:-1] == ["path"] * (len(sv.SolveConfig().eps_schedule) - 1)
@@ -156,11 +156,130 @@ def test_capacity_numeric_2d_annulus_is_pinned():
 
 def test_capacity_numeric_1d_annulus_is_pinned():
     # the m=3 annulus 1 < t < 2 at 16385 nodes, p=3.2, plates on the end
-    # nodes: a change in the 1D Newton solve moves it by rounding only
+    # nodes: the eps = 0 minimizer's p-energy, which a change in its
+    # closed form moves by rounding only
     grid = Grid1D.uniform(1.0, 2.0, 16385, manifold=M3)
     cond = cap.Condenser(inner=(1.0, 1.0), outer=(2.0, 2.0))
     assert _ulps(cap.capacity_numeric(grid, 3.2, cond).value,
-                 26.25020996044399) <= 4
+                 26.250209960440575) <= 4
+
+
+COSH3 = warped(3, Cosh())
+EXP4 = warped(4, Exponential(2.0))
+EUCLID5 = euclidean(5)
+
+
+def _end_plates(M, a, b, n=4097):
+    """A uniform grid on [a, b] and the condenser with a plate on each end
+    node."""
+    return (Grid1D.uniform(a, b, n, manifold=M),
+            cap.Condenser(inner=(a, a), outer=(b, b)))
+
+
+@pytest.mark.parametrize("M, a, b, p, rel", [
+    (COSH3, -10.0, 10.0, 3.0, 2e-5),
+    (COSH3, -3.0, 3.0, 1.3, 2e-5),
+    (COSH3, -3.0, 3.0, 1.55, 2e-5),
+    (EXP4, 0.0, 4.0, 4.0, 2e-5),
+    (EXP4, 0.0, 4.0, 2.5, 2e-5),
+    (EUCLID5, 1.0, 3.0, 1.3, 2e-5),
+    (EUCLID5, 1.0, 3.0, 1.1, 2e-5),
+    # near p = 1 the last decade of the eps path left +2.1e-2
+    (COSH3, -10.0, 10.0, 1.02, 1e-5),
+    (EXP4, 0.0, 4.0, 100.0, 1e-5),
+    (EUCLID5, 1.0, 3.0, 40.0, 1e-5),
+    (EUCLID5, 1.0, 3.0, 100.0, 1e-5),
+], ids=["cosh3-3", "cosh3-1.3", "cosh3-1.55", "exp4-4", "exp4-2.5",
+        "euclid5-1.3", "euclid5-1.1", "cosh3-1.02", "exp4-100", "euclid5-40",
+        "euclid5-100"])
+def test_capacity_numeric_1d_is_the_eps0_minimizer(M, a, b, p, rel):
+    # the 1D capacity is E_p of the eps = 0 minimizer, with no eps bias:
+    # what is left is discretization error.  exp4 at p = 40 and 60 and
+    # euclid5 at p = 60 are cases of the large-p test above
+    grid, cond = _end_plates(M, a, b)
+    num = cap.capacity_numeric(grid, p, cond)
+    assert num.method == "eps0"
+    assert np.isfinite(num.value)
+    assert num.value == pytest.approx(cap.capacity_analytic(M, p, a, b).value,
+                                      rel=rel)
+
+
+@pytest.mark.parametrize("M, a, b, p", [
+    (EXP4, 0.0, 4.0, 2.5),
+    (EXP4, 0.0, 4.0, 4.0),
+    (EUCLID5, 1.0, 3.0, 1.1),
+    (EUCLID5, 1.0, 3.0, 1.3),
+    (warped(2, Exponential(1.0)), 0.0, 4.0, 1.51),
+], ids=["exp4-2.5", "exp4-4", "euclid5-1.1", "euclid5-1.3", "exp2-1.51"])
+def test_eps0_extremal_has_rounding_residual(M, a, b, p):
+    # each node is formed from its nearer plate: formed from the left
+    # plate alone, the residual was 8.2e-7 of its scale on exp4 at
+    # p = 2.5, and on euclid5 at p = 1.1 cells near the right plate had
+    # no gradient at all, where the eps = 0 residual is not defined
+    grid, cond = _end_plates(M, a, b)
+    f = cap.capacity_numeric(grid, p, cond).extremal
+    spec = EnergySpec(p, 0.0)
+    r = en.weak_residual(spec, f, grid.boundary_mask())
+    assert np.max(np.abs(r)) <= 1e-12 * en.residual_scale(spec, f)
+
+
+@pytest.mark.parametrize("p, b, n", [(60.0, 1.0 + 1e-6, 65),
+                                     (200.0, 1.01, 513)])
+def test_capacity_numeric_nonfinite_energy_raises(p, b, n):
+    # |u'| ~ 1/(b - 1) overflows |u'|^p: no inf is returned
+    grid, cond = _end_plates(M3, 1.0, b, n)
+    with pytest.raises(NonConvergenceError, match="not finite"):
+        cap.capacity_numeric(grid, p, cond)
+
+
+@pytest.mark.parametrize("p", [1.0, np.nan, np.inf])
+def test_capacity_numeric_1d_checks_p(p):
+    grid, cond = _end_plates(M3, 1.0, 2.0, 65)
+    with pytest.raises(InvalidInputError):
+        cap.capacity_numeric(grid, p, cond)
+
+
+def test_capacity_numeric_2d_method():
+    grid = Grid2D(-2.0, 2.0, -2.0, 2.0, 17, 17)
+    assert cap.capacity_numeric(grid, 3.0, ANNULUS_2D).method == "numeric"
+
+
+RANDOM_MODELS = [
+    lambda s: euclidean(2 + int(3 * s)),
+    lambda s: warped(3, Cosh()),
+    lambda s: warped(2, Exponential(4.0 * s - 2.0)),
+    lambda s: warped(3, PolyEven(4.0 * s - 2.0)),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(RANDOM_MODELS), st.floats(0.0, 1.0),
+       st.floats(1.2, 6.0), st.floats(0.5, 2.0), st.floats(1.0, 4.0),
+       st.lists(st.integers(0, 1000), min_size=4, max_size=4, unique=True),
+       st.integers(33, 200))
+def test_property_1d_capacity_is_the_minimum(model, s, p, a, width, cuts, n):
+    # one inner and one outer plate anywhere on the grid, its ends
+    # grounded too: up to four runs of free nodes.  The eps = 0 minimizer
+    # has at most the p-energy of any admissible field, the decade eps
+    # path's last one included; it keeps the plates' values exactly and
+    # the maximum principle
+    M = model(s)
+    grid = Grid1D.uniform(a, a + width, n, manifold=M)
+    c = a + width * np.sort(cuts) / 1000.0
+    inner, outer = ((c[0], c[1]), (c[2], c[3])) if s < 0.5 else (
+        (c[2], c[3]), (c[0], c[1]))
+    cond = cap.Condenser(inner=inner, outer=outer)
+    plates = _plates(grid, cond)
+    if not plates[1].any():  # no node on the inner plate
+        with pytest.raises(InvalidInputError):
+            cap.capacity_numeric(grid, p, cond)
+        return
+    num = cap.capacity_numeric(grid, p, cond)
+    mask, vals = plates
+    assert np.array_equal(num.extremal.values[mask], vals[mask])
+    assert sv.maximum_principle_holds(num.extremal, plates)
+    fields, _ = sv.eps_path(p, grid, plates)
+    assert num.value <= en.q_energy(fields[-1], p) * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("M, p", [(warped(3, PolyEven(2.0)), 3.0),
@@ -360,6 +479,33 @@ def test_volume_growth_infinite_tail_fails():
     assert out["kind"] == EndKind.PARABOLIC
     assert not out["ok"]
     assert all(r["measured"] == np.inf and not r["pass"] for r in out["rows"])
+
+
+def test_out_of_range_numbers_are_invalid():
+    # Phi^(1-p) and the tail's D^p raised a bare OverflowError; the volume
+    # bound's R^(-p(p-1)) underflowed to 0 at p = 40 (a divide-by-zero
+    # warning, then NaN bounds reported as a failed check), and at p = 33
+    # it is subnormal and C overflows
+    with pytest.raises(InvalidInputError, match="Phi\\^\\(1-p\\) is out of"):
+        cap.capacity_analytic(M3, 60.0, 1.0, 1.000001)
+    E2 = warped(2, Exponential(1.0))
+    # at this p the slow tail e^(-t/149) falls back to quad, which warns
+    with pytest.warns(IntegrationWarning), \
+            pytest.raises(InvalidInputError, match="D\\^p is out of"):
+        cap.tail_energy_profile(E2, 150.0, 1.0, 0.25, [2.0, 3.0])
+    for p in (40.0, 33.0):
+        with pytest.raises(InvalidInputError, match="no C can be fitted"):
+            cap.volume_growth_check(E2, p, 0.25, [2.0, 4.0])
+
+
+def test_volume_bound_overflow_past_the_smallest_radius_fails():
+    # e^((p-1) rate (R-1)) overflowed with a RuntimeWarning at R = 5000,
+    # where the shell volume of e^t is infinite too: the row fails
+    out = cap.volume_growth_check(warped(2, Exponential(1.0)), 2.0, 0.25,
+                                  [2.0, 5000.0])
+    assert [r["pass"] for r in out["rows"]] == [True, False]
+    assert out["rows"][1]["bound"] == np.inf
+    assert not out["ok"]
 
 
 def test_p_poincare_bound():

@@ -2,9 +2,11 @@ import argparse
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from plap import cli
 from plap import solver as sv
@@ -133,6 +135,45 @@ def test_capacity_oracle(tmp_path, euclid3, capsys):
     out = capsys.readouterr().out
     ana = [ln for ln in out.splitlines() if ln.startswith("analytic")][0]
     assert float(ana.split("=")[1]) == pytest.approx(8 * np.pi)
+
+
+@pytest.fixture
+def cosh3(tmp_path):
+    f = tmp_path / "cosh3.cfg"
+    f.write_text(COSH3)
+    return str(f)
+
+
+def test_capacity_near_p_one(tmp_path, cosh3, capsys):
+    # the eps path's last decade left +2.1e-2 here, and the 1% check
+    # exited 1; the eps = 0 minimizer is off by its discretization error
+    rc = cli.run(["capacity", "--manifold", cosh3, "--p", "1.02", "--a", "-10",
+                  "--b", "10", "--nodes", "4097", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_OK
+    rel = capsys.readouterr().out.splitlines()[-1]
+    assert float(rel.split("=")[1]) < 1e-5
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a bare OverflowError from Phi^(1-p), and from the tail's D^p, where
+    # the slow tail e^(-t/149) falls back to quad, which warns
+    (["capacity", "--manifold", "{euclid3}", "--p", "60", "--a", "1",
+      "--b", "1.000001", "--nodes", "65"], "Phi^(1-p) is out of"),
+    (["decay", "--manifold", "{exp2}", "--p", "150", "--lambda-p", "0.25",
+      "--R", "2", "3"], "D^p is out of"),
+    # R^(-p(p-1)) underflowed to 0: a RuntimeWarning, then NaN bounds
+    (["volume", "--manifold", "{exp2}", "--p", "40", "--lambda-p", "0.25",
+      "--R", "2", "4"], "no C can be fitted"),
+], ids=["capacity", "decay", "volume"])
+def test_out_of_range_numbers_exit_code(tmp_path, euclid3, exp2, capsys, argv,
+                                        message):
+    argv = [a.format(euclid3=euclid3, exp2=exp2) for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        rc = cli.run(argv + ["--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_INVALID
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_classify(euclid3, exp2, capsys):

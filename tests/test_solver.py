@@ -314,6 +314,14 @@ def test_continuation_empty_schedule():
         sv.eps_path(3.0, annulus(), (1.0, 0.0), sv.SolveConfig(eps_schedule=[]))
 
 
+@pytest.mark.parametrize("p", [1.0, np.nan])
+def test_eps_path_checks_p_first(p):
+    # the path's own cold start ran before any solve checked p: p = 1
+    # raised ZeroDivisionError from -1/(p-1)
+    with pytest.raises(InvalidInputError, match="p must exceed 1"):
+        sv.eps_path(p, annulus(), (1.0, 0.0))
+
+
 def test_sandwich_check_requires_matching_boundary():
     g = annulus()
     u = DiscreteField(g, np.linspace(1, 0, g.n))
