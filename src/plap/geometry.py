@@ -195,6 +195,11 @@ class WarpFunction:
     def d2(self, t):
         raise NotImplementedError
 
+    def log_value(self, t):
+        """log eta(t), which a warp with an "exp" tail forms without
+        overflow where eta itself overflows."""
+        return np.log(self.value(t))
+
     def tail(self, direction: int):
         return None
 
@@ -260,6 +265,9 @@ class Exponential(WarpFunction):
     def d2(self, t):
         return self.beta**2 * np.exp(self.beta * t)
 
+    def log_value(self, t):
+        return self.beta * np.asarray(t, dtype=float)
+
     def tail(self, direction):
         return ("exp", self.beta)
 
@@ -278,6 +286,10 @@ class Cosh(WarpFunction):
 
     def d2(self, t):
         return np.cosh(t)
+
+    def log_value(self, t):
+        t = np.abs(t)
+        return t + np.log1p(np.exp(-2.0 * t)) - math.log(2.0)
 
     def tail(self, direction):
         # cosh t ~ e^{|t|}/2, i.e. rate +1 toward +inf and -1 toward -inf
@@ -551,10 +563,16 @@ class ModelManifold:
 
         def integrand(t):
             # A^expo formed as vol_N^expo eta^((m-1) expo): for q < 0 it
-            # stays finite where A itself overflows; eta may still overflow
-            # deep in a tail, and inf**power -> 0.0
+            # stays finite where A itself overflows.  Where eta overflows
+            # too (deep in an exponential tail) it is formed from log eta
             with np.errstate(over="ignore"):
-                return scale * np.asarray(self.warp.value(t)) ** power
+                eta = np.asarray(self.warp.value(t))
+                out = np.asarray(scale * eta ** power)
+                over = np.isinf(eta)
+                if over.any():
+                    out[over] = scale * np.exp(
+                        power * self.warp.log_value(np.asarray(t)[over]))
+            return out
 
         # a divergent interval is made empty for the quadrature
         out = _gauss_kronrod(integrand, lo, np.where(div, lo, hi))

@@ -46,20 +46,32 @@ u = c + s Phi of Phi(t) = int A^{-1/(p-1)}, both built by
 ``_radial_field``; every cell of the grid, and every point the analytic
 descriptor is asked for, is integrated in one batched quadrature call
 (``ModelManifold.phi_integral`` with array ends).
+
+The two LAPACK routines come from scipy's f2py extension
+``scipy.linalg._flapack``, which ``_load_flapack`` loads by itself, not
+through ``import scipy.linalg``: that package's ``__init__`` loads its
+array-API layer, which imports numpy.f2py, numpy.testing, numpy.ma and
+numpy.random and more than doubles a CLI launch's import time.  The
+extension is registered under its own name, so a later ``import
+scipy.linalg`` shares it: ``dgtsv`` is ``scipy.linalg.lapack.dgtsv``.
+``LinAlgError`` is numpy's, the class scipy.linalg exports.  Tools that
+look up ``solve_banded``, ``cg`` or ``spsolve`` here by name (the
+benchmark's tracer) get scipy's functions through a module
+``__getattr__``, which imports them on first access.
 """
 
 from __future__ import annotations
 
+import importlib.machinery as _machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field as dc_field
 from typing import ClassVar, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv, dpbsv
-# unused: only kept because perfbench/tracing.py wraps solver.solve_banded,
-# solver.spsolve and solver.cg by name
-from scipy.linalg import solve_banded  # noqa: F401
-from scipy.sparse.linalg import cg, spsolve  # noqa: F401
+import scipy
+from numpy.linalg import LinAlgError
 
 from . import energy as en
 from .energy import EnergySpec
@@ -70,6 +82,41 @@ from .errors import (
 )
 from .geometry import EndKind, ModelManifold
 from .grid import Analytic1D, DiscreteField, Grid1D, wp_distance
+
+
+def _load_flapack():
+    """scipy's LAPACK extension module, loaded without the scipy.linalg
+    package and registered under its own name (see the module docstring)."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    finder = _machinery.FileFinder(
+        os.path.join(scipy.__path__[0], "linalg"),
+        (_machinery.ExtensionFileLoader, _machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"plap needs {name}, LAPACK as scipy >= 1.13 "
+                          f"builds it, and found none in {finder.path}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dgtsv, dpbsv = _flapack.dgtsv, _flapack.dpbsv
+
+
+def __getattr__(name):
+    # plap calls none of these: perfbench/tracing.py wraps them by name
+    if name == "solve_banded":
+        from scipy.linalg import solve_banded
+        return solve_banded
+    if name in ("cg", "spsolve"):
+        import scipy.sparse.linalg
+        return getattr(scipy.sparse.linalg, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EPS_FLOOR = 1e-14
 ARMIJO_C = 1e-4  # line search: sufficient-decrease constant

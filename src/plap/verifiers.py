@@ -27,10 +27,14 @@ from __future__ import annotations
 import contextvars
 import math
 import os
+# the thread pool and numpy.random load with the module, not inside the
+# first monotonicity sweep's time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import energy as en
 from .energy import EnergySpec
@@ -428,7 +432,7 @@ def _monotonicity_p(p: float, n: int, seed: int, blocks) -> dict:
     """One p of ``monotonicity_suite``: the sweep on the sample of
     ``seed``, then the half-constant recheck on the sample of seed + 1."""
     dim = 3
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     n_adv = n // 10
     # two adversarial blocks of n_adv rows each, then normal pairs, drawn
     # in place (the same bits as rng.normal(scale=3.0)) with no second copy
@@ -463,7 +467,7 @@ def _monotonicity_p(p: float, n: int, seed: int, blocks) -> dict:
                                         initial=np.inf)))
     # other p values are in flight: free this sample before drawing the next
     del X, Y
-    rng2 = np.random.default_rng(seed + 1)
+    rng2 = default_rng(seed + 1)
     X2 = rng2.normal(scale=3.0, size=(n, dim))
     Y2 = rng2.normal(scale=3.0, size=(n, dim))
     recheck = True
@@ -499,9 +503,6 @@ def monotonicity_suite(p_values=(1.5, 2.0, 3.0, 4.0), n: int = 100_000,
     first p in that order whose task raised raises here."""
     if n < 1:
         raise InvalidInputError("monotonicity_suite needs n >= 1")
-    # imported here: a launch that never sweeps does not pay for it
-    from concurrent.futures import ThreadPoolExecutor
-
     blocks = [slice(i, i + _BLOCK) for i in range(0, n, _BLOCK)]
     workers = max(1, min(len(p_values), _usable_cpus()))
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -564,7 +565,7 @@ def regularization_suite(n: int = 10_000, seed: int = 0) -> VerifierReport:
     eps ~ U(0, 1), delta1 ~ U(0.1, 2).  Bounds: least and greatest margin."""
     if n < 1:
         raise InvalidInputError("regularization_suite needs n >= 1")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     pairs = []
     for _ in range(n):
         p = rng.uniform(1.0, 6.0)

@@ -521,6 +521,44 @@ def test_phi_integral_exponential_tail(R, beta):
     assert got == pytest.approx(np.exp(-beta * R) / beta, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta", [1.0, 1e-4, 3.0])
+def test_phi_integral_exponential_tail_at_large_p(monkeypatch, beta):
+    # m=2: int_a^inf e^{-beta t/(p-1)} dt = (p-1)/beta e^{-beta a/(p-1)},
+    # and its mirror image toward -inf on the warp e^{-beta t}.  e^{beta t}
+    # overflows from beta t = 710, where the integrand is e^{-710/(p-1)}:
+    # read as 0 there, beta = 1 was 1.3e-4 off at p = 80 and fell back to
+    # quad, which warned, from p = 100
+    def no_quad(*args, **kwargs):
+        raise AssertionError("a tail reached quad")
+
+    monkeypatch.setattr(scipy.integrate, "quad", no_quad)
+    a = np.array([-3.0, 1.0, 800.0])
+    up, down = warped(2, Exponential(beta)), warped(2, Exponential(-beta))
+    for p in np.linspace(2.0, 200.0, 100):
+        want = (p - 1.0) / beta * np.exp(-beta * a / (p - 1.0))
+        np.testing.assert_allclose(up.phi_integral(p, a, np.inf), want,
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(down.phi_integral(p, -np.inf, -a), want,
+                                   rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_log_value_past_overflow():
+    # log eta where eta is a positive float, and its asymptote where eta
+    # overflows (or underflows)
+    t = np.array([-1000.0, -30.0, 0.0, 0.5, 30.0, 300.0, 1000.0])
+    for warp, far in ((Exponential(2.0), 2.0 * t),
+                      (Cosh(), np.abs(t) - math.log(2.0))):
+        with np.errstate(over="ignore"):
+            eta = warp.value(t)
+        got = warp.log_value(t)
+        ok = np.isfinite(eta) & (eta > 0.0)
+        assert not ok.all()
+        np.testing.assert_allclose(got[ok], np.log(eta[ok]), rtol=1e-15)
+        np.testing.assert_allclose(got[~ok], far[~ok], rtol=1e-15)
+
+
 def test_phi_integral_array_ends():
     M = warped(3, Cosh())
     lo, hi = np.array([-3.0, 0.0, 1.0]), np.array([-1.0, 2.0, np.inf])
