@@ -99,7 +99,12 @@ def _load_flapack():
                           f"builds it, and found none in {finder.path}")
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
-    spec.loader.exec_module(module)
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        # as the import system does: no half-initialised module stays behind
+        del sys.modules[name]
+        raise
     return module
 
 
