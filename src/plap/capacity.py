@@ -246,6 +246,8 @@ def tail_energy_profile(M: ModelManifold, p: float, R0: float,
     bound C3 R^p exp(-lambda_p^{1/p} (R-1)/(p+1)), C3 fitted at the
     smallest R, where the tail must be positive; the measured log-tail
     slope must not exceed -lambda_p^{1/p}/(p+1) either."""
+    if not np.isfinite(R0):
+        raise InvalidInputError("R0 must be finite")
     if M.classify_end(p, +1) != EndKind.HYPERBOLIC:
         raise UnsupportedVariantError("tail profile needs a hyperbolic end")
     R_values, rate = _radii_and_rate(p, lambda_p, R_values)

@@ -48,16 +48,21 @@ descriptor is asked for, is integrated in one batched quadrature call
 (``ModelManifold.phi_integral`` with array ends).
 
 The two LAPACK routines come from scipy's f2py extension
-``scipy.linalg._flapack``, which ``_load_flapack`` loads by itself, not
-through ``import scipy.linalg``: that package's ``__init__`` loads its
-array-API layer, which imports numpy.f2py, numpy.testing, numpy.ma and
-numpy.random and more than doubles a CLI launch's import time.  The
-extension is registered under its own name, so a later ``import
-scipy.linalg`` shares it: ``dgtsv`` is ``scipy.linalg.lapack.dgtsv``.
-``LinAlgError`` is numpy's, the class scipy.linalg exports.  Tools that
-look up ``solve_banded``, ``cg`` or ``spsolve`` here by name (the
-benchmark's tracer) get scipy's functions through a module
-``__getattr__``, which imports them on first access.
+``scipy.linalg._flapack``, which ``_load_flapack`` loads by itself, with
+no ``import scipy``: it finds scipy's directory with
+``importlib.util.find_spec``, which executes no package.  Importing
+``scipy.linalg`` would run its array-API layer, which imports
+numpy.f2py, numpy.testing, numpy.ma and numpy.random and more than
+doubles a CLI launch's import time; the bare ``scipy`` package's
+``__init__`` adds about 10 ms that LAPACK does not need.  Only where the
+direct load raises ImportError (a Windows wheel adds the directory of
+its bundled DLLs in ``scipy/__init__``) is scipy imported and the
+extension loaded once more.  The extension is registered under its own
+name, so a later ``import scipy.linalg`` shares it: ``dgtsv`` is
+``scipy.linalg.lapack.dgtsv``.  ``LinAlgError`` is numpy's, the class
+scipy.linalg exports.  Tools that look up ``solve_banded``, ``cg`` or
+``spsolve`` here by name (the benchmark's tracer) get scipy's functions
+through a module ``__getattr__``, which imports them on first access.
 """
 
 from __future__ import annotations
@@ -70,7 +75,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import ClassVar, Optional, Sequence
 
 import numpy as np
-import scipy
 from numpy.linalg import LinAlgError
 
 from . import energy as en
@@ -85,13 +89,26 @@ from .grid import Analytic1D, DiscreteField, Grid1D, wp_distance
 
 
 def _load_flapack():
-    """scipy's LAPACK extension module, loaded without the scipy.linalg
-    package and registered under its own name (see the module docstring)."""
+    """scipy's LAPACK extension module, loaded without executing the scipy
+    package unless the direct load fails (see the module docstring)."""
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
+    try:
+        return _load_from_file(name)
+    except ImportError:
+        import scipy  # noqa: F401  (sets up what the extension links to)
+        return _load_from_file(name)
+
+
+def _load_from_file(name):
+    """The extension module ``name`` in scipy/linalg, executed from its
+    file and registered in ``sys.modules``; no package is executed."""
+    root = importlib.util.find_spec("scipy")
+    if root is None:
+        raise ImportError("plap needs scipy")
     finder = _machinery.FileFinder(
-        os.path.join(scipy.__path__[0], "linalg"),
+        os.path.join(root.submodule_search_locations[0], "linalg"),
         (_machinery.ExtensionFileLoader, _machinery.EXTENSION_SUFFIXES))
     spec = finder.find_spec(name)
     if spec is None:

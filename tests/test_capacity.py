@@ -410,6 +410,15 @@ def test_tail_energy_profile_errors():
         cap.tail_energy_profile(M3, 2.0, 1.0, 0.0, [2.0, 3.0, 3.0, 4.0])
 
 
+@pytest.mark.parametrize("R0", [np.nan, np.inf, -np.inf])
+def test_tail_energy_profile_nonfinite_r0(R0):
+    # a NaN R0 passed "R values must exceed R0" and failed inside the
+    # Phi integral with "need a < b"
+    with pytest.raises(InvalidInputError, match="R0 must be finite"):
+        cap.tail_energy_profile(warped(2, Exponential(1.0)), 2.0, R0, 0.25,
+                                [2.0, 4.0])
+
+
 def test_tail_energy_profile_underflowed_tail():
     # by R = 800 the tail on e^t has underflowed to 0: the step down to
     # 0 reads slope -inf, the step from 0 to 0 has none, and log(0) warns

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from plap import cli
 from plap import solver as sv
 from plap import verifiers as vf
 from plap.energy import EnergySpec
+from plap.errors import InvalidInputError
 from plap.geometry import (
     Cosh,
     Exponential,
@@ -468,19 +470,29 @@ def test_outputs_deterministic(tmp_path, euclid3):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
+def _fresh(code, tmp_path):
+    """Run ``code`` in a fresh interpreter that imports plap from here."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()
+
+
 def test_launch_imports_no_interpolate_or_integrate(tmp_path):
     # a fresh interpreter: pytest's warning filters import scipy.integrate.
-    # LAPACK is scipy.linalg._flapack alone, without the scipy.linalg
-    # package, whose __init__ more than doubled a launch's import time;
-    # a later import of the package shares that module
+    # LAPACK is scipy.linalg._flapack alone, without the scipy package,
+    # whose __init__ costs about 10 ms, or scipy.linalg's, which more than
+    # doubled a launch's import time; a later import of the package
+    # shares that module
     cfg = tmp_path / "euclid3.cfg"
     cfg.write_text(EUCLID3)
     code = (
         "import sys\n"
         "import plap.cli\n"
-        "loaded = lambda: sorted(m for m in sys.modules if m.startswith(\n"
-        "    ('scipy.interpolate', 'scipy.integrate', 'scipy.linalg',\n"
-        "     'scipy.sparse')) and m != 'scipy.linalg._flapack')\n"
+        "loaded = lambda: sorted(m for m in sys.modules if (m == 'scipy'\n"
+        "    or m.startswith('scipy.')) and m != 'scipy.linalg._flapack')\n"
         "assert not loaded(), loaded()\n"
         "assert 'scipy.linalg._flapack' in sys.modules\n"
         f"assert plap.cli.run(['classify', '--manifold', {str(cfg)!r}, '--p', '2']) == 0\n"
@@ -493,13 +505,58 @@ def test_launch_imports_no_interpolate_or_integrate(tmp_path):
         "import plap.solver as sv\n"
         "assert sv.dgtsv is lapack.dgtsv and sv.dpbsv is lapack.dpbsv\n"
     )
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[0] == "Hyperbolic"
-    assert "iterations = 0" not in out.stdout
+    out = _fresh(code, tmp_path)
+    assert out[0] == "Hyperbolic"
+    assert "iterations = 0" not in out
+
+
+def test_lapack_fallback_imports_scipy(tmp_path):
+    # where the direct load raises ImportError (a Windows wheel sets up
+    # its DLL directory in scipy/__init__), scipy is imported and the
+    # extension loaded once more
+    code = (
+        "import sys\n"
+        "from importlib.machinery import ExtensionFileLoader\n"
+        "create, seen = ExtensionFileLoader.create_module, []\n"
+        "def flaky(self, spec):\n"
+        "    if spec.name == 'scipy.linalg._flapack':\n"
+        "        seen.append('scipy' in sys.modules)\n"
+        "        if len(seen) == 1:\n"
+        "            raise ImportError('DLL load failed')\n"
+        "    return create(self, spec)\n"
+        "ExtensionFileLoader.create_module = flaky\n"
+        "import numpy as np\n"
+        "import plap.solver as sv\n"
+        "assert seen == [False, True], seen\n"
+        "_, _, _, x, info = sv.dgtsv(np.ones(2), np.full(3, 4.0), np.ones(2),\n"
+        "                            np.array([5.0, 6.0, 5.0]))\n"
+        "assert info == 0 and np.allclose(x, 1.0), x\n"
+        "import scipy.linalg.lapack as lapack\n"
+        "assert sv.dgtsv is lapack.dgtsv\n"
+    )
+    _fresh(code, tmp_path)
+
+
+def test_main_freezes_the_import_heap(tmp_path, euclid3):
+    # python -m plap.cli: the objects made by import are frozen before
+    # the run, so no collection walks them, at shutdown neither
+    code = (
+        "import atexit, gc, runpy, sys\n"
+        "print(gc.get_freeze_count())\n"
+        "atexit.register(lambda: print(gc.get_freeze_count()))\n"
+        f"sys.argv = ['plap', 'classify', '--manifold', {euclid3!r}, '--p', '2']\n"
+        "runpy.run_module('plap.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    before, verdict, frozen = _fresh(code, tmp_path)
+    assert (before, verdict) == ("0", "Hyperbolic")
+    assert int(frozen) > 0
+
+
+def test_run_freezes_nothing(euclid3, capsys):
+    # a library caller's heap is collected as before
+    before = gc.get_freeze_count()
+    assert cli.run(["classify", "--manifold", euclid3, "--p", "2"]) == 0
+    assert gc.get_freeze_count() == before
 
 
 def test_solver_lapack_is_scipys():
@@ -882,8 +939,6 @@ def test_infinite_inputs_exit_code(tmp_path, euclid3, exp2, capsys, argv,
      "invalid literal for int() with base 10: 'abc'"),
     ("variant = warped\nm = 3\nwarp.kind = polyeven\nwarp.alpha = x\n",
      "could not convert string to float: 'x'"),
-    ("variant = euclidean\nm = 3\ndomain = 1\n",
-     "not enough values to unpack (expected 2, got 1)"),
     # echoed as written
     ("variant = euclidean\nm = 3\ndomain = 1 ABC\n",
      "could not convert string to float: 'ABC'"),
@@ -895,6 +950,20 @@ def test_malformed_config_number(tmp_path, capsys, body, message):
     rc = cli.run(["classify", "--manifold", str(cfg), "--p", "2"])
     assert rc == cli.EXIT_INVALID
     assert capsys.readouterr().err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("ends", ["1", "1 2 3", ""],
+                         ids=["one", "three", "none"])
+def test_config_domain_needs_two_ends(tmp_path, capsys, ends):
+    # "domain = 1 2 3" exited 2 with "too many values to unpack"
+    cfg = tmp_path / "domain.cfg"
+    cfg.write_text("variant = euclidean\nm = 3\ndomain = %s\n" % ends)
+    with pytest.raises(InvalidInputError, match="expected domain = lo hi"):
+        cli.load_manifold(str(cfg))
+    rc = cli.run(["classify", "--manifold", str(cfg), "--p", "2"])
+    assert rc == cli.EXIT_INVALID
+    assert capsys.readouterr().err == (
+        f"error: bad domain {ends!r}: expected domain = lo hi\n")
 
 
 @pytest.mark.parametrize("body, domain", [
