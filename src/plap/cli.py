@@ -14,6 +14,14 @@ regularization) writes its report rows to ``verify_<name>.csv`` and
 prints them.  Every CSV, the field tables of ``solve`` and ``barrier``
 included, goes through one writer in the number format ``FMT``, and is
 written before anything is printed.
+
+A launch imports only what its subcommand runs.  Importing this module
+loads numpy and the two plap modules the parser needs, ``errors`` and
+``geometry`` (``--manifold``); each ``cmd_*`` imports the rest as it
+runs.  So ``classify`` loads nothing more, ``verify`` and ``gallery``
+the verifiers without the solver, its LAPACK or the capacities, and only
+``report`` all seven modules.  A token that ``float()`` reads, such as
+``-1e1`` or ``-inf``, is an option's value, not a flag.
 """
 
 from __future__ import annotations
@@ -26,10 +34,6 @@ from dataclasses import MISSING
 
 import numpy as np
 
-from . import capacity as cap
-from . import solver as sv
-from . import verifiers as vf
-from .energy import EnergySpec
 from .errors import NonConvergenceError, PlapError, InvalidInputError
 from .geometry import (
     Cosh,
@@ -40,7 +44,6 @@ from .geometry import (
     euclidean,
     warp_parameters,
 )
-from .grid import Grid1D, dump_csv
 
 FMT = "%.12g"
 
@@ -165,6 +168,9 @@ _sample_count = _checked(int, (lambda n: n >= 1, "samples must be at least 1"))
 
 
 def cmd_solve(args) -> int:
+    from . import solver as sv
+    from .energy import EnergySpec
+    from .grid import Grid1D, dump_csv
     grid = Grid1D.uniform(args.a, args.b, args.nodes, manifold=args.manifold)
     cfg = sv.SolveConfig(max_newton_iters=args.max_iters)
     f, rep = sv.solve_dirichlet(EnergySpec(args.p, args.eps), grid,
@@ -177,6 +183,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_continuation(args) -> int:
+    from . import solver as sv
+    from .grid import Grid1D
     grid = Grid1D.uniform(args.a, args.b, args.nodes, manifold=args.manifold)
     cfg = sv.SolveConfig(eps_schedule=sv.default_schedule(args.eps0, args.steps))
     fields, rep = sv.epsilon_continuation(args.p, grid, (args.ua, args.ub), cfg)
@@ -191,6 +199,8 @@ def cmd_continuation(args) -> int:
 def _capacities(M, p, a, b, nodes):
     """(analytic, numeric) p-capacity of the condenser [a, b] on M, the
     numeric one with its plates on the end nodes of a uniform grid."""
+    from . import capacity as cap
+    from .grid import Grid1D
     ana = cap.capacity_analytic(M, p, a, b).value
     grid = Grid1D.uniform(a, b, nodes, manifold=M)
     pad = 1e-9 * (b - a)
@@ -213,6 +223,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_barrier(args) -> int:
+    from . import solver as sv
+    from .grid import dump_csv
     f, meta = sv.two_end_barrier(args.manifold, args.p, args.tmin, args.tmax,
                                  n=args.nodes)
     return _finish(args, "barrier", *dump_csv(f),
@@ -220,6 +232,7 @@ def cmd_barrier(args) -> int:
 
 
 def cmd_decay(args) -> int:
+    from . import capacity as cap
     res = cap.tail_energy_profile(args.manifold, args.p, args.r0,
                                   args.lambda_p, args.R)
     return _finish(args, "decay", "R,tail,bound,pass",
@@ -230,6 +243,7 @@ def cmd_decay(args) -> int:
 
 
 def cmd_volume(args) -> int:
+    from . import capacity as cap
     res = cap.volume_growth_check(args.manifold, args.p, args.lambda_p, args.R)
     return _finish(args, "volume", "R,measured,bound,pass",
                    [(r["R"], r["measured"], r["bound"], r["pass"])
@@ -240,14 +254,14 @@ def cmd_volume(args) -> int:
 _GALLERY_TAGS = {"a": "log_annulus_m2", "b": "power_p3_m4", "d": "arctan_warped"}
 
 
-def _gallery_item(tag: str) -> dict:
+def _gallery_item(vf, tag: str) -> dict:
     if tag not in _GALLERY_TAGS:
         raise InvalidInputError(f"unknown gallery tag {tag!r}")
     return next(item for item in vf.example_gallery()
                 if item["name"] == _GALLERY_TAGS[tag])
 
 
-def _target(args, default_tag):
+def _target(vf, args, default_tag):
     """(field, p) for a field verifier: the ``--gallery`` field, at
     ``--p`` or its own p; else the radial field ``--p``/``--m`` name (the
     power field, the log field at p = m); without ``--m``, the field of
@@ -259,7 +273,7 @@ def _target(args, default_tag):
         raise InvalidInputError("--gallery and --m name different fields")
     tag = args.gallery or (default_tag if args.m is None else None)
     if tag is not None:
-        item = _gallery_item(tag)
+        item = _gallery_item(vf, tag)
         return item["field"], (item["p"] if args.p is None else args.p)
     if args.m is None:
         raise InvalidInputError("verify kato needs --gallery or --p/--m")
@@ -268,13 +282,13 @@ def _target(args, default_tag):
     return f, args.p
 
 
-def _bochner_s(args):
-    f, p = _target(args, "b")
+def _bochner_s(vf, args):
+    f, p = _target(vf, args, "b")
     return [vf.bochner_s_residual(f, p, p - 2.0 if args.s is None else args.s,
                                   args.eps)]
 
 
-def _monotonicity(args):
+def _monotonicity(vf, args):
     """One report per p: C_emp as both bounds, passing with that p's sweep."""
     res = vf.monotonicity_suite(seed=args.seed, n=args.samples)
     return [vf.VerifierReport(name="monotonicity_p%g" % p, minimum=r["C_emp"],
@@ -283,23 +297,25 @@ def _monotonicity(args):
             for p, r in res.items() if p != "ok"]
 
 
-# verify's checks: name -> function of the parsed options returning a list
-# of VerifierReport.  Each looks ``vf.<verifier>`` up as it runs, so a
-# verifier wrapped in the module after import is the one called.
+# verify's checks: name -> function of the verifiers module and the parsed
+# options returning a list of VerifierReport.  Each looks ``vf.<verifier>``
+# up as it runs, so a verifier wrapped in the module after import is the
+# one called.
 _VERIFIERS = {
-    "kato": lambda a: [vf.kato_ratio(*_target(a, None))],
-    "strong_form": lambda a: [vf.strong_form_residual(*_target(a, "b"))],
-    "bochner": lambda a: [vf.bochner_residual(*_target(a, "b"), a.eps)],
+    "kato": lambda vf, a: [vf.kato_ratio(*_target(vf, a, None))],
+    "strong_form": lambda vf, a: [vf.strong_form_residual(*_target(vf, a, "b"))],
+    "bochner": lambda vf, a: [vf.bochner_residual(*_target(vf, a, "b"), a.eps)],
     "bochner_s": _bochner_s,
     "monotonicity": _monotonicity,
-    "regularization": lambda a: [vf.regularization_suite(a.samples, a.seed)],
+    "regularization": lambda vf, a: [vf.regularization_suite(a.samples, a.seed)],
 }
 
 
 def cmd_verify(args) -> int:
     if args.name not in _VERIFIERS:
         raise InvalidInputError(f"unknown verifier {args.name!r}")
-    reports = _VERIFIERS[args.name](args)
+    from . import verifiers as vf
+    reports = _VERIFIERS[args.name](vf, args)
     rows = [(r.name, r.minimum, r.maximum, r.threshold, _verdict(r.passed))
             for r in reports]
     return _finish(args, "verify_" + args.name, "check,min,max,threshold,pass",
@@ -310,6 +326,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gallery(args) -> int:
+    from . import verifiers as vf
     rows, lines = [], []
     for item in vf.example_gallery():
         exp = item["expected"]
@@ -324,10 +341,11 @@ def cmd_gallery(args) -> int:
 def cmd_report(args) -> int:
     """Small battery: capacity oracle, Kato ratios, monotonicity sample.
     Each row ends in its verdict; report.txt holds the same rows."""
+    from . import verifiers as vf
     ana, num = _capacities(euclidean(3), 2.0, 1.0, 2.0, 513)
     rows = [("capacity_oracle", num, ana, abs(num - ana) / ana < 0.01)]
     for tag in ("a", "b"):
-        item = _gallery_item(tag)
+        item = _gallery_item(vf, tag)
         expect = item["expected"]["kato_ratio"]
         rep = vf.kato_ratio(item["field"], item["p"])
         rows.append(("kato_" + tag, rep.mean, expect,
@@ -350,6 +368,18 @@ def cmd_report(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def _parse_optional(self, arg_string):
+        # argparse takes "-1e1", "-1e-3" or "-inf" for an option flag, as
+        # it takes any "-" token but "-5" and "-.5": a token that float()
+        # reads is a value unless it is one of the parser's flags
+        if arg_string not in self._option_string_actions:
+            try:
+                float(arg_string)
+                return None
+            except ValueError:
+                pass
+        return super()._parse_optional(arg_string)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         raise InvalidInputError(message)
@@ -433,8 +463,8 @@ def run(argv=None) -> int:
 def main() -> None:
     # what is imported by now lives until exit: frozen, it is walked by
     # neither the run's full collections nor the interpreter's at
-    # shutdown, some 23k objects of numpy and plap; ``run`` freezes
-    # nothing, so a library caller's heap is collected as before
+    # shutdown, some 21k objects of numpy and plap's parser; ``run``
+    # freezes nothing, so a library caller's heap is collected as before
     gc.freeze()
     sys.exit(run())
 

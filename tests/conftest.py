@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import plap
 import plap.energy as en
 
 
@@ -20,3 +25,19 @@ def _dense_hessian(spec, field):
 @pytest.fixture(scope="session")
 def dense_hessian():
     return _dense_hessian
+
+
+def _fresh(code, cwd):
+    """Run ``code`` in a fresh interpreter that imports plap from here;
+    its stdout lines."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(plap.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()
+
+
+@pytest.fixture(scope="session")
+def fresh():
+    return _fresh

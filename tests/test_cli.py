@@ -1,8 +1,5 @@
 import argparse
 import gc
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -470,22 +467,12 @@ def test_outputs_deterministic(tmp_path, euclid3):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
-def _fresh(code, tmp_path):
-    """Run ``code`` in a fresh interpreter that imports plap from here."""
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    return out.stdout.splitlines()
-
-
-def test_launch_imports_no_interpolate_or_integrate(tmp_path):
+def test_launch_imports_no_interpolate_or_integrate(tmp_path, fresh):
     # a fresh interpreter: pytest's warning filters import scipy.integrate.
     # LAPACK is scipy.linalg._flapack alone, without the scipy package,
     # whose __init__ costs about 10 ms, or scipy.linalg's, which more than
-    # doubled a launch's import time; a later import of the package
-    # shares that module
+    # doubled a launch's import time; the first subcommand that solves
+    # loads it, and a later import of the package shares that module
     cfg = tmp_path / "euclid3.cfg"
     cfg.write_text(EUCLID3)
     code = (
@@ -493,24 +480,83 @@ def test_launch_imports_no_interpolate_or_integrate(tmp_path):
         "import plap.cli\n"
         "loaded = lambda: sorted(m for m in sys.modules if (m == 'scipy'\n"
         "    or m.startswith('scipy.')) and m != 'scipy.linalg._flapack')\n"
+        "has_lapack = lambda: 'scipy.linalg._flapack' in sys.modules\n"
         "assert not loaded(), loaded()\n"
-        "assert 'scipy.linalg._flapack' in sys.modules\n"
+        "assert not has_lapack()\n"
         f"assert plap.cli.run(['classify', '--manifold', {str(cfg)!r}, '--p', '2']) == 0\n"
         "assert not loaded(), loaded()\n"
         f"assert plap.cli.run(['gallery', '--out', {str(tmp_path)!r}]) == 0\n"
+        "assert not has_lapack()\n"
         f"assert plap.cli.run(['solve', '--manifold', {str(cfg)!r}, '--p', '3',\n"
         f"    '--a', '1', '--b', '2', '--nodes', '65', '--out', {str(tmp_path)!r}]) == 0\n"
         "assert not loaded(), loaded()\n"
+        "assert has_lapack()\n"
         "import scipy.linalg.lapack as lapack\n"
         "import plap.solver as sv\n"
         "assert sv.dgtsv is lapack.dgtsv and sv.dpbsv is lapack.dpbsv\n"
     )
-    out = _fresh(code, tmp_path)
+    out = fresh(code, tmp_path)
     assert out[0] == "Hyperbolic"
     assert "iterations = 0" not in out
 
 
-def test_lapack_fallback_imports_scipy(tmp_path):
+def test_launch_imports_errors_and_geometry(tmp_path, fresh):
+    # what load_manifold, run and the parser need: no solver, no LAPACK
+    code = (
+        "import sys\n"
+        "import plap.cli\n"
+        "print(' '.join(sorted(m for m in sys.modules if m == 'scipy'\n"
+        "      or m.startswith(('plap.', 'scipy.')))))\n"
+    )
+    assert fresh(code, tmp_path) == ["plap.cli plap.errors plap.geometry"]
+
+
+# the plap modules a launch loads besides plap, by subcommand
+_CLASSIFY = {"errors", "geometry"}
+_SOLVE = _CLASSIFY | {"energy", "grid", "solver"}
+_CAPACITY = _SOLVE | {"capacity"}
+_VERIFY = _CLASSIFY | {"energy", "grid", "verifiers"}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["classify", "--manifold", "{euclid3}", "--p", "2"], _CLASSIFY),
+    (["solve", "--p", "3", "--nodes", "65"], _SOLVE),
+    (["continuation", "--p", "3", "--nodes", "65", "--steps", "3"], _SOLVE),
+    (["barrier", "--manifold", "{cosh3}", "--p", "3", "--nodes", "65"],
+     _SOLVE),
+    (["capacity", "--manifold", "{euclid3}", "--p", "3", "--a", "1",
+      "--b", "2"], _CAPACITY),
+    (["decay", "--manifold", "{exp2}", "--p", "2", "--lambda-p", "0.25",
+      "--R", "2", "3", "4"], _CAPACITY),
+    (["volume", "--manifold", "{exp2}", "--p", "2", "--lambda-p", "0.25",
+      "--R", "2", "4"], _CAPACITY),
+    (["verify", "kato", "--p", "3.2", "--m", "4"], _VERIFY),
+    (["gallery"], _VERIFY),
+    (["report"], _CAPACITY | _VERIFY),
+], ids=["classify", "solve", "continuation", "barrier", "capacity", "decay",
+        "volume", "verify", "gallery", "report"])
+def test_launch_imports_only_its_subcommands_modules(tmp_path, euclid3, exp2,
+                                                     fresh, argv, modules):
+    # python -m plap.cli: each command imports its modules as it runs,
+    # LAPACK with the solver
+    cosh3 = tmp_path / "cosh3.cfg"
+    cosh3.write_text(COSH3)
+    argv = [a.format(euclid3=euclid3, exp2=exp2, cosh3=cosh3) for a in argv]
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print(' '.join(sorted(\n"
+        "    m for m in sys.modules if m.startswith('plap.')))))\n"
+        "atexit.register(lambda: print('scipy.linalg._flapack' in sys.modules))\n"
+        f"sys.argv = ['plap'] + {argv + ['--out', str(tmp_path)]!r}\n"
+        "runpy.run_module('plap.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    # atexit runs its handlers last in, first out
+    lapack, loaded = fresh(code, tmp_path)[-2:]
+    assert set(loaded.split()) == {"plap." + m for m in modules}
+    assert lapack == str("solver" in modules)
+
+
+def test_lapack_fallback_imports_scipy(tmp_path, fresh):
     # where the direct load raises ImportError (a Windows wheel sets up
     # its DLL directory in scipy/__init__), scipy is imported and the
     # extension loaded once more
@@ -534,10 +580,10 @@ def test_lapack_fallback_imports_scipy(tmp_path):
         "import scipy.linalg.lapack as lapack\n"
         "assert sv.dgtsv is lapack.dgtsv\n"
     )
-    _fresh(code, tmp_path)
+    fresh(code, tmp_path)
 
 
-def test_main_freezes_the_import_heap(tmp_path, euclid3):
+def test_main_freezes_the_import_heap(tmp_path, euclid3, fresh):
     # python -m plap.cli: the objects made by import are frozen before
     # the run, so no collection walks them, at shutdown neither
     code = (
@@ -547,7 +593,7 @@ def test_main_freezes_the_import_heap(tmp_path, euclid3):
         f"sys.argv = ['plap', 'classify', '--manifold', {euclid3!r}, '--p', '2']\n"
         "runpy.run_module('plap.cli', run_name='__main__', alter_sys=True)\n"
     )
-    before, verdict, frozen = _fresh(code, tmp_path)
+    before, verdict, frozen = fresh(code, tmp_path)
     assert (before, verdict) == ("0", "Hyperbolic")
     assert int(frozen) > 0
 
@@ -996,3 +1042,89 @@ def test_verify_samples_at_least_one(tmp_path, capsys, name):
     assert capsys.readouterr().err == "error: samples must be at least 1\n"
     rc = cli.run(["verify", name, "--samples", "1", "--out", str(tmp_path)])
     assert rc == cli.EXIT_OK
+
+
+# each subcommand's required options, to parse one more option after
+REQUIRED = {
+    "solve": ["--p", "3"],
+    "continuation": ["--p", "3"],
+    "capacity": ["--manifold", "{cfg}", "--p", "3", "--a", "1", "--b", "2"],
+    "barrier": ["--manifold", "{cfg}", "--p", "3"],
+    "decay": ["--manifold", "{cfg}", "--p", "2", "--lambda-p", "0.25",
+              "--R", "2", "3"],
+    "volume": ["--manifold", "{cfg}", "--p", "2", "--lambda-p", "0.25",
+               "--R", "2", "3"],
+    "verify": ["kato"],
+}
+
+
+
+def _float_options():
+    """(subcommand, flag, dest) of every option read as a float."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(name, a.option_strings[0], a.dest)
+            for name, sp in sub.choices.items()
+            for a in sp._actions if a.type is float]
+
+
+FLOAT_OPTIONS = _float_options()
+
+
+@pytest.mark.parametrize("value, number", [
+    ("-1e1", -10.0), ("-2.5E-3", -0.0025), ("-inf", -np.inf),
+])
+@pytest.mark.parametrize("name, flag, dest", FLOAT_OPTIONS,
+                         ids=["%s%s" % o[:2] for o in FLOAT_OPTIONS])
+def test_negative_option_values_are_values(euclid3, name, flag, dest, value,
+                                           number):
+    # argparse took "-1e1" or "-inf" for an option flag: "expected one
+    # argument"; only "-5" and "-.5" were read as numbers
+    argv = [a.format(cfg=euclid3) for a in REQUIRED[name]]
+    args = cli.build_parser().parse_args([name] + argv + [flag, value])
+    got = getattr(args, dest)
+    assert got == ([number] if flag == "--R" else number)
+
+
+def test_negative_option_values_are_checked(tmp_path, exp2, capsys):
+    # --r0 -inf was refused as a flag with no argument, not as R0;
+    # --p -1e1 as "p must exceed 1", like --p -10
+    rc = cli.run(["decay", "--manifold", exp2, "--p", "2", "--lambda-p",
+                  "0.25", "--R", "2", "4", "--r0", "-inf",
+                  "--out", str(tmp_path)])
+    assert rc == cli.EXIT_INVALID
+    assert capsys.readouterr().err == "error: R0 must be finite\n"
+    rc = cli.run(["solve", "--p", "-1e1", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_INVALID
+    assert capsys.readouterr().err == "error: p must exceed 1\n"
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_negative_option_values_run(tmp_path, capsys):
+    cfg = tmp_path / "cosh3.cfg"
+    cfg.write_text(COSH3)
+    rc = cli.run(["barrier", "--manifold", str(cfg), "--p", "3", "--tmin",
+                  "-8e0", "--tmax", "8", "--nodes", "65", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_OK
+    rows = (tmp_path / "barrier.csv").read_text().splitlines()
+    assert float(rows[1].split(",")[0]) == -8.0
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["barrier", "--tmin", "--tmax", "3"],
+     "error: argument --tmin: expected one argument\n"),
+    (["solve", "--p", "3", "--ua", "-x"],
+     "error: argument --ua: expected one argument\n"),
+    (["solve", "--p", "3", "-1e1"], "error: unrecognized arguments: -1e1\n"),
+])
+def test_negative_option_values_leave_flags_alone(argv, err, capsys):
+    # a missing value and a stray token are refused as before
+    assert cli.run(argv) == cli.EXIT_INVALID
+    assert capsys.readouterr().err.endswith(err)
+
+
+def test_negative_option_values_leave_help_alone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["barrier", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: plap barrier")
